@@ -159,12 +159,21 @@ def _term_value(tid: BetaTermId, rd: ResonanceData, sc: StokesCoefficients) -> f
     return float(prefactor * numerator / denominator)
 
 
+def _signed_terms(rd: ResonanceData) -> list[float]:
+    """Every term of the rd.p-th coefficient with its sign, in beta_term_ids order."""
+    sc = stokes_coefficients(rd.h)
+    return [tid.sign * _term_value(tid, rd, sc) for tid in beta_term_ids(rd.p)]
+
+
+def _floor(total: float, terms) -> tuple[float, bool]:
+    """Cancellation floor (8 ulps of the largest term) and whether |total| is within 10x of it."""
+    floor = 8.0 * math.ulp(max(abs(v) for v in terms))
+    return floor, abs(total) < 10.0 * floor
+
+
 def beta1(p: int, h: float) -> float:
     """Signed compensated sum of all terms of the p-th coefficient at depth h."""
-    h = _check_depth(h)
-    rd = build_resonance_data(p, h)
-    sc = stokes_coefficients(h)
-    return neumaier_sum(tid.sign * _term_value(tid, rd, sc) for tid in beta_term_ids(p))
+    return neumaier_sum(_signed_terms(build_resonance_data(p, h)))
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,7 @@ class BetaBreakdown:
     @property
     def cancellation_floor(self) -> float:
         """8 ulps of the largest term: the resolution limit of ``total``."""
-        return 8.0 * math.ulp(max(abs(v) for v in self.terms.values()))
+        return _floor(self.total, self.terms.values())[0]
 
     def signed_values(self) -> list[float]:
         return [tid.sign * v for tid, v in self.terms.items()]
@@ -193,27 +202,19 @@ class BetaBreakdown:
 
 def beta1_breakdown(p: int, h: float) -> BetaBreakdown:
     """Like :func:`beta1` but exposing every term and the group sums."""
-    h = _check_depth(h)
     rd = build_resonance_data(p, h)
-    sc = stokes_coefficients(h)
-
-    terms: dict[BetaTermId, float] = {}
+    ids = beta_term_ids(p)
+    signed = _signed_terms(rd)
     groups: dict[str, list[float]] = {}
-    for tid in beta_term_ids(p):
-        v = _term_value(tid, rd, sc)
-        terms[tid] = v
-        if tid.intermediates:
-            groups.setdefault(tid.group, []).append(tid.sign * v)
-
-    group_sums = {name: neumaier_sum(vals) for name, vals in groups.items()}
-    total = neumaier_sum(tid.sign * v for tid, v in terms.items())
+    for tid, v in zip(ids[1:], signed[1:]):
+        groups.setdefault(tid.group, []).append(v)
     return BetaBreakdown(
         p=p,
-        h=h,
-        b0=terms[BetaTermId(p, (), ())],
-        terms=terms,
-        group_sums=group_sums,
-        total=total,
+        h=rd.h,
+        b0=signed[0],
+        terms={tid: tid.sign * v for tid, v in zip(ids, signed)},
+        group_sums={name: neumaier_sum(vals) for name, vals in groups.items()},
+        total=neumaier_sum(signed),
     )
 
 
@@ -227,9 +228,11 @@ def find_beta_zeros(
     """Zeros of h -> beta1(p, h) in [h_min, h_max] by sign-change bracketing.
 
     Scans a uniform grid of grid_n intervals, then refines each sign change
-    by Brent bisection until the bracket is narrower than tol.  An empty
-    list is a valid result; callers wanting residuals evaluate beta1 at the
-    returned points.
+    by Brent bisection until the bracket is narrower than tol.  Sign changes
+    between two grid values that are both within 10x of the cancellation
+    floor are rounding noise and are skipped; an exact 0.0 on the grid
+    counts only next to a value above the floor.  An empty list is a valid
+    result; callers wanting residuals evaluate beta1 at the returned points.
     """
     _check_depth(h_min)
     _check_depth(h_max)
@@ -240,20 +243,26 @@ def find_beta_zeros(
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    f = lambda h: beta1(p, h)
     hs = np.linspace(h_min, h_max, grid_n + 1)
-    vals = [f(h) for h in hs]
+    vals, noise = [], []
+    for h in hs:
+        terms = _signed_terms(build_resonance_data(p, h))
+        total = neumaier_sum(terms)
+        vals.append(total)
+        noise.append(_floor(total, terms)[1])
 
+    def trusted(i):
+        return 0 <= i <= grid_n and not noise[i]
+
+    f = lambda h: beta1(p, h)
     zeros = []
-    for i in range(grid_n):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            zeros.append(float(hs[i]))
-        elif v0 * v1 < 0.0:
+    for i, v in enumerate(vals):
+        if v == 0.0:
+            if trusted(i - 1) or trusted(i + 1):
+                zeros.append(float(hs[i]))
+        elif i < grid_n and v * vals[i + 1] < 0.0 and (trusted(i) or trusted(i + 1)):
             zeros.append(brentq(f, hs[i], hs[i + 1], xtol=tol))
-    if vals[-1] == 0.0:
-        zeros.append(float(hs[-1]))
-    return sorted(zeros)
+    return zeros
 
 
 @dataclass(frozen=True)
@@ -282,15 +291,16 @@ def beta_scan(p: int, hs) -> list[ScanRow]:
         h = float(h)
         if not _SCAN_H_RANGE[0] <= h <= _SCAN_H_RANGE[1]:
             raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={h!r}")
-        bd = beta1_breakdown(p, h)
+        terms = _signed_terms(build_resonance_data(p, h))
+        total = neumaier_sum(terms)
         lead = leading_term(p, h)
         rows.append(
             ScanRow(
                 h=h,
-                beta1=bd.total,
+                beta1=total,
                 leading=lead,
-                ratio=bd.total / lead if lead != 0.0 else math.nan,
-                floor_flag=abs(bd.total) < 10.0 * bd.cancellation_floor,
+                ratio=total / lead if lead != 0.0 else math.nan,
+                floor_flag=_floor(total, terms)[1],
             )
         )
     return rows

@@ -13,8 +13,6 @@ printed in shortest round-trip form; exit code 0 on success, 2 on usage
 errors, 3 on numerical failures.  CSV uses a header row and '.' decimals
 (isola band metadata appears as leading '#' comments); JSON is an array of
 schema-tagged objects validating against ``schemas/output.schema.json``.
-Grid evaluation may run on a thread pool capped by STOKES_ISOLA_THREADS;
-rows are emitted in grid order regardless.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -71,28 +67,6 @@ def _emit(records: list[dict], fmt: str, comments: list[str] | None = None, fiel
         writer.writerow([_fmt(rec[k]) for k in fields])
 
 
-def _thread_count() -> int:
-    env = os.environ.get("STOKES_ISOLA_THREADS")
-    if env is None:
-        return min(os.cpu_count() or 1, 8)
-    try:
-        n = int(env)
-    except ValueError:
-        raise SystemExit(
-            f"error: STOKES_ISOLA_THREADS must be an integer, got {env!r}"
-        ) from None
-    return max(n, 1)
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _h_grid(args, parser) -> list[float]:
     if args.h is not None:
         if args.h_min is not None or args.h_max is not None:
@@ -102,6 +76,8 @@ def _h_grid(args, parser) -> list[float]:
         parser.error("give --h, or both --h-min and --h-max")
     if not 0 < args.h_min < args.h_max:
         parser.error("need 0 < --h-min < --h-max")
+    if args.n < 2:
+        parser.error(f"--n must be >= 2 for a --h-min/--h-max grid, got {args.n}")
     return [float(x) for x in np.linspace(args.h_min, args.h_max, args.n)]
 
 
@@ -130,7 +106,7 @@ def cmd_resonance(args, parser):
             "phi_asymptote": asym,
         }
 
-    _emit(_map_ordered(row, hs), args.format)
+    _emit([row(h) for h in hs], args.format)
     return 0
 
 
@@ -141,7 +117,8 @@ def cmd_beta(args, parser):
 
     if args.breakdown:
         records = []
-        for bd in _map_ordered(lambda h: beta1_breakdown(args.p, h), hs):
+        for h in hs:
+            bd = beta1_breakdown(args.p, h)
             for tid, value in bd.terms.items():
                 records.append(
                     {
@@ -159,7 +136,8 @@ def cmd_beta(args, parser):
 
     if args.groups:
         records = []
-        for bd in _map_ordered(lambda h: beta1_breakdown(args.p, h), hs):
+        for h in hs:
+            bd = beta1_breakdown(args.p, h)
             records.append(
                 {"schema": "beta_group", "p": bd.p, "h": bd.h, "group": "b0", "value": bd.b0}
             )
@@ -286,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("beta", help="instability coefficient over depth")
     s.add_argument("--p", type=int, required=True, help="isola index in {2, 3, 4}")
     _add_grid_flags(s)
-    s.add_argument("--breakdown", action="store_true", help="emit every term")
-    s.add_argument("--groups", action="store_true", help="emit group sums")
+    table = s.add_mutually_exclusive_group()
+    table.add_argument("--breakdown", action="store_true", help="emit every term")
+    table.add_argument("--groups", action="store_true", help="emit group sums")
     add_common(s)
     s.set_defaults(func=cmd_beta)
 

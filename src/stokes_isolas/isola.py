@@ -69,20 +69,20 @@ class IsolaParams:
 
     @classmethod
     def from_depth(cls, p, h, eps, T1, E, y0=None, mu0=None):
-        """Fill beta1, y0, mu0 from the resonance and coefficient modules."""
-        from .beta import beta1 as _beta1
-        from .resonance import omega_star, solve_wavenumber
+        """Fill beta1, y0, mu0 from one resonance solve at (p, h)."""
+        from .beta import _signed_terms, neumaier_sum
+        from .resonance import build_resonance_data
 
-        phi = solve_wavenumber(p, h)
+        rd = build_resonance_data(p, h)
         return cls(
             p=p,
             h=h,
             eps=eps,
-            beta1=_beta1(p, h),
+            beta1=neumaier_sum(_signed_terms(rd)),
             T1=T1,
             E=E,
-            y0=omega_star(p, h) if y0 is None else y0,
-            mu0=phi if mu0 is None else mu0,
+            y0=rd.omega_star if y0 is None else y0,
+            mu0=rd.phi_star if mu0 is None else mu0,
         )
 
     @property

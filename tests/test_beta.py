@@ -207,6 +207,29 @@ class TestZeros:
         assert zeros[0] == pytest.approx(ORACLE_ZEROS[4][0], abs=1e-6)
         assert zeros[1] == pytest.approx(ORACLE_ZEROS[4][1], abs=1e-6)
 
+    @pytest.mark.parametrize("grid_n", [100, 500, 2000, 7919])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_no_zeros_from_deep_water_noise(self, p, grid_n):
+        # deep-water totals sink under the cancellation floor and change
+        # sign from rounding alone; only the oracle's zeros may come back
+        zeros = find_beta_zeros(p, 0.05, 20.0, grid_n, 1e-8)
+        assert zeros == pytest.approx(list(ORACLE_ZEROS[p]), abs=1e-6)
+        for h_min in (10.0, 14.0):
+            assert find_beta_zeros(p, h_min, 20.0, grid_n, 1e-8) == []
+
+    def test_exact_zero_needs_trusted_neighbour(self, monkeypatch):
+        from stokes_isolas import beta
+
+        # synthetic curve h - 1.5 whose grid value at 1.5 cancels to exactly 0.0
+        def crossing(rd):
+            return [1.0, -1.0] if abs(rd.h - 1.5) < 1e-12 else [rd.h - 1.5]
+
+        monkeypatch.setattr(beta, "_signed_terms", crossing)
+        assert find_beta_zeros(2, 1.0, 2.0, 100) == pytest.approx([1.5], abs=1e-12)
+        # exact zeros between floor-level neighbours are noise, not roots
+        monkeypatch.setattr(beta, "_signed_terms", lambda rd: [1.0, -1.0])
+        assert find_beta_zeros(2, 1.0, 2.0, 100) == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             find_beta_zeros(2, 2.0, 1.0, 500, 1e-8)
@@ -226,7 +249,7 @@ class TestScan:
             assert not r.floor_flag
 
     def test_floor_flag_deep(self):
-        # p=4 beyond h ~ 16 the total sinks under the cancellation floor
+        # p=4 beyond h ~ 14.4 the total sinks under the cancellation floor
         (row,) = beta_scan(4, [17.0])
         assert row.floor_flag
 

@@ -59,6 +59,14 @@ class TestResonanceCommand:
         code, _, _ = run_cli("resonance", "--p", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["resonance", "beta"])
+    @pytest.mark.parametrize("n", ["0", "1", "-3"])
+    def test_grid_needs_two_points(self, command, n):
+        code, out, err = run_cli(command, "--p", "2", "--h-min", "1", "--h-max", "2", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+
 
 class TestBetaCommand:
     def test_near_zero_depth(self):
@@ -81,6 +89,12 @@ class TestBetaCommand:
         code2, out2, _ = run_cli("beta", "--p", "4", "--h", "3")
         beta_val = float(parse_csv(out2)[0]["beta1"])
         assert abs(total - beta_val) <= 64 * math.ulp(largest)
+
+    def test_breakdown_and_groups_exclusive(self):
+        code, out, err = run_cli("beta", "--p", "4", "--h", "3", "--breakdown", "--groups")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
 
     def test_groups_match_deep_water_coefficients(self):
         code, out, _ = run_cli("beta", "--p", "4", "--h", "6", "--groups")
@@ -224,13 +238,6 @@ class TestSelftest:
 
 
 class TestEnvironment:
-    def test_thread_cap_keeps_order(self, monkeypatch):
-        monkeypatch.setenv("STOKES_ISOLA_THREADS", "4")
-        _, parallel, _ = run_cli("resonance", "--p", "2", "--h-min", "1", "--h-max", "3", "--n", "9")
-        monkeypatch.setenv("STOKES_ISOLA_THREADS", "1")
-        _, serial, _ = run_cli("resonance", "--p", "2", "--h-min", "1", "--h-max", "3", "--n", "9")
-        assert parallel == serial
-
     def test_console_script_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stokes_isolas.cli", "resonance", "--p", "2", "--h", "2"],

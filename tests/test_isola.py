@@ -61,6 +61,20 @@ class TestParams:
         override = IsolaParams.from_depth(2, 3.0, 0.05, T1=1.0, E=0.5, y0=9.9, mu0=0.1)
         assert override.y0 == 9.9 and override.mu0 == 0.1
 
+    def test_from_depth_solves_once(self, monkeypatch):
+        from stokes_isolas import resonance
+
+        calls = []
+        original = resonance.solve_wavenumber
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(resonance, "solve_wavenumber", counting)
+        IsolaParams.from_depth(4, 2.5, 0.05, T1=1.0, E=0.5)
+        assert len(calls) == 1
+
     def test_max_growth_and_width(self):
         p = make_params()
         assert p.max_growth == abs(p.beta1) * p.eps**2
