@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dispersion import _libm
 from .errors import DegenerateFitError
 
 __all__ = [
@@ -62,7 +63,8 @@ class AsymptoticModel:
             )
 
     def leading(self, h: float) -> float:
-        return self.coeff * math.exp(-self.rate * h)
+        """coeff * exp(-rate*h); h may be an array of depths (libm exp per element)."""
+        return self.coeff * _libm(math.exp, -self.rate * h)
 
     def value(self, h: float) -> float:
         return self.offset + self.leading(h)

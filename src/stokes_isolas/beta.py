@@ -22,6 +22,17 @@ transcribing it once as data instead of hand-coding 27 expressions is the
 main defense against sign typos (the audit tests compare against the
 independently transcribed reference evaluator in ``oracle.py``).
 
+The rule is compiled once per p into a plan (``_plan``): for each term its
+sign, its 4^(k+1), its hops as (l-1, w_m, m, w_n, n) and its intermediates
+(j, s), with each distinct hop factor and denominator evaluated once per
+depth.  One evaluator (``_evaluate``) applies the plan to Python floats at
+a single depth (``beta1``, ``beta1_breakdown``, ``IsolaParams.from_depth``)
+or to numpy arrays over a grid of depths (``beta_scan``, the grid pass of
+``find_beta_zeros``, the CLI tables).  It performs the same IEEE operations
+in the same order either way, and the grid's phi* solve is a lane-wise port
+of the single-depth Brent solve, so every grid value equals the
+single-depth value bit for bit.
+
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
 assembly uses compensated summation; ``cancellation_floor`` reports the
@@ -39,10 +50,10 @@ from itertools import combinations, product
 import numpy as np
 from scipy.optimize import brentq
 
-from .dispersion import _check_depth
+from .dispersion import _check_depth, _libm, _phase, _sqrt
 from .errors import SingularityError
-from .resonance import ResonanceData, build_resonance_data
-from .stokes_coefficients import StokesCoefficients, stokes_coefficients
+from .resonance import ResonanceData, _resonance_grid, build_resonance_data
+from .stokes_coefficients import _coefficients
 
 __all__ = [
     "BetaTermId",
@@ -126,43 +137,136 @@ def beta_term_ids(p: int) -> tuple[BetaTermId, ...]:
     return tuple(ids)
 
 
-def _term_value(tid: BetaTermId, rd: ResonanceData, sc: StokesCoefficients) -> float:
-    c = sc.c
-    O = rd.Omega
-    t = rd.t
-    p = tid.p
+@dataclass(frozen=True)
+class _Plan:
+    """The path rule for one p, compiled once.
 
-    nodes = (0, *tid.intermediates, p)
-    weights = (1.0, *(-float(s) for s in tid.signs), -1.0)
+    hops: distinct hop factors as (l-1, w_m, m, w_n, n); dens: distinct
+    intermediate denominators as (j, s); terms: per term, in beta_term_ids
+    order, (sign, 4^(k+1), hop indices, denominator indices); groups: the
+    term rows of each path family, in first-appearance order.
+    """
 
-    numerator = 1.0
-    for i in range(len(nodes) - 1):
-        m, n = nodes[i], nodes[i + 1]
-        l = n - m
-        numerator *= sc.a(l) + sc.p(l) * (weights[i] * t[m] + weights[i + 1] * t[n])
+    p: int
+    hops: tuple
+    dens: tuple
+    terms: tuple
+    groups: dict
 
-    denominator = 4.0 ** (len(tid.intermediates) + 1)
-    prefactor = math.sqrt(O[0] * O[p])
-    for j, s in zip(tid.intermediates, tid.signs):
-        prefactor *= O[j]
-        d = j * c - s * O[j] - O[0]
-        if abs(d) < DENOMINATOR_GUARD:
-            sign = "-" if s > 0 else "+"
-            raise SingularityError(
-                f"near-vanishing denominator {j}*c_h {sign} Omega_{j} - Omega_0 = {d:.3e} "
-                f"in term {tid.label} at (p={p}, h={rd.h})",
-                denominator_label=f"{j}*c_h {sign} Omega_{j} - Omega_0",
-                value=d,
-            )
-        denominator *= d
 
-    return float(prefactor * numerator / denominator)
+@lru_cache(maxsize=None)
+def _plan(p: int) -> _Plan:
+    hops: dict = {}
+    dens: dict = {}
+    terms, groups = [], {}
+    for row, tid in enumerate(beta_term_ids(p)):
+        nodes = (0, *tid.intermediates, p)
+        weights = (1.0, *(-float(s) for s in tid.signs), -1.0)
+        hop_ids = tuple(
+            hops.setdefault((n - m - 1, weights[i], m, weights[i + 1], n), len(hops))
+            for i, (m, n) in enumerate(zip(nodes, nodes[1:]))
+        )
+        den_ids = tuple(dens.setdefault(js, len(dens)) for js in zip(tid.intermediates, tid.signs))
+        terms.append((tid.sign, 4.0 ** (len(tid.intermediates) + 1), hop_ids, den_ids))
+        if row:
+            groups.setdefault(tid.group, []).append(row)
+    return _Plan(p, tuple(hops), tuple(dens), tuple(terms), groups)
+
+
+def _denominators(plan: _Plan, Omega, c) -> list:
+    """j*c - s*Omega_j - Omega_0 for each distinct intermediate (j, s)."""
+    return [j * c - s * Omega[j] - Omega[0] for j, s in plan.dens]
+
+
+def _evaluate(plan: _Plan, Omega, t, coefficients, dens) -> list:
+    """Signed terms in beta_term_ids order.
+
+    Omega[j] and t[j] are floats at one depth or rows of arrays over a grid,
+    and the Stokes coefficients and denominators match; either way every
+    term gets the same IEEE operations in the same order, so a grid column
+    equals the single-depth result bit for bit.
+    """
+    a, pl = coefficients
+    hop = [a[l] + pl[l] * (wm * t[m] + wn * t[n]) for l, wm, m, wn, n in plan.hops]
+    root = _sqrt(Omega[0] * Omega[plan.p])
+    out = []
+    for sign, scale, hop_ids, den_ids in plan.terms:
+        numerator = hop[hop_ids[0]]
+        for k in hop_ids[1:]:
+            numerator = numerator * hop[k]
+        prefactor, denominator = root, scale
+        for k in den_ids:
+            prefactor = prefactor * Omega[plan.dens[k][0]]
+            denominator = denominator * dens[k]
+        out.append(sign * (prefactor * numerator / denominator))
+    return out
 
 
 def _signed_terms(rd: ResonanceData) -> list[float]:
-    """Every term of the rd.p-th coefficient with its sign, in beta_term_ids order."""
-    sc = stokes_coefficients(rd.h)
-    return [tid.sign * _term_value(tid, rd, sc) for tid in beta_term_ids(rd.p)]
+    """Every term of the rd.p-th coefficient at one depth with its sign, in beta_term_ids order."""
+    plan = _plan(rd.p)
+    c = _phase(rd.h)
+    coefficients = _coefficients(c)
+    Omega, t = rd.Omega.tolist(), rd.t.tolist()
+    dens = _denominators(plan, Omega, c)
+    for tid, (_, _, _, den_ids) in zip(beta_term_ids(rd.p), plan.terms):
+        for k in den_ids:
+            if abs(dens[k]) < DENOMINATOR_GUARD:
+                j, s = plan.dens[k]
+                sign = "-" if s > 0 else "+"
+                raise SingularityError(
+                    f"near-vanishing denominator {j}*c_h {sign} Omega_{j} - Omega_0 = {dens[k]:.3e} "
+                    f"in term {tid.label} at (p={rd.p}, h={rd.h})",
+                    denominator_label=f"{j}*c_h {sign} Omega_{j} - Omega_0",
+                    value=dens[k],
+                )
+    return _evaluate(plan, Omega, t, coefficients, dens)
+
+
+def _grid_terms(rd: ResonanceData) -> np.ndarray:
+    """Signed terms over a ResonanceData of arrays: one row per term, one column per depth.
+
+    Columns the array pass cannot vouch for (a near-vanishing denominator,
+    a non-finite term) are redone by _signed_terms in grid order, which
+    raises the error a row-by-row loop would raise first.
+    """
+    plan = _plan(rd.p)
+    c = _phase(rd.h)
+    dens = _denominators(plan, rd.Omega, c)
+    with np.errstate(all="ignore"):
+        terms = np.array(_evaluate(plan, rd.Omega, rd.t, _coefficients(c), dens))
+    redo = ~np.isfinite(terms).all(axis=0)
+    for d in dens:
+        redo |= np.abs(d) < DENOMINATOR_GUARD
+    for i in np.flatnonzero(redo):
+        lane = ResonanceData(rd.p, float(rd.h[i]), float(rd.phi_star[i]), float(rd.omega_star[i]),
+                             rd.Omega[:, i], rd.t[:, i], float(rd.residual[i]))
+        terms[:, i] = _signed_terms(lane)
+    return terms
+
+
+def _grid_signed_terms(p: int, hs) -> np.ndarray:
+    """Signed terms at every depth of hs (see _grid_terms)."""
+    return _grid_terms(_resonance_grid(p, hs))
+
+
+def _neumaier_rows(rows) -> np.ndarray:
+    """neumaier_sum down the first axis: the same operations, column by column."""
+    total = np.zeros(np.shape(rows)[1:])
+    comp = np.zeros_like(total)
+    for v in rows:
+        t = total + v
+        comp += np.where(np.abs(total) >= np.abs(v), (total - t) + v, (v - t) + total)
+        total = t
+    return total + comp
+
+
+def _floor_rows(total, rows) -> np.ndarray:
+    """The flag of _floor for each column."""
+    largest = np.abs(rows[0])
+    for v in rows[1:]:
+        largest = np.where(np.abs(v) > largest, np.abs(v), largest)  # builtin max()'s comparison, also for NaN
+    return np.abs(total) < 10.0 * (8.0 * _libm(math.ulp, largest))
 
 
 def _floor(total: float, terms) -> tuple[float, bool]:
@@ -200,22 +304,36 @@ class BetaBreakdown:
         return [tid.sign * v for tid, v in self.terms.items()]
 
 
+def _breakdown(p, h, signed, group_sums, total) -> BetaBreakdown:
+    ids = beta_term_ids(p)
+    return BetaBreakdown(
+        p=p,
+        h=h,
+        b0=signed[0],
+        terms={tid: tid.sign * v for tid, v in zip(ids, signed)},
+        group_sums=group_sums,
+        total=total,
+    )
+
+
 def beta1_breakdown(p: int, h: float) -> BetaBreakdown:
     """Like :func:`beta1` but exposing every term and the group sums."""
     rd = build_resonance_data(p, h)
-    ids = beta_term_ids(p)
     signed = _signed_terms(rd)
-    groups: dict[str, list[float]] = {}
-    for tid, v in zip(ids[1:], signed[1:]):
-        groups.setdefault(tid.group, []).append(v)
-    return BetaBreakdown(
-        p=p,
-        h=rd.h,
-        b0=signed[0],
-        terms={tid: tid.sign * v for tid, v in zip(ids, signed)},
-        group_sums={name: neumaier_sum(vals) for name, vals in groups.items()},
-        total=neumaier_sum(signed),
-    )
+    groups = {name: neumaier_sum([signed[k] for k in rows]) for name, rows in _plan(rd.p).groups.items()}
+    return _breakdown(p, rd.h, signed, groups, neumaier_sum(signed))
+
+
+def _grid_breakdowns(p: int, hs) -> list[BetaBreakdown]:
+    """beta1_breakdown at every depth of hs, evaluated on the grid at once."""
+    hs = [float(h) for h in hs]
+    signed = _grid_signed_terms(p, hs)
+    total = _neumaier_rows(signed).tolist()
+    groups = {name: _neumaier_rows(signed[rows]).tolist() for name, rows in _plan(p).groups.items()}
+    return [
+        _breakdown(p, h, column, {name: sums[i] for name, sums in groups.items()}, total[i])
+        for i, (h, column) in enumerate(zip(hs, signed.T.tolist()))
+    ]
 
 
 def find_beta_zeros(
@@ -244,22 +362,22 @@ def find_beta_zeros(
         raise ValueError(f"tol must be positive, got {tol!r}")
 
     hs = np.linspace(h_min, h_max, grid_n + 1)
-    vals, noise = [], []
-    for h in hs:
-        terms = _signed_terms(build_resonance_data(p, h))
-        total = neumaier_sum(terms)
-        vals.append(total)
-        noise.append(_floor(total, terms)[1])
+    signed = _grid_signed_terms(p, hs)
+    vals = _neumaier_rows(signed)
+    noise = _floor_rows(vals, signed).tolist()
+    hs, vals = hs.tolist(), vals.tolist()
 
     def trusted(i):
         return 0 <= i <= grid_n and not noise[i]
 
-    f = lambda h: beta1(p, h)
+    # The grid already holds beta1 at both ends of every bracket.
+    on_grid = dict(zip(hs, vals))
+    f = lambda h: on_grid[h] if h in on_grid else beta1(p, h)
     zeros = []
     for i, v in enumerate(vals):
         if v == 0.0:
             if trusted(i - 1) or trusted(i + 1):
-                zeros.append(float(hs[i]))
+                zeros.append(hs[i])
         elif i < grid_n and v * vals[i + 1] < 0.0 and (trusted(i) or trusted(i + 1)):
             zeros.append(brentq(f, hs[i], hs[i + 1], xtol=tol))
     return zeros
@@ -282,25 +400,24 @@ def beta_scan(p: int, hs) -> list[ScanRow]:
     This is the data behind the coefficient-vs-depth plots: the computed
     curve next to the leading part of its deep-water expansion.  floor_flag
     marks points where |beta1| is within 10x of the cancellation floor and
-    the value should not be trusted.
+    the value should not be trusted.  The grid is evaluated at once, and
+    every field equals what beta1 and leading_term return at that depth.
     """
     from .asymptotics import leading_term
 
+    hs = [float(h) for h in hs]
+    grid = np.array(hs)
+    inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])
+    n = len(hs) if inside.all() else int(np.argmin(inside))
     rows = []
-    for h in hs:
-        h = float(h)
-        if not _SCAN_H_RANGE[0] <= h <= _SCAN_H_RANGE[1]:
-            raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={h!r}")
-        terms = _signed_terms(build_resonance_data(p, h))
-        total = neumaier_sum(terms)
-        lead = leading_term(p, h)
-        rows.append(
-            ScanRow(
-                h=h,
-                beta1=total,
-                leading=lead,
-                ratio=total / lead if lead != 0.0 else math.nan,
-                floor_flag=_floor(total, terms)[1],
-            )
-        )
+    if n:  # the rows before a depth out of range are evaluated first, as row by row
+        signed = _grid_signed_terms(p, grid[:n])
+        total = _neumaier_rows(signed)
+        lead = leading_term(p, grid[:n])
+        ratio = np.full(n, math.nan)
+        np.divide(total, lead, out=ratio, where=lead != 0.0)
+        flag = _floor_rows(total, signed)
+        rows = list(map(ScanRow, hs, total.tolist(), lead.tolist(), ratio.tolist(), flag.tolist()))
+    if n < len(hs):
+        raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={hs[n]!r}")
     return rows

@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import wavenumber_asymptote
-from .beta import beta1, beta1_breakdown, beta_scan, find_beta_zeros
+from .beta import _grid_breakdowns, beta1, beta1_breakdown, beta_scan, find_beta_zeros
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
-from .resonance import build_resonance_data
+from .resonance import _resonance_grid
 
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "output.schema.json"
 
@@ -92,21 +92,23 @@ def cmd_resonance(args, parser):
     if args.p < 2:
         parser.error(f"--p must be >= 2, got {args.p}")
     hs = _h_grid(args, parser)
-
-    def row(h):
-        rd = build_resonance_data(args.p, h)
-        asym = wavenumber_asymptote(args.p, h) if args.p in (2, 3, 4) else None
-        return {
+    rd = _resonance_grid(args.p, hs)
+    asym = wavenumber_asymptote(args.p, rd.h).tolist() if args.p in (2, 3, 4) else [None] * len(hs)
+    records = [
+        {
             "schema": "resonance",
             "p": rd.p,
-            "h": rd.h,
-            "phi": rd.phi_star,
-            "omega_star": rd.omega_star,
-            "residual": rd.residual,
-            "phi_asymptote": asym,
+            "h": h,
+            "phi": phi,
+            "omega_star": omega_star,
+            "residual": residual,
+            "phi_asymptote": a,
         }
-
-    _emit([row(h) for h in hs], args.format)
+        for h, phi, omega_star, residual, a in zip(
+            rd.h.tolist(), rd.phi_star.tolist(), rd.omega_star.tolist(), rd.residual.tolist(), asym
+        )
+    ]
+    _emit(records, args.format)
     return 0
 
 
@@ -117,8 +119,7 @@ def cmd_beta(args, parser):
 
     if args.breakdown:
         records = []
-        for h in hs:
-            bd = beta1_breakdown(args.p, h)
+        for bd in _grid_breakdowns(args.p, hs):
             for tid, value in bd.terms.items():
                 records.append(
                     {
@@ -136,8 +137,7 @@ def cmd_beta(args, parser):
 
     if args.groups:
         records = []
-        for h in hs:
-            bd = beta1_breakdown(args.p, h)
+        for bd in _grid_breakdowns(args.p, hs):
             records.append(
                 {"schema": "beta_group", "p": bd.p, "h": bd.h, "group": "b0", "value": bd.b0}
             )

@@ -12,14 +12,20 @@ together with the flat-water eigenvalue branches
 
 labelled by a mode index j and a signature sigma = +-1.
 
-Everything here is a pure scalar function of floats: no caching, no global
-state, safe to call concurrently.  Double precision throughout; Omega and t
-are accurate to a few ulps, which downstream consumers budget against.
+The public functions take floats and check their inputs.  The private
+kernels ``_omega``, ``_omega_t`` and ``_phase`` skip the checks and take either
+floats or numpy arrays of depths and wavenumbers; both forms perform the same
+IEEE operations, so a grid of depths gets the same doubles as one call per
+depth.  No caching, no global state, safe to call concurrently.  Double
+precision throughout; Omega and t are accurate to a few ulps, which
+downstream consumers budget against.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "phase_speed",
@@ -31,6 +37,53 @@ __all__ = [
 # Below this value of |h*phi| the ratio phi/tanh(h*phi) is evaluated by its
 # Taylor series; both branches agree to ~1e-16 at the crossover.
 _SERIES_THRESHOLD = 1e-4
+
+
+def _libm(fn, x):
+    """fn of a float, or of each element of an array, through the math module.
+
+    numpy's tanh and exp are not bit-equal to libm's: on uniform samples of
+    [0, 20], np.tanh differs from math.tanh in the last bit for about a
+    fifth of the arguments and np.exp from math.exp for about 5%.  The grid
+    path must return the same doubles as the single-point path, so arrays
+    go through libm one element at a time.  sqrt needs no such care: IEEE
+    754 rounds it correctly in both.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    return fn(x)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _phase(h):
+    return _sqrt(_libm(math.tanh, h))
+
+
+def _omega(phi, h):
+    """Omega for phi >= 0, unchecked; floats or arrays."""
+    return _sqrt(phi * _libm(math.tanh, h * phi))
+
+
+def _series_ratio(x: float, h: float) -> float:
+    return (1.0 + x * x / 3.0 - x ** 4 / 45.0) / h
+
+
+def _omega_t(phi, h):
+    """(Omega, t) for phi >= 0, unchecked, from one tanh; floats, or arrays of equal shape."""
+    x = h * phi
+    th = _libm(math.tanh, x)
+    omega = _sqrt(phi * th)
+    if not isinstance(x, np.ndarray):
+        return omega, math.sqrt(_series_ratio(x, h) if x < _SERIES_THRESHOLD else phi / th)
+    small = x < _SERIES_THRESHOLD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = phi / th
+    # x ** 4 as Python floats: libm pow, as in the scalar branch
+    ratio[small] = list(map(_series_ratio, x[small].tolist(), h[small].tolist()))
+    return omega, np.sqrt(ratio)
 
 
 def _check_depth(h: float) -> float:
@@ -53,8 +106,7 @@ def phase_speed(h: float) -> float:
     Strictly increasing in h, with values in (0, 1); approaches 1 like
     1 - exp(-2h) in deep water.
     """
-    h = _check_depth(h)
-    return math.sqrt(math.tanh(h))
+    return _phase(_check_depth(h))
 
 
 def omega_disp(phi: float, h: float) -> float:
@@ -65,8 +117,7 @@ def omega_disp(phi: float, h: float) -> float:
     """
     h = _check_depth(h)
     phi = _check_finite(phi, "phi")
-    x = abs(phi)          # phi * tanh(h*phi) is even; abs makes that exact
-    return math.sqrt(x * math.tanh(h * x))
+    return _omega(abs(phi), h)  # phi * tanh(h*phi) is even; abs makes that exact
 
 
 def t_ratio(phi: float, h: float) -> float:
@@ -80,12 +131,7 @@ def t_ratio(phi: float, h: float) -> float:
     phi = _check_finite(phi, "phi")
     if phi < 0.0:
         raise ValueError(f"phi must be nonnegative, got {phi!r}")
-    x = h * phi
-    if x < _SERIES_THRESHOLD:
-        ratio = (1.0 + x * x / 3.0 - x ** 4 / 45.0) / h
-    else:
-        ratio = phi / math.tanh(x)
-    return math.sqrt(ratio)
+    return _omega_t(phi, h)[1]
 
 
 def eigenvalue_branch(j: int, sigma: int, mu: float, h: float) -> float:

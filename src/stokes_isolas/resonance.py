@@ -13,6 +13,10 @@ pairing (mode 0, signature -1) with (mode p, signature +1) is adopted as the
 definition of the p-th resonance; it reproduces the deep-water limits
 phi* -> (p-1)^2/4 and all downstream expansions, which is the validation
 available from the source material.
+
+One depth is solved by scipy's ``brentq``; a grid of depths by
+``_brentq_lanes``, a lane-wise port of the same algorithm that performs the
+same IEEE operations in every lane, so both return the same phi*.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .dispersion import _check_depth, omega_disp, phase_speed, t_ratio
+from .dispersion import _check_depth, _omega, _omega_t, _phase, omega_disp, phase_speed
 from .errors import SolverError
 
 __all__ = [
@@ -39,6 +43,11 @@ DEFAULT_TOL = 1e-13
 # doubles the upper end.  The root collapses toward 0 like h^2 in shallow
 # water, so ~200 steps covers any h in [1e-3, 1e3] with huge margin.
 _MAX_EXPANSIONS = 200
+
+# Brent settings of the phi* solve, shared by brentq and _brentq_lanes.
+_XTOL = 1e-15
+_RTOL = 4 * np.finfo(float).eps
+_MAXITER = 100
 
 
 def _check_index(p: int) -> int:
@@ -60,6 +69,16 @@ def resonance_residual(phi: float, p: int, h: float) -> float:
     return omega_disp(phi, h) + omega_disp(phi + p, h) - p * phase_speed(h)
 
 
+def _residual(phi, p, h, c):
+    """f(phi) with c = c(h) precomputed and no input checks; floats or arrays."""
+    return _omega(phi, h) + _omega(phi + p, h) - p * c
+
+
+def _bracket(p: int) -> tuple[float, float]:
+    center = (p - 1) ** 2 / 4.0
+    return max(center - 0.5, 0.0625), center + 0.5
+
+
 def solve_wavenumber(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
     """Solve f(phi*) = 0 for the critical wavenumber phi*(p, h).
 
@@ -79,11 +98,9 @@ def solve_wavenumber(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
     if not tol >= 1e-15:
         raise ValueError(f"tol must be >= 1e-15, got {tol!r}")
 
-    center = (p - 1) ** 2 / 4.0
-    lo = max(center - 0.5, 0.0625)
-    hi = center + 0.5
-
-    f = lambda phi: resonance_residual(phi, p, h)
+    c = _phase(h)
+    lo, hi = _bracket(p)
+    f = lambda phi: _residual(phi, p, h, c)
 
     expansions = 0
     while f(lo) > 0.0:
@@ -101,7 +118,7 @@ def solve_wavenumber(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
                 f"no sign change toward +inf for p={p}, h={h}", bracket=(lo, hi)
             )
 
-    phi_star = brentq(f, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    phi_star = brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER)
     residual = f(phi_star)
     if abs(residual) > tol:
         raise SolverError(
@@ -109,6 +126,72 @@ def solve_wavenumber(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
             bracket=(lo, hi),
         )
     return phi_star
+
+
+def _brentq_lanes(f, xa, xb, fa, fb):
+    """Lane-wise port of scipy's brentq (scipy/optimize/Zeros/brentq.c).
+
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4) on every lane of the brackets [xa, xb], whose
+    residuals fa, fb are already known, with the phi* solve's xtol, rtol
+    and maxiter.  Each lane performs the IEEE operations brentq performs,
+    so it returns the same double; lanes leave the loop as they converge.
+    f(x, lanes) evaluates the residual at x for the given lane indices.
+
+    Returns (root, f(root), settled).  A lane is unsettled where brentq
+    would raise: a NaN residual, no sign change, no convergence.
+    """
+    n = xa.size
+    root = np.full(n, np.nan)
+    froot = np.full(n, np.nan)
+    settled = np.zeros(n, dtype=bool)
+    nan = np.isnan(fa) | np.isnan(fb)
+    for x, fx, at in ((xa, fa, ~nan & (fa == 0)), (xb, fb, ~nan & (fa != 0) & (fb == 0))):
+        root[at], froot[at], settled[at] = x[at], fx[at], True
+    lanes = np.flatnonzero(~nan & (fa != 0) & (fb != 0) & (np.signbit(fa) != np.signbit(fb)))
+    xpre, xcur, fpre, fcur = xa[lanes], xb[lanes], fa[lanes], fb[lanes]
+    xblk = fblk = spre = scur = np.zeros(lanes.size)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAXITER):
+            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+
+            delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            root[lanes[done]], froot[lanes[done]], settled[lanes[done]] = xcur[done], fcur[done], True
+            go = ~done
+            lanes = lanes[go]
+            if not lanes.size:
+                break
+            xpre, xcur, xblk, fpre, fcur, fblk = xpre[go], xcur[go], xblk[go], fpre[go], fcur[go], fblk[go]
+            spre, scur, delta, sbis = spre[go], scur[go], delta[go], sbis[go]
+
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),  # interpolate
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),  # extrapolate
+            )
+            bound = 3 * np.abs(sbis) - delta
+            limit = np.where(np.abs(spre) < bound, np.abs(spre), bound)  # C's MIN()
+            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < limit)
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+            xpre, fpre = xcur, fcur
+            xcur = np.where(np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur, lanes)
+            ok = ~np.isnan(fcur)
+            if not ok.all():
+                lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+                    a[ok] for a in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
+                )
+    return root, froot, settled
 
 
 @dataclass(frozen=True)
@@ -119,6 +202,10 @@ class ResonanceData:
     for j = 0..p; omega_star is the collision frequency, reachable from
     either colliding branch (the residual records how well they agree).
     phi* mod 1 is the Brillouin-zone representative of the collision.
+
+    Over a grid of depths (see ``_resonance_grid``) h, phi_star,
+    omega_star and residual are arrays with one entry per depth, and Omega
+    and t have one row per harmonic j and one column per depth.
     """
 
     p: int
@@ -134,23 +221,63 @@ class ResonanceData:
         return self.phi_star % 1.0
 
 
+def _tabulate(p, h, phi_star, c):
+    """The ResonanceData fields that follow from phi*, for floats or arrays of depths."""
+    Omega, t = zip(*(_omega_t(j + phi_star, h) for j in range(p + 1)))
+    return dict(
+        omega_star=c * phi_star + Omega[0],
+        Omega=np.array(Omega),
+        t=np.array(t),
+        residual=Omega[0] + Omega[p] - p * c,
+    )
+
+
 def build_resonance_data(p: int, h: float, tol: float = DEFAULT_TOL) -> ResonanceData:
     """Solve for phi* and tabulate Omega_j, t_j, omega* for j = 0..p."""
     p = _check_index(p)
     h = _check_depth(h)
     phi_star = solve_wavenumber(p, h, tol)
-    Omega = np.array([omega_disp(j + phi_star, h) for j in range(p + 1)])
-    t = np.array([t_ratio(j + phi_star, h) for j in range(p + 1)])
-    c = phase_speed(h)
-    return ResonanceData(
-        p=p,
-        h=h,
-        phi_star=phi_star,
-        omega_star=float(c * phi_star + Omega[0]),
-        Omega=Omega,
-        t=t,
-        residual=float(Omega[0] + Omega[p] - p * c),
-    )
+    return ResonanceData(p=p, h=h, phi_star=phi_star, **_tabulate(p, h, phi_star, _phase(h)))
+
+
+def _resonance_grid(p: int, hs) -> ResonanceData:
+    """build_resonance_data at every depth of hs at once, as one ResonanceData of arrays.
+
+    Bit-identical to calling build_resonance_data per depth.  Depths whose
+    lane the array solve cannot settle (bad input, no bracket, no
+    convergence, residual above DEFAULT_TOL) are re-solved one by one in grid
+    order, so the first failing depth raises the error a row-by-row loop
+    would raise.
+    """
+    p = _check_index(p)
+    given = np.asarray(hs, dtype=float)
+    valid = np.isfinite(given) & (given > 0.0)
+    h = np.where(valid, given, 1.0)  # placeholder depth for lanes re-solved below
+    c = _phase(h)
+    f = lambda phi, lanes: _residual(phi, p, h[lanes], c[lanes])
+
+    # bracket expansion, lane by lane as in solve_wavenumber
+    lo, hi = (np.full(h.size, end) for end in _bracket(p))
+    flo, fhi = f(lo, ...), f(hi, ...)
+    expansions = np.zeros(h.size, dtype=int)
+    for x, fx, move, outward in ((lo, flo, lambda v: v / 4.0, np.greater), (hi, fhi, lambda v: v * 2.0, np.less)):
+        lanes = np.flatnonzero(outward(fx, 0.0) & (expansions <= _MAX_EXPANSIONS))
+        while lanes.size:
+            x[lanes] = move(x[lanes])
+            expansions[lanes] += 1
+            lanes = lanes[expansions[lanes] <= _MAX_EXPANSIONS]
+            fx[lanes] = f(x[lanes], lanes)
+            lanes = lanes[outward(fx[lanes], 0.0)]
+
+    phi, fphi, settled = _brentq_lanes(f, lo, hi, flo, fhi)
+    settled &= valid & (expansions <= _MAX_EXPANSIONS) & (np.abs(fphi) <= DEFAULT_TOL)
+    rd = ResonanceData(p=p, h=h, phi_star=phi, **_tabulate(p, h, phi, c))
+    for i in np.flatnonzero(~settled):
+        lane = build_resonance_data(p, given[i])
+        for name in ("h", "phi_star", "omega_star", "residual"):
+            getattr(rd, name)[i] = getattr(lane, name)
+        rd.Omega[:, i], rd.t[:, i] = lane.Omega, lane.t
+    return rd
 
 
 def omega_star(p: int, h: float, tol: float = DEFAULT_TOL) -> float:

@@ -54,6 +54,12 @@ def stokes_coefficients(h: float) -> StokesCoefficients:
     asymptotics, out of scope here).
     """
     c = phase_speed(h)
+    (a1, a2, a3, a4), (p1, p2, p3, p4) = _coefficients(c)
+    return StokesCoefficients(a1=a1, a2=a2, a3=a3, a4=a4, p1=p1, p2=p2, p3=p3, p4=p4, c=c)
+
+
+def _coefficients(c):
+    """((a1, a2, a3, a4), (p1, p2, p3, p4)) at phase speed c: a float, or an array of them."""
     c2 = c * c
     u = c2 * c2  # c^4
 
@@ -77,4 +83,4 @@ def stokes_coefficients(h: float) -> StokesCoefficients:
     num_a4 = (((((9.0 * u + 238.0) * u - 233.0) * u - 1676.0) * u + 743.0) * u - 3042.0) * u - 135.0
     a4 = num_a4 / (128.0 * u * u * u * u * u * (u + 5.0))
 
-    return StokesCoefficients(a1=a1, a2=a2, a3=a3, a4=a4, p1=p1, p2=p2, p3=p3, p4=p4, c=c)
+    return (a1, a2, a3, a4), (p1, p2, p3, p4)

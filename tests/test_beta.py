@@ -21,8 +21,9 @@ from stokes_isolas import (
     neumaier_sum,
     stokes_coefficients,
 )
-from stokes_isolas.beta import BetaTermId, _term_value
-from stokes_isolas.resonance import ResonanceData
+from stokes_isolas import beta
+from stokes_isolas.beta import _grid_breakdowns, _grid_terms, _signed_terms
+from stokes_isolas.resonance import ResonanceData, _resonance_grid, solve_wavenumber
 
 # Zeros of the coefficient curves refined by the 50-digit reference
 # evaluator (coarser 7-digit reference values round these).
@@ -218,17 +219,31 @@ class TestZeros:
             assert find_beta_zeros(p, h_min, 20.0, grid_n, 1e-8) == []
 
     def test_exact_zero_needs_trusted_neighbour(self, monkeypatch):
-        from stokes_isolas import beta
-
         # synthetic curve h - 1.5 whose grid value at 1.5 cancels to exactly 0.0
-        def crossing(rd):
-            return [1.0, -1.0] if abs(rd.h - 1.5) < 1e-12 else [rd.h - 1.5]
+        def crossing(p, hs):
+            hs = np.asarray(hs)
+            at = np.abs(hs - 1.5) < 1e-12
+            return np.array([np.where(at, 1.0, hs - 1.5), np.where(at, -1.0, 0.0)])
 
-        monkeypatch.setattr(beta, "_signed_terms", crossing)
+        monkeypatch.setattr(beta, "_grid_signed_terms", crossing)
         assert find_beta_zeros(2, 1.0, 2.0, 100) == pytest.approx([1.5], abs=1e-12)
         # exact zeros between floor-level neighbours are noise, not roots
-        monkeypatch.setattr(beta, "_signed_terms", lambda rd: [1.0, -1.0])
+        monkeypatch.setattr(beta, "_grid_signed_terms", lambda p, hs: np.array([np.ones(len(hs)), -np.ones(len(hs))]))
         assert find_beta_zeros(2, 1.0, 2.0, 100) == []
+
+    def test_refinement_reuses_grid_values(self, monkeypatch):
+        evaluated = []
+        original = beta.beta1
+
+        def counting(p, h):
+            evaluated.append(h)
+            return original(p, h)
+
+        monkeypatch.setattr(beta, "beta1", counting)
+        hs = np.linspace(0.5, 5.0, 2001).tolist()
+        (zero,) = find_beta_zeros(2, 0.5, 5.0, 2000, 1e-8)
+        assert zero == pytest.approx(ORACLE_ZEROS[2][0], abs=1e-6)
+        assert evaluated and not set(evaluated) & set(hs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -260,17 +275,84 @@ class TestScan:
             beta_scan(2, [25.0])
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+# dense grid over the documented range, both ends included; at its shallow
+# end t_0 takes the series branch of t_ratio for p = 2
+DENSE = np.linspace(0.05, 20.0, 1001).tolist()
+
+
+class TestGridIdentity:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_scan_rows_equal_single_points(self, p):
+        rows = beta_scan(p, DENSE)
+        assert [r.h for r in rows] == DENSE
+        assert _bits(r.beta1 for r in rows) == _bits(beta1(p, h) for h in DENSE)
+        assert _bits(r.leading for r in rows) == _bits(leading_term(p, h) for h in DENSE)
+        assert _bits(r.ratio for r in rows) == _bits(r.beta1 / r.leading for r in rows)
+        breakdowns = [beta1_breakdown(p, h) for h in DENSE]
+        assert [r.floor_flag for r in rows] == [beta._floor(bd.total, bd.signed_values())[1] for bd in breakdowns]
+        assert all(type(r.beta1) is float and type(r.floor_flag) is bool for r in rows)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_grid_phi_equals_scalar_solve(self, p):
+        rd = _resonance_grid(p, DENSE)
+        assert _bits(rd.phi_star) == _bits(solve_wavenumber(p, h) for h in DENSE)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_grid_breakdowns_equal_single_points(self, p):
+        hs = DENSE[::50]
+        for bd, h in zip(_grid_breakdowns(p, hs), hs):
+            one = beta1_breakdown(p, h)
+            assert (bd.p, bd.h) == (one.p, one.h)
+            assert list(bd.terms) == list(one.terms)
+            assert _bits(bd.terms.values()) == _bits(one.terms.values())
+            assert list(bd.group_sums) == list(one.group_sums)
+            assert _bits(bd.group_sums.values()) == _bits(one.group_sums.values())
+            assert _bits([bd.b0, bd.total]) == _bits([one.b0, one.total])
+
+    def test_empty_scan(self):
+        assert beta_scan(2, []) == []
+        assert beta_scan(5, []) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.01, 25.0, -1.0])
+    def test_bad_depth_names_first(self, bad):
+        with pytest.raises(ValueError, match=f"got h={bad!r}$"):
+            beta_scan(3, [1.0, bad, 30.0, math.nan])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0])
+    def test_grid_depth_check(self, bad):
+        with pytest.raises(ValueError, match=f"depth must be a positive finite real, got {bad!r}"):
+            _resonance_grid(3, [1.0, bad, -5.0])
+
+
+def _engineered(h):
+    # synthetic resonance data with c + Omega_1 - Omega_0 = 0
+    sc = stokes_coefficients(h)
+    return np.array([sc.c + 0.5, 0.5, 1.5]), np.array([1.0, 1.2, 1.4])
+
+
 class TestSingularityGuard:
     def test_engineered_denominator(self):
-        # synthetic resonance data with c + Omega_1 - Omega_0 = 0
-        sc = stokes_coefficients(1.0)
-        Omega = np.array([sc.c + 0.5, 0.5, 1.5])
-        rd = ResonanceData(p=2, h=1.0, phi_star=0.3, omega_star=1.0,
-                           Omega=Omega, t=np.array([1.0, 1.2, 1.4]), residual=0.0)
-        tid = BetaTermId(2, (1,), (-1,))
+        Omega, t = _engineered(1.0)
+        rd = ResonanceData(p=2, h=1.0, phi_star=0.3, omega_star=1.0, Omega=Omega, t=t, residual=0.0)
         with pytest.raises(SingularityError) as err:
-            _term_value(tid, rd, sc)
+            _signed_terms(rd)
         assert "Omega_1" in str(err.value)
+
+    def test_one_singular_depth_in_a_grid(self, monkeypatch):
+        hs = [1.0, 2.0, 3.0]
+        real = _resonance_grid(2, hs)
+        Omega, t = _engineered(2.0)
+        real.Omega[:, 1], real.t[:, 1] = Omega, t
+        with pytest.raises(SingularityError) as err:
+            _grid_terms(real)
+        assert "Omega_1" in str(err.value) and "h=2.0" in str(err.value)
+        monkeypatch.setattr(beta, "_resonance_grid", lambda p, hs: real)
+        with pytest.raises(SingularityError, match="Omega_1"):
+            beta_scan(2, hs)
 
 
 class TestOracleTermAudit:
