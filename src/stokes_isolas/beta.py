@@ -48,11 +48,10 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dispersion import _check_depth, _libm, _phase, _sqrt
 from .errors import SingularityError
-from .resonance import ResonanceData, _resonance_grid, build_resonance_data
+from .resonance import ResonanceData, _resonance_grid, brentq, build_resonance_data
 from .stokes_coefficients import _coefficients
 
 __all__ = [
@@ -370,16 +369,15 @@ def find_beta_zeros(
     def trusted(i):
         return 0 <= i <= grid_n and not noise[i]
 
-    # The grid already holds beta1 at both ends of every bracket.
-    on_grid = dict(zip(hs, vals))
-    f = lambda h: on_grid[h] if h in on_grid else beta1(p, h)
+    f = lambda h: beta1(p, h)
     zeros = []
     for i, v in enumerate(vals):
         if v == 0.0:
             if trusted(i - 1) or trusted(i + 1):
                 zeros.append(hs[i])
         elif i < grid_n and v * vals[i + 1] < 0.0 and (trusted(i) or trusted(i + 1)):
-            zeros.append(brentq(f, hs[i], hs[i + 1], xtol=tol))
+            # the grid already holds beta1 at both ends of the bracket
+            zeros.append(brentq(f, hs[i], hs[i + 1], v, vals[i + 1], xtol=tol))
     return zeros
 
 

@@ -215,7 +215,7 @@ def cmd_isola(args, parser):
 
 
 def cmd_selftest(args, parser):
-    from .oracle import DEFAULT_FIXTURES, load_fixtures
+    from .fixtures import DEFAULT_FIXTURES, load_fixtures
 
     path = args.fixtures or DEFAULT_FIXTURES
     records = []

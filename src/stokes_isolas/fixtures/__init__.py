@@ -1,0 +1,27 @@
+"""The stored arbitrary-precision fixtures and their parser.
+
+``beta_oracle.tsv`` holds one record per line: p, h, beta1(p, h) at
+``digits`` significant digits, and digits; '#' starts a comment.  It is
+written by ``python -m stokes_isolas.oracle`` and read here with plain
+float parsing, so ``stokes-isolas selftest`` needs no mpmath.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+__all__ = ["DEFAULT_FIXTURES", "load_fixtures"]
+
+DEFAULT_FIXTURES = Path(__file__).parent / "beta_oracle.tsv"
+
+
+def load_fixtures(path=DEFAULT_FIXTURES):
+    """Parse the TSV fixture file into a list of (p, h, value, digits)."""
+    records = []
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        p_s, h_s, v_s, d_s = line.split("\t")
+        records.append((int(p_s), float(h_s), float(v_s), int(d_s)))
+    return records

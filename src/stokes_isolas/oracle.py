@@ -8,8 +8,10 @@ passes; any disagreement beyond the double-precision cancellation floor is
 a transcription bug by definition.
 
 Results are cached to a TSV fixtures file (one record per line:
-p, h, value, digits; '#' starts a comment) which the test suite consumes,
-so the fast path can be audited without recomputing here.
+p, h, value, digits; '#' starts a comment) which the test suite and
+``stokes-isolas selftest`` consume through :mod:`stokes_isolas.fixtures`,
+so the fast path can be audited without recomputing here or importing
+mpmath.
 
 Regenerate the shipped fixtures with::
 
@@ -26,6 +28,7 @@ from pathlib import Path
 import mpmath as mp
 
 from .errors import OracleError
+from .fixtures import DEFAULT_FIXTURES
 
 __all__ = [
     "OracleConfig",
@@ -34,11 +37,7 @@ __all__ = [
     "oracle_beta_terms",
     "oracle_find_beta_zero",
     "write_fixtures",
-    "load_fixtures",
-    "DEFAULT_FIXTURES",
 ]
-
-DEFAULT_FIXTURES = Path(__file__).parent / "fixtures" / "beta_oracle.tsv"
 
 
 @dataclass(frozen=True)
@@ -321,18 +320,6 @@ def write_fixtures(path, points, cfg: OracleConfig = OracleConfig()):
             lines.append(f"{p}\t{mp.nstr(mp.mpf(h), 17)}\t{mp.nstr(val, 30)}\t{cfg.digits}")
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def load_fixtures(path=DEFAULT_FIXTURES):
-    """Parse the TSV fixture file into a list of (p, h, value, digits)."""
-    records = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        p_s, h_s, v_s, d_s = line.split("\t")
-        records.append((int(p_s), float(h_s), float(v_s), int(d_s)))
-    return records
 
 
 # Fixture grid: deterministic spread over each p's depth range, denser where

@@ -14,17 +14,19 @@ definition of the p-th resonance; it reproduces the deep-water limits
 phi* -> (p-1)^2/4 and all downstream expansions, which is the validation
 available from the source material.
 
-One depth is solved by scipy's ``brentq``; a grid of depths by
-``_brentq_lanes``, a lane-wise port of the same algorithm that performs the
-same IEEE operations in every lane, so both return the same phi*.
+One depth is solved by ``brentq`` and a grid of depths by ``_brentq_lanes``:
+a scalar and a lane-wise port of scipy's ``brentq`` (Brent's method, Brent,
+*Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Both
+perform the IEEE operations scipy's C code performs, so they return the same
+phi* as scipy and as each other, and the package needs no scipy at run time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dispersion import _check_depth, _omega, _omega_t, _phase, omega_disp, phase_speed
 from .errors import SolverError
@@ -45,8 +47,9 @@ DEFAULT_TOL = 1e-13
 _MAX_EXPANSIONS = 200
 
 # Brent settings of the phi* solve, shared by brentq and _brentq_lanes.
+_EPS = float(np.finfo(float).eps)
 _XTOL = 1e-15
-_RTOL = 4 * np.finfo(float).eps
+_RTOL = 4 * _EPS
 _MAXITER = 100
 
 
@@ -103,22 +106,26 @@ def solve_wavenumber(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
     f = lambda phi: _residual(phi, p, h, c)
 
     expansions = 0
-    while f(lo) > 0.0:
+    flo = f(lo)
+    while flo > 0.0:
         lo /= 4.0
         expansions += 1
         if expansions > _MAX_EXPANSIONS:
             raise SolverError(
                 f"no sign change toward 0+ for p={p}, h={h}", bracket=(lo, hi)
             )
-    while f(hi) < 0.0:
+        flo = f(lo)
+    fhi = f(hi)
+    while fhi < 0.0:
         hi *= 2.0
         expansions += 1
         if expansions > _MAX_EXPANSIONS:
             raise SolverError(
                 f"no sign change toward +inf for p={p}, h={h}", bracket=(lo, hi)
             )
+        fhi = f(hi)
 
-    phi_star = brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER)
+    phi_star = brentq(f, lo, hi, flo, fhi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER)
     residual = f(phi_star)
     if abs(residual) > tol:
         raise SolverError(
@@ -126,6 +133,69 @@ def solve_wavenumber(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
             bracket=(lo, hi),
         )
     return phi_star
+
+
+def brentq(f, xa, xb, fa, fb, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+    """Scalar port of scipy's brentq (scipy/optimize/Zeros/brentq.c).
+
+    Finds a root of f in [xa, xb] by Brent's method, given the residuals
+    fa = f(xa) and fb = f(xb) the caller already holds, so neither end is
+    evaluated again.  The defaults are scipy's.  Every step performs the
+    IEEE operations of the C code in its order, so the root is the double
+    scipy's brentq returns for the same f, bracket and tolerances.
+
+    Raises SolverError where scipy raises: on a NaN residual, on ends of
+    the same sign, and when maxiter steps do not converge.
+    """
+    if fa != fa or fb != fb:
+        raise SolverError(f"NaN residual at an end of [{xa!r}, {xb!r}]", bracket=(xa, xb))
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    # C's signbit(), here with 0 and NaN excluded
+    if (fa < 0) == (fb < 0):
+        raise SolverError(f"f({xa!r}) and f({xb!r}) have the same sign", bracket=(xa, xb))
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or NaN here, which fails the step test below
+                stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            limit = abs(spre) if abs(spre) < bound else bound  # C's MIN()
+            if 2 * abs(stry) < limit:
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise SolverError(f"NaN residual at x={xcur!r}", bracket=(xpre, xblk))
+    raise SolverError(f"Brent's method did not converge in {maxiter} steps", bracket=(xcur, xblk))
 
 
 def _brentq_lanes(f, xa, xb, fa, fb):

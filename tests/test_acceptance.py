@@ -29,7 +29,7 @@ from stokes_isolas import (
     leading_term,
     solve_wavenumber,
 )
-from stokes_isolas.oracle import DEFAULT_FIXTURES, load_fixtures
+from stokes_isolas.fixtures import DEFAULT_FIXTURES, load_fixtures
 
 # 7-digit reference values for the critical depths (reproduced to 5e-4)
 KNOWN_ZEROS = {2: [1.84940], 3: [0.82064], 4: [0.566633, 1.255969]}

@@ -10,6 +10,7 @@ from stokes_isolas import (
     DEEP_WATER_GROUPS,
     LEADING_MODELS,
     AsymptoticModel,
+    IsolaParams,
     SingularityError,
     beta1,
     beta1_breakdown,
@@ -353,6 +354,23 @@ class TestSingularityGuard:
         monkeypatch.setattr(beta, "_resonance_grid", lambda p, hs: real)
         with pytest.raises(SingularityError, match="Omega_1"):
             beta_scan(2, hs)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: beta1(2, 1e-40),
+            lambda: beta1_breakdown(4, 1e-200),
+            lambda: IsolaParams.from_depth(2, 1e-40, 0.1, 1.0, 0.5),
+            lambda: find_beta_zeros(2, 1e-200, 1e-100, 100),
+            lambda: beta._grid_breakdowns(2, [1.0, 1e-200]),
+        ],
+        ids=["beta1", "breakdown", "from_depth", "zeros", "grid"],
+    )
+    def test_underflowing_depths(self, call):
+        # Below h ~ 2.7e-33 a Stokes-coefficient denominator underflows to 0.0:
+        # the same typed error as the guard above, for points and grids alike.
+        with pytest.raises(SingularityError, match="underflows to 0.0"):
+            call()
 
 
 class TestOracleTermAudit:

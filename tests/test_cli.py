@@ -237,6 +237,25 @@ class TestSelftest:
         assert row["ok"] == "false"
 
 
+class TestTinyDepths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["beta", "--p", "2", "--groups", "--h", "1e-200"],
+            ["zeros", "--p", "2", "--h-min", "1e-200", "--h-max", "1e-100", "--n", "100"],
+        ],
+        ids=["groups", "zeros"],
+    )
+    def test_numerical_exit_without_traceback(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "stokes_isolas.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "underflows to 0.0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestEnvironment:
     def test_console_script_entry_point(self):
         proc = subprocess.run(

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from stokes_isolas import beta1_breakdown, find_beta_zeros
-from stokes_isolas.oracle import DEFAULT_FIXTURES, load_fixtures
+from stokes_isolas.fixtures import DEFAULT_FIXTURES, load_fixtures
 
 # 7-digit reference values for the critical depths next to their 50-digit
 # refinements (the coarse values carry their own ~5e-6 print rounding).

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stokes_isolas import stokes_coefficients
+from stokes_isolas import SingularityError, stokes_coefficients
 
 # Reference evaluation at h = 1 (50 digits, rounded to double).
 PINNED_H1 = {
@@ -94,6 +94,12 @@ def test_domain_error():
         stokes_coefficients(0.0)
     with pytest.raises(ValueError):
         stokes_coefficients(-3.0)
+
+
+def test_zero_denominator_is_singular():
+    # c**4 underflows below h ~ 2.7e-33; a denominator of 0.0 is refused, not divided by
+    with pytest.raises(SingularityError, match="underflows to 0.0"):
+        stokes_coefficients(1e-40)
 
 
 def test_shallow_values_finite():
