@@ -377,7 +377,7 @@ def find_beta_zeros(
                 zeros.append(hs[i])
         elif i < grid_n and v * vals[i + 1] < 0.0 and (trusted(i) or trusted(i + 1)):
             # the grid already holds beta1 at both ends of the bracket
-            zeros.append(brentq(f, hs[i], hs[i + 1], v, vals[i + 1], xtol=tol))
+            zeros.append(brentq(f, hs[i], hs[i + 1], v, vals[i + 1], tol))
     return zeros
 
 

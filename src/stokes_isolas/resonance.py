@@ -47,9 +47,8 @@ DEFAULT_TOL = 1e-13
 _MAX_EXPANSIONS = 200
 
 # Brent settings of the phi* solve, shared by brentq and _brentq_lanes.
-_EPS = float(np.finfo(float).eps)
 _XTOL = 1e-15
-_RTOL = 4 * _EPS
+_RTOL = 4 * float(np.finfo(float).eps)
 _MAXITER = 100
 
 
@@ -125,7 +124,7 @@ def solve_wavenumber(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
             )
         fhi = f(hi)
 
-    phi_star = brentq(f, lo, hi, flo, fhi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER)
+    phi_star = brentq(f, lo, hi, flo, fhi, _XTOL)
     residual = f(phi_star)
     if abs(residual) > tol:
         raise SolverError(
@@ -135,17 +134,18 @@ def solve_wavenumber(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
     return phi_star
 
 
-def brentq(f, xa, xb, fa, fb, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+def brentq(f, xa, xb, fa, fb, xtol):
     """Scalar port of scipy's brentq (scipy/optimize/Zeros/brentq.c).
 
     Finds a root of f in [xa, xb] by Brent's method, given the residuals
     fa = f(xa) and fb = f(xb) the caller already holds, so neither end is
-    evaluated again.  The defaults are scipy's.  Every step performs the
-    IEEE operations of the C code in its order, so the root is the double
-    scipy's brentq returns for the same f, bracket and tolerances.
+    evaluated again.  rtol and maxiter are scipy's defaults, _RTOL and
+    _MAXITER.  Every step performs the IEEE operations of the C code in its
+    order, so the root is the double scipy's brentq returns for the same f,
+    bracket and xtol.
 
     Raises SolverError where scipy raises: on a NaN residual, on ends of
-    the same sign, and when maxiter steps do not converge.
+    the same sign, and when _MAXITER steps do not converge.
     """
     if fa != fa or fb != fb:
         raise SolverError(f"NaN residual at an end of [{xa!r}, {xb!r}]", bracket=(xa, xb))
@@ -158,7 +158,7 @@ def brentq(f, xa, xb, fa, fb, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
         raise SolverError(f"f({xa!r}) and f({xb!r}) have the same sign", bracket=(xa, xb))
     xpre, xcur, fpre, fcur = xa, xb, fa, fb
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -166,7 +166,7 @@ def brentq(f, xa, xb, fa, fb, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -195,7 +195,7 @@ def brentq(f, xa, xb, fa, fb, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
         fcur = f(xcur)
         if fcur != fcur:
             raise SolverError(f"NaN residual at x={xcur!r}", bracket=(xpre, xblk))
-    raise SolverError(f"Brent's method did not converge in {maxiter} steps", bracket=(xcur, xblk))
+    raise SolverError(f"Brent's method did not converge in {_MAXITER} steps", bracket=(xcur, xblk))
 
 
 def _brentq_lanes(f, xa, xb, fa, fb):
