@@ -27,11 +27,11 @@ sign, its 4^(k+1), its hops as (l-1, w_m, m, w_n, n) and its intermediates
 (j, s), with each distinct hop factor and denominator evaluated once per
 depth.  One evaluator (``_evaluate``) applies the plan to Python floats at
 a single depth (``beta1``, ``beta1_breakdown``, ``IsolaParams.from_depth``)
-or to numpy arrays over a grid of depths (``beta_scan``, the grid pass of
-``find_beta_zeros``, the CLI tables).  It performs the same IEEE operations
-in the same order either way, and the grid's phi* solve is a lane-wise port
-of the single-depth Brent solve, so every grid value equals the
-single-depth value bit for bit.
+or to numpy arrays over a grid of depths, giving one grid record (``_Grid``)
+that ``beta_scan``, the grid pass of ``find_beta_zeros`` and the CLI tables
+read.  It performs the same IEEE operations in the same order either way,
+and the grid's phi* solve is a lane-wise port of the single-depth Brent
+solve, so every grid value equals the single-depth value bit for bit.
 
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
@@ -244,11 +244,6 @@ def _grid_terms(rd: ResonanceData) -> np.ndarray:
     return terms
 
 
-def _grid_signed_terms(p: int, hs) -> np.ndarray:
-    """Signed terms at every depth of hs (see _grid_terms)."""
-    return _grid_terms(_resonance_grid(p, hs))
-
-
 def _neumaier_rows(rows) -> np.ndarray:
     """neumaier_sum down the first axis: the same operations, column by column."""
     total = np.zeros(np.shape(rows)[1:])
@@ -266,6 +261,34 @@ def _floor_rows(total, rows) -> np.ndarray:
     for v in rows[1:]:
         largest = np.where(np.abs(v) > largest, np.abs(v), largest)  # builtin max()'s comparison, also for NaN
     return np.abs(total) < 10.0 * (8.0 * _libm(math.ulp, largest))
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """beta1 over a grid of depths, one column per depth.
+
+    terms holds the signed terms, one row per beta_term_ids(p) entry;
+    total is their compensated sum and floor_flag marks totals within 10x
+    of the cancellation floor.  Every value equals the single-depth one.
+    """
+
+    p: int
+    h: np.ndarray
+    terms: np.ndarray
+    total: np.ndarray
+    floor_flag: np.ndarray
+
+    def group_sums(self) -> dict[str, np.ndarray]:
+        """Compensated sum of each path family, as BetaBreakdown.group_sums."""
+        return {name: _neumaier_rows(self.terms[rows]) for name, rows in _plan(self.p).groups.items()}
+
+
+def _grid(p: int, hs) -> _Grid:
+    """The grid record at every depth of hs (see _grid_terms)."""
+    rd = _resonance_grid(p, hs)
+    terms = _grid_terms(rd)
+    total = _neumaier_rows(terms)
+    return _Grid(rd.p, rd.h, terms, total, _floor_rows(total, terms))
 
 
 def _floor(total: float, terms) -> tuple[float, bool]:
@@ -303,36 +326,18 @@ class BetaBreakdown:
         return [tid.sign * v for tid, v in self.terms.items()]
 
 
-def _breakdown(p, h, signed, group_sums, total) -> BetaBreakdown:
-    ids = beta_term_ids(p)
-    return BetaBreakdown(
-        p=p,
-        h=h,
-        b0=signed[0],
-        terms={tid: tid.sign * v for tid, v in zip(ids, signed)},
-        group_sums=group_sums,
-        total=total,
-    )
-
-
 def beta1_breakdown(p: int, h: float) -> BetaBreakdown:
     """Like :func:`beta1` but exposing every term and the group sums."""
     rd = build_resonance_data(p, h)
     signed = _signed_terms(rd)
-    groups = {name: neumaier_sum([signed[k] for k in rows]) for name, rows in _plan(rd.p).groups.items()}
-    return _breakdown(p, rd.h, signed, groups, neumaier_sum(signed))
-
-
-def _grid_breakdowns(p: int, hs) -> list[BetaBreakdown]:
-    """beta1_breakdown at every depth of hs, evaluated on the grid at once."""
-    hs = [float(h) for h in hs]
-    signed = _grid_signed_terms(p, hs)
-    total = _neumaier_rows(signed).tolist()
-    groups = {name: _neumaier_rows(signed[rows]).tolist() for name, rows in _plan(p).groups.items()}
-    return [
-        _breakdown(p, h, column, {name: sums[i] for name, sums in groups.items()}, total[i])
-        for i, (h, column) in enumerate(zip(hs, signed.T.tolist()))
-    ]
+    return BetaBreakdown(
+        p=p,
+        h=rd.h,
+        b0=signed[0],
+        terms={tid: tid.sign * v for tid, v in zip(beta_term_ids(p), signed)},
+        group_sums={name: neumaier_sum([signed[k] for k in rows]) for name, rows in _plan(p).groups.items()},
+        total=neumaier_sum(signed),
+    )
 
 
 def find_beta_zeros(
@@ -360,11 +365,8 @@ def find_beta_zeros(
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    hs = np.linspace(h_min, h_max, grid_n + 1)
-    signed = _grid_signed_terms(p, hs)
-    vals = _neumaier_rows(signed)
-    noise = _floor_rows(vals, signed).tolist()
-    hs, vals = hs.tolist(), vals.tolist()
+    grid = _grid(p, np.linspace(h_min, h_max, grid_n + 1))
+    hs, vals, noise = grid.h.tolist(), grid.total.tolist(), grid.floor_flag.tolist()
 
     def trusted(i):
         return 0 <= i <= grid_n and not noise[i]
@@ -409,13 +411,11 @@ def beta_scan(p: int, hs) -> list[ScanRow]:
     n = len(hs) if inside.all() else int(np.argmin(inside))
     rows = []
     if n:  # the rows before a depth out of range are evaluated first, as row by row
-        signed = _grid_signed_terms(p, grid[:n])
-        total = _neumaier_rows(signed)
+        g = _grid(p, grid[:n])
         lead = leading_term(p, grid[:n])
         ratio = np.full(n, math.nan)
-        np.divide(total, lead, out=ratio, where=lead != 0.0)
-        flag = _floor_rows(total, signed)
-        rows = list(map(ScanRow, hs, total.tolist(), lead.tolist(), ratio.tolist(), flag.tolist()))
+        np.divide(g.total, lead, out=ratio, where=lead != 0.0)
+        rows = list(map(ScanRow, hs, g.total.tolist(), lead.tolist(), ratio.tolist(), g.floor_flag.tolist()))
     if n < len(hs):
         raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={hs[n]!r}")
     return rows

@@ -8,11 +8,14 @@ zeros       critical depths where the coefficient vanishes
 isola       band metadata plus sampled isola ellipse
 selftest    compare against the stored arbitrary-precision fixtures
 
-Conventions: data rows go to stdout, diagnostics to stderr; every float is
-printed in shortest round-trip form; exit code 0 on success, 2 on usage
-errors, 3 on numerical failures.  CSV uses a header row and '.' decimals
-(isola band metadata appears as leading '#' comments); JSON is an array of
-schema-tagged objects validating against ``schemas/output.schema.json``.
+Conventions: each subcommand hands one emitter (``_emit``) its field names,
+in the order of the schema's ``required`` list, and one tuple per row.  Data
+rows go to stdout, diagnostics to stderr; every float is printed in shortest
+round-trip form; exit code 0 on success, 2 on usage errors (non-finite
+inputs included), 3 on numerical failures.  CSV uses a header row and '.'
+decimals (isola band metadata appears as leading '#' comments); JSON is an
+array of schema-tagged objects validating against
+``schemas/output.schema.json``.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import wavenumber_asymptote
-from .beta import _grid_breakdowns, beta1, beta1_breakdown, beta_scan, find_beta_zeros
+from .beta import _grid, beta1, beta1_breakdown, beta_scan, beta_term_ids, find_beta_zeros
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
 from .resonance import _resonance_grid
@@ -43,28 +47,29 @@ def _fmt(value):
         return "true" if value else "false"
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(float(value))
     return str(value)
 
 
-def _emit(records: list[dict], fmt: str, comments: list[str] | None = None, fields=None):
+def _emit(fmt: str, schema: str, fields: tuple, rows, band=None):
+    """Write one table to stdout: rows of values in the order of fields.
+
+    CSV is a header row and one line per row; JSON is an array with one
+    object per row, tagged with schema.  band, the isola band as a pair
+    (fields, values), comes first: an ``isola_band`` object in JSON, and
+    '# name = value' lines in CSV.
+    """
     out = sys.stdout
     if fmt == "json":
-        json.dump(records, out, indent=2, default=_fmt)
+        records = [dict(zip(("schema", *band[0]), ("isola_band", *band[1])))] if band else []
+        records += [dict(zip(("schema", *fields), (schema, *row))) for row in rows]
+        json.dump(records, out, indent=2)
         out.write("\n")
         return
-    if comments:
-        for line in comments:
-            out.write(f"# {line}\n")
-    if fields is None:
-        if not records:
-            return
-        fields = [k for k in records[0] if k != "schema"]
+    if band:
+        out.writelines(f"# {k} = {_fmt(v)}\n" for k, v in zip(*band))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
-    for rec in records:
-        writer.writerow([_fmt(rec[k]) for k in fields])
+    writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _h_grid(args, parser) -> list[float]:
@@ -74,8 +79,8 @@ def _h_grid(args, parser) -> list[float]:
         return [args.h]
     if args.h_min is None or args.h_max is None:
         parser.error("give --h, or both --h-min and --h-max")
-    if not 0 < args.h_min < args.h_max:
-        parser.error("need 0 < --h-min < --h-max")
+    if not 0 < args.h_min < args.h_max < math.inf:
+        parser.error("need 0 < --h-min < --h-max < inf")
     if args.n < 2:
         parser.error(f"--n must be >= 2 for a --h-min/--h-max grid, got {args.n}")
     return [float(x) for x in np.linspace(args.h_min, args.h_max, args.n)]
@@ -94,21 +99,9 @@ def cmd_resonance(args, parser):
     hs = _h_grid(args, parser)
     rd = _resonance_grid(args.p, hs)
     asym = wavenumber_asymptote(args.p, rd.h).tolist() if args.p in (2, 3, 4) else [None] * len(hs)
-    records = [
-        {
-            "schema": "resonance",
-            "p": rd.p,
-            "h": h,
-            "phi": phi,
-            "omega_star": omega_star,
-            "residual": residual,
-            "phi_asymptote": a,
-        }
-        for h, phi, omega_star, residual, a in zip(
-            rd.h.tolist(), rd.phi_star.tolist(), rd.omega_star.tolist(), rd.residual.tolist(), asym
-        )
-    ]
-    _emit(records, args.format)
+    columns = (rd.h.tolist(), rd.phi_star.tolist(), rd.omega_star.tolist(), rd.residual.tolist(), asym)
+    fields = ("p", "h", "phi", "omega_star", "residual", "phi_asymptote")
+    _emit(args.format, "resonance", fields, [(rd.p, *row) for row in zip(*columns)])
     return 0
 
 
@@ -116,51 +109,28 @@ def cmd_beta(args, parser):
     if args.p not in (2, 3, 4):
         parser.error(f"--p must be one of 2, 3, 4 (closed forms), got {args.p}")
     hs = _h_grid(args, parser)
+    if not (args.breakdown or args.groups):
+        rows = [(r.h, r.beta1, r.leading, r.ratio, r.floor_flag) for r in beta_scan(args.p, hs)]
+        _emit(args.format, "scan", ("h", "beta1", "leading", "ratio", "floor_flag"), rows)
+        return 0
 
+    grid = _grid(args.p, hs)
     if args.breakdown:
-        records = []
-        for bd in _grid_breakdowns(args.p, hs):
-            for tid, value in bd.terms.items():
-                records.append(
-                    {
-                        "schema": "beta_term",
-                        "p": bd.p,
-                        "h": bd.h,
-                        "term": tid.label,
-                        "group": tid.group,
-                        "sign": tid.sign,
-                        "value": value,
-                    }
-                )
-        _emit(records, args.format)
-        return 0
-
-    if args.groups:
-        records = []
-        for bd in _grid_breakdowns(args.p, hs):
-            records.append(
-                {"schema": "beta_group", "p": bd.p, "h": bd.h, "group": "b0", "value": bd.b0}
-            )
-            for name, value in bd.group_sums.items():
-                records.append(
-                    {"schema": "beta_group", "p": bd.p, "h": bd.h, "group": name, "value": value}
-                )
-        _emit(records, args.format)
-        return 0
-
-    rows = beta_scan(args.p, hs)
-    records = [
-        {
-            "schema": "scan",
-            "h": r.h,
-            "beta1": r.beta1,
-            "leading": r.leading,
-            "ratio": r.ratio,
-            "floor_flag": r.floor_flag,
-        }
-        for r in rows
-    ]
-    _emit(records, args.format)
+        ids = beta_term_ids(args.p)
+        rows = [
+            (grid.p, h, tid.label, tid.group, tid.sign, tid.sign * v)
+            for h, column in zip(grid.h.tolist(), grid.terms.T.tolist())
+            for tid, v in zip(ids, column)
+        ]
+        _emit(args.format, "beta_term", ("p", "h", "term", "group", "sign", "value"), rows)
+    else:
+        sums = {"b0": grid.terms[0], **grid.group_sums()}
+        rows = [
+            (grid.p, h, name, value)
+            for h, values in zip(grid.h.tolist(), np.array(list(sums.values())).T.tolist())
+            for name, value in zip(sums, values)
+        ]
+        _emit(args.format, "beta_group", ("p", "h", "group", "value"), rows)
     return 0
 
 
@@ -170,11 +140,7 @@ def cmd_zeros(args, parser):
     if not 0 < args.h_min < args.h_max:
         parser.error("need 0 < --h-min < --h-max")
     zeros = find_beta_zeros(args.p, args.h_min, args.h_max, args.n, args.tol)
-    records = [
-        {"schema": "zero", "p": args.p, "h_star": z, "residual": beta1(args.p, z)}
-        for z in zeros
-    ]
-    _emit(records, args.format, fields=["p", "h_star", "residual"])
+    _emit(args.format, "zero", ("p", "h_star", "residual"), [(args.p, z, beta1(args.p, z)) for z in zeros])
     return 0
 
 
@@ -188,60 +154,29 @@ def cmd_isola(args, parser):
         args.p, args.h, args.eps, args.T1, args.E, y0=args.y0, mu0=args.mu0
     )
     geo = isola_geometry(params, args.n)
-    band = {
-        "schema": "isola_band",
-        "p": params.p,
-        "h": params.h,
-        "eps": params.eps,
-        "beta1": params.beta1,
-        "T1": params.T1,
-        "E": params.E,
-        "y0": params.y0,
-        "mu0": params.mu0,
-        "mu_low": geo.mu_low,
-        "mu_high": geo.mu_high,
-        "max_growth": geo.max_growth,
-        "band_open": geo.band_open,
-    }
-    points = [
-        {"schema": "isola_point", "x": float(x), "y": float(y)} for x, y in geo.ellipse
-    ]
-    if args.format == "json":
-        _emit([band] + points, "json")
-    else:
-        comments = [f"{k} = {_fmt(v)}" for k, v in band.items() if k != "schema"]
-        _emit(points, "csv", comments=comments)
+    band = (
+        ("p", "h", "eps", "beta1", "T1", "E", "y0", "mu0", "mu_low", "mu_high", "max_growth", "band_open"),
+        (params.p, params.h, params.eps, params.beta1, params.T1, params.E, params.y0, params.mu0,
+         geo.mu_low, geo.mu_high, geo.max_growth, geo.band_open),
+    )
+    _emit(args.format, "isola_point", ("x", "y"), geo.ellipse.tolist(), band)
     return 0
 
 
 def cmd_selftest(args, parser):
     from .fixtures import DEFAULT_FIXTURES, load_fixtures
 
-    path = args.fixtures or DEFAULT_FIXTURES
-    records = []
-    failures = 0
-    for p, h, oracle_value, digits in load_fixtures(path):
+    rows = []
+    for p, h, oracle_value, digits in load_fixtures(args.fixtures or DEFAULT_FIXTURES):
         bd = beta1_breakdown(p, h)
         diff = abs(bd.total - oracle_value)
-        ok = diff <= bd.cancellation_floor
-        failures += not ok
-        records.append(
-            {
-                "schema": "selftest",
-                "p": p,
-                "h": h,
-                "value": bd.total,
-                "oracle": oracle_value,
-                "abs_diff": diff,
-                "floor": bd.cancellation_floor,
-                "ok": ok,
-            }
-        )
-    _emit(records, args.format)
+        rows.append((p, h, bd.total, oracle_value, diff, bd.cancellation_floor, diff <= bd.cancellation_floor))
+    _emit(args.format, "selftest", ("p", "h", "value", "oracle", "abs_diff", "floor", "ok"), rows)
+    failures = sum(not row[-1] for row in rows)
     if failures:
         print(f"selftest: {failures} point(s) beyond the cancellation floor", file=sys.stderr)
         return NUMERICAL_EXIT
-    print(f"selftest: {len(records)} points within the cancellation floor", file=sys.stderr)
+    print(f"selftest: {len(rows)} points within the cancellation floor", file=sys.stderr)
     return 0
 
 

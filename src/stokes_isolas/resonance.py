@@ -271,7 +271,6 @@ class ResonanceData:
     Omega[j] and t[j] are the dispersion kernels evaluated at j + phi*
     for j = 0..p; omega_star is the collision frequency, reachable from
     either colliding branch (the residual records how well they agree).
-    phi* mod 1 is the Brillouin-zone representative of the collision.
 
     Over a grid of depths (see ``_resonance_grid``) h, phi_star,
     omega_star and residual are arrays with one entry per depth, and Omega
@@ -285,10 +284,6 @@ class ResonanceData:
     Omega: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
     residual: float = 0.0
-
-    @property
-    def brillouin_mu(self) -> float:
-        return self.phi_star % 1.0
 
 
 def _tabulate(p, h, phi_star, c):

@@ -23,7 +23,7 @@ from stokes_isolas import (
     stokes_coefficients,
 )
 from stokes_isolas import beta
-from stokes_isolas.beta import _grid_breakdowns, _grid_terms, _signed_terms
+from stokes_isolas.beta import _grid, _grid_terms, _signed_terms
 from stokes_isolas.resonance import ResonanceData, _resonance_grid, solve_wavenumber
 
 # Zeros of the coefficient curves refined by the 50-digit reference
@@ -221,15 +221,15 @@ class TestZeros:
 
     def test_exact_zero_needs_trusted_neighbour(self, monkeypatch):
         # synthetic curve h - 1.5 whose grid value at 1.5 cancels to exactly 0.0
-        def crossing(p, hs):
-            hs = np.asarray(hs)
-            at = np.abs(hs - 1.5) < 1e-12
-            return np.array([np.where(at, 1.0, hs - 1.5), np.where(at, -1.0, 0.0)])
+        def crossing(rd):
+            at = np.abs(rd.h - 1.5) < 1e-12
+            return np.array([np.where(at, 1.0, rd.h - 1.5), np.where(at, -1.0, 0.0)])
 
-        monkeypatch.setattr(beta, "_grid_signed_terms", crossing)
+        # the synthetic terms enter the grid record where the real ones do
+        monkeypatch.setattr(beta, "_grid_terms", crossing)
         assert find_beta_zeros(2, 1.0, 2.0, 100) == pytest.approx([1.5], abs=1e-12)
         # exact zeros between floor-level neighbours are noise, not roots
-        monkeypatch.setattr(beta, "_grid_signed_terms", lambda p, hs: np.array([np.ones(len(hs)), -np.ones(len(hs))]))
+        monkeypatch.setattr(beta, "_grid_terms", lambda rd: np.array([np.ones(rd.h.size), -np.ones(rd.h.size)]))
         assert find_beta_zeros(2, 1.0, 2.0, 100) == []
 
     def test_refinement_reuses_grid_values(self, monkeypatch):
@@ -304,15 +304,16 @@ class TestGridIdentity:
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_grid_breakdowns_equal_single_points(self, p):
-        hs = DENSE[::50]
-        for bd, h in zip(_grid_breakdowns(p, hs), hs):
+        grid = _grid(p, DENSE)
+        sums = grid.group_sums()
+        for i, h in enumerate(DENSE):
             one = beta1_breakdown(p, h)
-            assert (bd.p, bd.h) == (one.p, one.h)
-            assert list(bd.terms) == list(one.terms)
-            assert _bits(bd.terms.values()) == _bits(one.terms.values())
-            assert list(bd.group_sums) == list(one.group_sums)
-            assert _bits(bd.group_sums.values()) == _bits(one.group_sums.values())
-            assert _bits([bd.b0, bd.total]) == _bits([one.b0, one.total])
+            assert (grid.p, grid.h[i]) == (one.p, one.h)
+            assert _bits(grid.terms[:, i]) == _bits(one.signed_values())
+            assert list(sums) == list(one.group_sums)
+            assert _bits(s[i] for s in sums.values()) == _bits(one.group_sums.values())
+            assert _bits([grid.terms[0, i], grid.total[i]]) == _bits([one.b0, one.total])
+            assert grid.floor_flag[i] == beta._floor(one.total, one.signed_values())[1]
 
     def test_empty_scan(self):
         assert beta_scan(2, []) == []
@@ -362,7 +363,7 @@ class TestSingularityGuard:
             lambda: beta1_breakdown(4, 1e-200),
             lambda: IsolaParams.from_depth(2, 1e-40, 0.1, 1.0, 0.5),
             lambda: find_beta_zeros(2, 1e-200, 1e-100, 100),
-            lambda: beta._grid_breakdowns(2, [1.0, 1e-200]),
+            lambda: beta._grid(2, [1.0, 1e-200]),
         ],
         ids=["beta1", "breakdown", "from_depth", "zeros", "grid"],
     )

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -58,6 +59,17 @@ class TestResonanceCommand:
         assert code == 2
         code, _, _ = run_cli("resonance", "--p", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["resonance", "beta"])
+    @pytest.mark.parametrize("bounds", [("1", "inf"), ("1", "nan"), ("nan", "2"), ("-inf", "2")], ids="/".join)
+    def test_non_finite_grid_bounds(self, command, bounds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's RuntimeWarning on an infinite grid would raise
+            code, out, err = run_cli(command, "--p", "3", f"--h-min={bounds[0]}", f"--h-max={bounds[1]}", "--n", "500")
+        assert code == 2
+        assert out == ""
+        assert "need 0 < --h-min < --h-max < inf" in err
+        assert "Warning" not in err
 
     @pytest.mark.parametrize("command", ["resonance", "beta"])
     @pytest.mark.parametrize("n", ["0", "1", "-3"])
@@ -175,6 +187,15 @@ class TestIsolaCommand:
 
         assert width(0.1) / width(0.05) == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("flag", ["--eps", "--T1", "--y0", "--mu0"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_input_is_usage_error(self, flag, value):
+        argv = {"--eps": "0.05", "--T1": "1", "--E": "0.5"} | {flag: value}
+        code, out, err = run_cli("isola", "--p", "2", "--h", "3", *sum(argv.items(), ()), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag[2:]} must be finite, got {float(value)!r}\n"
+
 
 class TestFormats:
     def test_csv_json_same_data(self):
@@ -201,16 +222,43 @@ class TestFormats:
         schema = json.loads(SCHEMA_PATH.read_text())
         for argv in (
             ["resonance", "--p", "2", "--h", "4"],
+            ["resonance", "--p", "6", "--h-min", "1", "--h-max", "3", "--n", "3"],
             ["beta", "--p", "3", "--h", "2"],
             ["beta", "--p", "4", "--h", "2", "--breakdown"],
             ["beta", "--p", "4", "--h", "2", "--groups"],
             ["zeros", "--p", "3", "--h-min", "0.5", "--h-max", "2", "--n", "500"],
+            ["zeros", "--p", "2", "--h-min", "3", "--h-max", "10", "--n", "500"],
             ["isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1", "--E", "0.5", "--n", "8"],
             ["selftest"],
         ):
             code, out, _ = run_cli(*argv, "--format", "json")
             assert code == 0, argv
             jsonschema.validate(json.loads(out), schema)
+
+    @pytest.mark.parametrize(
+        "kind, argv",
+        [
+            ("resonance", ["resonance", "--p", "2", "--h", "4"]),
+            ("scan", ["beta", "--p", "3", "--h", "2"]),
+            ("beta_term", ["beta", "--p", "2", "--h", "2", "--breakdown"]),
+            ("beta_group", ["beta", "--p", "2", "--h", "2", "--groups"]),
+            ("zero", ["zeros", "--p", "2", "--h-min", "3", "--h-max", "10", "--n", "500"]),
+            ("isola_band", ["isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1", "--E", "0.5", "--n", "8"]),
+            ("isola_point", ["isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1", "--E", "0.5", "--n", "8"]),
+            ("selftest", ["selftest"]),
+        ],
+    )
+    def test_csv_fields_follow_schema(self, kind, argv):
+        # every kind in the schema, each with its fields in the schema's order
+        items = json.loads(SCHEMA_PATH.read_text())["items"]["oneOf"]
+        (required,) = [k["required"] for k in items if k["properties"]["schema"]["const"] == kind]
+        assert len(items) == 8 and required[0] == "schema"
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        comments = [line for line in out.splitlines() if line.startswith("# ")]
+        header = [line[2:].split(" = ")[0] for line in comments] if kind == "isola_band" else (
+            out.splitlines()[len(comments)].split(","))
+        assert header == required[1:]
 
     def test_byte_stable(self):
         a = run_cli("beta", "--p", "4", "--h-min", "1", "--h-max", "4", "--n", "5")
@@ -235,6 +283,27 @@ class TestSelftest:
         assert "beyond the cancellation floor" in err
         (row,) = parse_csv(out)
         assert row["ok"] == "false"
+
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read fixture file {path}: No such file or directory"),
+            ("", "fixture file {path} holds no records"),
+            ("# only comments\n\n", "fixture file {path} holds no records"),
+            ("2\t1.0\t-0.165\t50\n2\t1.5\n", "fixture file {path} line 2: expected p, h, value, digits"),
+            ("# c\n2\t1.0\tx\t50\n", "fixture file {path} line 2: expected p, h, value, digits"),
+        ],
+        ids=["missing", "empty", "comments-only", "short-record", "bad-number"],
+    )
+    def test_bad_fixture_file_is_usage_error(self, tmp_path, content, message):
+        path = tmp_path / "fixtures.tsv"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_cli("selftest", "--fixtures", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + message.format(path=path))
 
 
 class TestTinyDepths:

@@ -53,6 +53,14 @@ class TestParams:
         with pytest.raises(ValueError):
             make_params(p=1)
 
+    @pytest.mark.parametrize("name", ["eps", "T1", "y0", "mu0"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_params(**{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            IsolaParams.from_depth(2, 3.0, **{"eps": 0.05, "T1": 1.0, "E": 0.5, name: value})
+
     def test_from_depth_defaults(self):
         params = IsolaParams.from_depth(2, 3.0, 0.05, T1=1.0, E=0.5)
         assert params.beta1 == beta1(2, 3.0)
