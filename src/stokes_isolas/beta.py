@@ -35,9 +35,10 @@ solve, so every grid value equals the single-depth value bit for bit.
 
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
-assembly uses compensated summation; ``cancellation_floor`` reports the
-resolution limit 8 ulps of the largest term, below which a computed total
-is numerically meaningless.
+assembly uses compensated summation (``neumaier_sum``), and ``_floor``
+gives the resolution limit, 8 ulps of the largest term, below which a
+computed total is numerically meaningless.  Each has one body that runs
+on floats at one depth and on numpy rows over a grid, like ``_evaluate``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from .dispersion import _check_depth, _libm, _phase, _sqrt
 from .errors import SingularityError
-from .resonance import ResonanceData, _resonance_grid, brentq, build_resonance_data
+from .resonance import ResonanceData, _check_index, _resonance_grid, brentq, build_resonance_data
 from .stokes_coefficients import _coefficients
 
 __all__ = [
@@ -74,16 +75,18 @@ DENOMINATOR_GUARD = 1e-10
 _SCAN_H_RANGE = (0.05, 20.0)
 
 
-def neumaier_sum(values) -> float:
-    """Compensated (Neumaier) summation of a float iterable."""
-    total = 0.0
-    comp = 0.0
+def neumaier_sum(values):
+    """Compensated (Neumaier) summation of floats, or of numpy rows column by column.
+
+    The exact error of each ``total + v`` comes from Knuth's branch-free
+    TwoSum (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 2005): the error
+    term of the classic branch on the larger operand, so the same double.
+    """
+    total = comp = 0.0
     for v in values:
         t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
+        bv = t - total
+        comp += (total - (t - bv)) + (v - bv)
         total = t
     return total + comp
 
@@ -244,57 +247,44 @@ def _grid_terms(rd: ResonanceData) -> np.ndarray:
     return terms
 
 
-def _neumaier_rows(rows) -> np.ndarray:
-    """neumaier_sum down the first axis: the same operations, column by column."""
-    total = np.zeros(np.shape(rows)[1:])
-    comp = np.zeros_like(total)
-    for v in rows:
-        t = total + v
-        comp += np.where(np.abs(total) >= np.abs(v), (total - t) + v, (v - t) + total)
-        total = t
-    return total + comp
+def _floor(terms):
+    """8 ulps of the largest |term|: a float at one depth, or one per column of grid rows."""
+    return 8.0 * _libm(math.ulp, np.abs(terms).max(axis=0))
 
 
-def _floor_rows(total, rows) -> np.ndarray:
-    """The flag of _floor for each column."""
-    largest = np.abs(rows[0])
-    for v in rows[1:]:
-        largest = np.where(np.abs(v) > largest, np.abs(v), largest)  # builtin max()'s comparison, also for NaN
-    return np.abs(total) < 10.0 * (8.0 * _libm(math.ulp, largest))
+def _group_sums(p: int, terms) -> dict:
+    """Compensated sum of each path family's terms, at one depth or per grid column."""
+    return {name: neumaier_sum([terms[k] for k in rows]) for name, rows in _plan(p).groups.items()}
 
 
 @dataclass(frozen=True)
 class _Grid:
     """beta1 over a grid of depths, one column per depth.
 
-    terms holds the signed terms, one row per beta_term_ids(p) entry;
-    total is their compensated sum and floor_flag marks totals within 10x
-    of the cancellation floor.  Every value equals the single-depth one.
+    terms holds the signed terms, one row per beta_term_ids(p) entry, and
+    total their compensated sum.  Every value equals the single-depth one.
     """
 
     p: int
     h: np.ndarray
     terms: np.ndarray
     total: np.ndarray
-    floor_flag: np.ndarray
+
+    @property
+    def floor_flag(self) -> np.ndarray:
+        """Totals within 10x of the cancellation floor."""
+        return np.abs(self.total) < 10.0 * _floor(self.terms)
 
     def group_sums(self) -> dict[str, np.ndarray]:
         """Compensated sum of each path family, as BetaBreakdown.group_sums."""
-        return {name: _neumaier_rows(self.terms[rows]) for name, rows in _plan(self.p).groups.items()}
+        return _group_sums(self.p, self.terms)
 
 
 def _grid(p: int, hs) -> _Grid:
     """The grid record at every depth of hs (see _grid_terms)."""
     rd = _resonance_grid(p, hs)
     terms = _grid_terms(rd)
-    total = _neumaier_rows(terms)
-    return _Grid(rd.p, rd.h, terms, total, _floor_rows(total, terms))
-
-
-def _floor(total: float, terms) -> tuple[float, bool]:
-    """Cancellation floor (8 ulps of the largest term) and whether |total| is within 10x of it."""
-    floor = 8.0 * math.ulp(max(abs(v) for v in terms))
-    return floor, abs(total) < 10.0 * floor
+    return _Grid(rd.p, rd.h, terms, neumaier_sum(terms))
 
 
 def beta1(p: int, h: float) -> float:
@@ -320,7 +310,7 @@ class BetaBreakdown:
     @property
     def cancellation_floor(self) -> float:
         """8 ulps of the largest term: the resolution limit of ``total``."""
-        return _floor(self.total, self.terms.values())[0]
+        return _floor(list(self.terms.values()))
 
     def signed_values(self) -> list[float]:
         return [tid.sign * v for tid, v in self.terms.items()]
@@ -335,7 +325,7 @@ def beta1_breakdown(p: int, h: float) -> BetaBreakdown:
         h=rd.h,
         b0=signed[0],
         terms={tid: tid.sign * v for tid, v in zip(beta_term_ids(p), signed)},
-        group_sums={name: neumaier_sum([signed[k] for k in rows]) for name, rows in _plan(p).groups.items()},
+        group_sums=_group_sums(p, signed),
         total=neumaier_sum(signed),
     )
 
@@ -362,8 +352,8 @@ def find_beta_zeros(
         raise ValueError(f"need h_min < h_max, got {h_min!r} >= {h_max!r}")
     if grid_n < 100:
         raise ValueError(f"grid_n must be >= 100, got {grid_n!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     grid = _grid(p, np.linspace(h_min, h_max, grid_n + 1))
     hs, vals, noise = grid.h.tolist(), grid.total.tolist(), grid.floor_flag.tolist()
@@ -405,6 +395,7 @@ def beta_scan(p: int, hs) -> list[ScanRow]:
     """
     from .asymptotics import leading_term
 
+    _plan(_check_index(p))  # refuses an unsupported p, also on an empty grid
     hs = [float(h) for h in hs]
     grid = np.array(hs)
     inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])

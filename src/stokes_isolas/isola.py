@@ -60,9 +60,11 @@ class IsolaParams:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p!r}")
-        for name in ("eps", "T1", "y0", "mu0"):
+        for name in ("h", "eps", "beta1", "T1", "y0", "mu0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not self.h > 0:
+            raise ValueError(f"h must be positive, got {self.h!r}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps!r}")
         if not self.T1 > 0:

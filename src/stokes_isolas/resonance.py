@@ -19,6 +19,7 @@ a scalar and a lane-wise port of scipy's ``brentq`` (Brent's method, Brent,
 *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Both
 perform the IEEE operations scipy's C code performs, so they return the same
 phi* as scipy and as each other, and the package needs no scipy at run time.
+Both accept phi* only when |f(phi*)| <= DEFAULT_TOL, a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "omega_star",
 ]
 
+# Largest |f(phi*)| the solve accepts, at one depth and over a grid.
 DEFAULT_TOL = 1e-13
 
 # Geometric bracket expansion: each step divides the lower end by 4 or
@@ -81,24 +83,23 @@ def _bracket(p: int) -> tuple[float, float]:
     return max(center - 0.5, 0.0625), center + 0.5
 
 
-def solve_wavenumber(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
+def solve_wavenumber(p: int, h: float) -> float:
     """Solve f(phi*) = 0 for the critical wavenumber phi*(p, h).
 
     Starts from a bracket centered on the deep-water limit (p-1)^2/4,
     expands it geometrically toward 0+ or +infinity until the residual
     changes sign, then refines with Brent's method.  The returned phi*
-    satisfies |f(phi*)| <= tol.
+    satisfies |f(phi*)| <= DEFAULT_TOL.
 
     Raises
     ------
     SolverError
         If no sign change is found after the documented maximum number of
-        expansions (pathological depths far outside [1e-3, 1e3]).
+        expansions (pathological depths far outside [1e-3, 1e3]), or if
+        the residual at the root exceeds DEFAULT_TOL.
     """
     p = _check_index(p)
     h = _check_depth(h)
-    if not tol >= 1e-15:
-        raise ValueError(f"tol must be >= 1e-15, got {tol!r}")
 
     c = _phase(h)
     lo, hi = _bracket(p)
@@ -126,9 +127,9 @@ def solve_wavenumber(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
 
     phi_star = brentq(f, lo, hi, flo, fhi, _XTOL)
     residual = f(phi_star)
-    if abs(residual) > tol:
+    if abs(residual) > DEFAULT_TOL:
         raise SolverError(
-            f"residual {residual:.3e} above tol {tol:.3e} at phi={phi_star!r}",
+            f"residual {residual:.3e} above tol {DEFAULT_TOL:.3e} at phi={phi_star!r}",
             bracket=(lo, hi),
         )
     return phi_star
@@ -297,11 +298,11 @@ def _tabulate(p, h, phi_star, c):
     )
 
 
-def build_resonance_data(p: int, h: float, tol: float = DEFAULT_TOL) -> ResonanceData:
+def build_resonance_data(p: int, h: float) -> ResonanceData:
     """Solve for phi* and tabulate Omega_j, t_j, omega* for j = 0..p."""
     p = _check_index(p)
     h = _check_depth(h)
-    phi_star = solve_wavenumber(p, h, tol)
+    phi_star = solve_wavenumber(p, h)
     return ResonanceData(p=p, h=h, phi_star=phi_star, **_tabulate(p, h, phi_star, _phase(h)))
 
 
@@ -345,7 +346,6 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
     return rd
 
 
-def omega_star(p: int, h: float, tol: float = DEFAULT_TOL) -> float:
+def omega_star(p: int, h: float) -> float:
     """Collision frequency omega*(p, h) = c*phi* + Omega(phi*, h)."""
-    phi_star = solve_wavenumber(p, h, tol)
-    return phase_speed(h) * phi_star + omega_disp(phi_star, h)
+    return build_resonance_data(p, h).omega_star

@@ -251,8 +251,10 @@ class TestZeros:
             find_beta_zeros(2, 2.0, 1.0, 500, 1e-8)
         with pytest.raises(ValueError):
             find_beta_zeros(2, 1.0, 2.0, 50, 1e-8)
-        with pytest.raises(ValueError):
-            find_beta_zeros(2, 1.0, 2.0, 500, 0.0)
+        # an infinite xtol would stop Brent at a bracket end at once
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                find_beta_zeros(2, 1.0, 2.0, 500, tol)
 
 
 class TestScan:
@@ -294,7 +296,7 @@ class TestGridIdentity:
         assert _bits(r.leading for r in rows) == _bits(leading_term(p, h) for h in DENSE)
         assert _bits(r.ratio for r in rows) == _bits(r.beta1 / r.leading for r in rows)
         breakdowns = [beta1_breakdown(p, h) for h in DENSE]
-        assert [r.floor_flag for r in rows] == [beta._floor(bd.total, bd.signed_values())[1] for bd in breakdowns]
+        assert [r.floor_flag for r in rows] == [abs(bd.total) < 10 * bd.cancellation_floor for bd in breakdowns]
         assert all(type(r.beta1) is float and type(r.floor_flag) is bool for r in rows)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
@@ -313,11 +315,15 @@ class TestGridIdentity:
             assert list(sums) == list(one.group_sums)
             assert _bits(s[i] for s in sums.values()) == _bits(one.group_sums.values())
             assert _bits([grid.terms[0, i], grid.total[i]]) == _bits([one.b0, one.total])
-            assert grid.floor_flag[i] == beta._floor(one.total, one.signed_values())[1]
+            assert grid.floor_flag[i] == (abs(one.total) < 10 * one.cancellation_floor)
 
     def test_empty_scan(self):
         assert beta_scan(2, []) == []
-        assert beta_scan(5, []) == []
+        with pytest.raises(ValueError, match="closed-form coefficients exist for p in"):
+            beta_scan(5, [])
+        with pytest.raises(ValueError, match="must be an integer"):
+            beta_scan(2.5, [])
+        assert beta_scan(2.0, [1.0]) == beta_scan(2, [1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.01, 25.0, -1.0])
     def test_bad_depth_names_first(self, bad):

@@ -145,6 +145,13 @@ class TestZerosCommand:
         assert len(rows) == 1
         assert float(rows[0]["h_star"]) == pytest.approx(0.82064, abs=5e-4)
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_usage_error(self, tol):
+        code, out, err = run_cli("zeros", "--p", "2", "--h-min", "1", "--h-max", "2", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tol must be positive and finite, got {float(tol)!r}\n"
+
 
 class TestIsolaCommand:
     def test_missing_T1_names_parameter(self):

@@ -52,12 +52,18 @@ class TestParams:
             make_params(E=0.0)
         with pytest.raises(ValueError):
             make_params(p=1)
+        for h in (0.0, -3.0):
+            with pytest.raises(ValueError, match="h must be positive"):
+                make_params(h=h)
 
-    @pytest.mark.parametrize("name", ["eps", "T1", "y0", "mu0"])
+    @pytest.mark.parametrize("name", ["h", "eps", "beta1", "T1", "y0", "mu0"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make_params(**{name: value})
+        if name in ("h", "beta1"):
+            # from_depth computes beta1 and refuses a bad h in the resonance solve
+            return
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             IsolaParams.from_depth(2, 3.0, **{"eps": 0.05, "T1": 1.0, "E": 0.5, name: value})
 
