@@ -131,6 +131,7 @@ def beta_term_ids(p: int) -> tuple[BetaTermId, ...]:
     """Canonical enumeration: subsets by size then position, signs - before +."""
     if p not in (2, 3, 4):
         raise ValueError(f"closed-form coefficients exist for p in {{2, 3, 4}}, got {p!r}")
+    p = int(p)
     ids = [BetaTermId(p, (), ())]
     for k in range(1, p):
         for J in combinations(range(1, p), k):
@@ -321,11 +322,11 @@ def beta1_breakdown(p: int, h: float) -> BetaBreakdown:
     rd = build_resonance_data(p, h)
     signed = _signed_terms(rd)
     return BetaBreakdown(
-        p=p,
+        p=rd.p,
         h=rd.h,
         b0=signed[0],
-        terms={tid: tid.sign * v for tid, v in zip(beta_term_ids(p), signed)},
-        group_sums=_group_sums(p, signed),
+        terms={tid: tid.sign * v for tid, v in zip(beta_term_ids(rd.p), signed)},
+        group_sums=_group_sums(rd.p, signed),
         total=neumaier_sum(signed),
     )
 
@@ -350,8 +351,9 @@ def find_beta_zeros(
     _check_depth(h_max)
     if not h_min < h_max:
         raise ValueError(f"need h_min < h_max, got {h_min!r} >= {h_max!r}")
-    if grid_n < 100:
-        raise ValueError(f"grid_n must be >= 100, got {grid_n!r}")
+    if not (grid_n >= 100 and grid_n % 1 == 0):
+        raise ValueError(f"grid_n must be an integer >= 100, got {grid_n!r}")
+    grid_n = int(grid_n)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
@@ -371,6 +373,15 @@ def find_beta_zeros(
             # the grid already holds beta1 at both ends of the bracket
             zeros.append(brentq(f, hs[i], hs[i + 1], v, vals[i + 1], tol))
     return zeros
+
+
+def _scan_depths(hs) -> np.ndarray:
+    """hs as a float array, refused (ValueError) if a depth lies outside the documented range [0.05, 20]."""
+    grid = np.array([float(h) for h in hs])
+    inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])
+    if not inside.all():
+        raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={float(grid[np.argmin(inside)])!r}")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -396,17 +407,11 @@ def beta_scan(p: int, hs) -> list[ScanRow]:
     from .asymptotics import leading_term
 
     _plan(_check_index(p))  # refuses an unsupported p, also on an empty grid
-    hs = [float(h) for h in hs]
-    grid = np.array(hs)
-    inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])
-    n = len(hs) if inside.all() else int(np.argmin(inside))
-    rows = []
-    if n:  # the rows before a depth out of range are evaluated first, as row by row
-        g = _grid(p, grid[:n])
-        lead = leading_term(p, grid[:n])
-        ratio = np.full(n, math.nan)
-        np.divide(g.total, lead, out=ratio, where=lead != 0.0)
-        rows = list(map(ScanRow, hs, g.total.tolist(), lead.tolist(), ratio.tolist(), g.floor_flag.tolist()))
-    if n < len(hs):
-        raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={hs[n]!r}")
-    return rows
+    grid = _scan_depths(hs)
+    if not grid.size:
+        return []
+    g = _grid(p, grid)
+    lead = leading_term(p, grid)
+    ratio = np.full(grid.size, math.nan)
+    np.divide(g.total, lead, out=ratio, where=lead != 0.0)
+    return list(map(ScanRow, grid.tolist(), g.total.tolist(), lead.tolist(), ratio.tolist(), g.floor_flag.tolist()))

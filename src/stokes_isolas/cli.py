@@ -9,28 +9,36 @@ isola       band metadata plus sampled isola ellipse
 selftest    compare against the stored arbitrary-precision fixtures
 
 Conventions: each subcommand hands one emitter (``_emit``) its field names,
-in the order of the schema's ``required`` list, and one tuple per row.  Data
-rows go to stdout, diagnostics to stderr; every float is printed in shortest
+in the order of the schema's ``required`` list, and its rows.  Data rows go
+to stdout, diagnostics to stderr; every float is printed in shortest
 round-trip form; exit code 0 on success, 2 on usage errors (non-finite
 inputs included), 3 on numerical failures.  CSV uses a header row and '.'
 decimals (isola band metadata appears as leading '#' comments); JSON is an
 array of schema-tagged objects validating against
 ``schemas/output.schema.json``.
+
+The argument parser is built once per process and reused unchanged.  The
+emitter writes a table in blocks of rows: it turns each column of a block
+into text in one pass (``float.__repr__`` over a float column, each
+distinct value once otherwise) and fills a per-table row template.  The
+bytes are those of ``json.dump(records, indent=2)`` and of ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import sys
+from itertools import cycle, islice, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import wavenumber_asymptote
-from .beta import _grid, beta1, beta1_breakdown, beta_scan, beta_term_ids, find_beta_zeros
+from .beta import _grid, _scan_depths, beta1, beta1_breakdown, beta_scan, beta_term_ids, find_beta_zeros
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
 from .resonance import _resonance_grid
@@ -40,14 +48,57 @@ SCHEMA_PATH = Path(__file__).parent / "schemas" / "output.schema.json"
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
+_BLOCK = 1024  # rows turned into text and written at a time
+_ONE_TEXT = {int, bool, str, type(None)}  # equal values of one of these types print alike
 
-def _fmt(value):
-    """Shortest round-trip text for one cell."""
+
+def _csv_text(value) -> str:
+    """A value as CSV text: true/false, empty for None, float.__repr__ for floats, else str."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return ""
-    return str(value)
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
+def _csv_cell(value) -> str:
+    """A CSV field, quoted as csv.writer quotes it."""
+    text = _csv_text(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column(values, cell) -> list[str]:
+    """Text of one column: one float.__repr__ pass over floats, else each distinct value once.
+
+    cell(value) spells one value; it is called for each distinct value of a
+    column of one _ONE_TEXT type, for each value of a mixed column, and for
+    non-finite floats.
+    """
+    try:
+        text = list(map(float.__repr__, values))
+    except TypeError:  # not a float column
+        kinds = set(map(type, values))
+        if len(kinds) != 1 or not kinds <= _ONE_TEXT:
+            return list(map(cell, values))
+        memo = {v: cell(v) for v in set(values)}
+        return list(map(memo.__getitem__, values))
+    if not all(map(math.isfinite, values)):  # JSON spells these NaN, Infinity, -Infinity
+        text = [t if math.isfinite(v) else cell(v) for t, v in zip(text, values)]
+    return text
+
+
+def _lines(fill, block, cell) -> list[str]:
+    """The rows of a block as text: each column in one pass, then fill() per row of cells."""
+    return list(map(fill, zip(*[_column(c, cell) for c in zip(*block)])))
+
+
+def _json_template(schema: str, fields) -> str:
+    """One row object as json.dump(indent=2) lays it out, with a %s slot per field."""
+    head = f'    "schema": {json.dumps(schema)}'.replace("%", "%%")
+    slots = (f"    {json.dumps(k)}: ".replace("%", "%%") + "%s" for k in fields)
+    return "  {\n" + ",\n".join((head, *slots)) + "\n  }"
 
 
 def _emit(fmt: str, schema: str, fields: tuple, rows, band=None):
@@ -56,20 +107,28 @@ def _emit(fmt: str, schema: str, fields: tuple, rows, band=None):
     CSV is a header row and one line per row; JSON is an array with one
     object per row, tagged with schema.  band, the isola band as a pair
     (fields, values), comes first: an ``isola_band`` object in JSON, and
-    '# name = value' lines in CSV.
+    '# name = value' lines in CSV.  Rows are taken _BLOCK at a time, so the
+    text held at once does not grow with the table.
     """
-    out = sys.stdout
+    out, rows = sys.stdout, iter(rows)
+    blocks = iter(lambda: list(islice(rows, _BLOCK)), [])  # lists of rows until rows run out
     if fmt == "json":
-        records = [dict(zip(("schema", *band[0]), ("isola_band", *band[1])))] if band else []
-        records += [dict(zip(("schema", *fields), (schema, *row))) for row in rows]
-        json.dump(records, out, indent=2)
-        out.write("\n")
+        tables = [(_json_template("isola_band", band[0]), [[band[1]]])] if band else []
+        tables.append((_json_template(schema, fields), blocks))
+        sep = "[\n"
+        for template, table in tables:
+            for block in table:
+                out.write(sep + ",\n".join(_lines(template.__mod__, block, json.dumps)))
+                sep = ",\n"
+        out.write("[]\n" if sep == "[\n" else "\n]\n")
         return
     if band:
-        out.writelines(f"# {k} = {_fmt(v)}\n" for k, v in zip(*band))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
+        out.write("".join(f"# {k} = {_csv_text(v)}\n" for k, v in zip(*band)))
+    # csv.writer quotes a lone empty field, which would otherwise read as no field
+    fill = ",".join if len(fields) != 1 else lambda cells: cells[0] or '""'
+    out.write(fill([_csv_cell(k) for k in fields]) + "\n")
+    for block in blocks:
+        out.write("\n".join(_lines(fill, block, _csv_cell)) + "\n")
 
 
 def _h_grid(args, parser) -> list[float]:
@@ -98,10 +157,10 @@ def cmd_resonance(args, parser):
         parser.error(f"--p must be >= 2, got {args.p}")
     hs = _h_grid(args, parser)
     rd = _resonance_grid(args.p, hs)
-    asym = wavenumber_asymptote(args.p, rd.h).tolist() if args.p in (2, 3, 4) else [None] * len(hs)
+    asym = wavenumber_asymptote(args.p, rd.h).tolist() if args.p in (2, 3, 4) else repeat(None)
     columns = (rd.h.tolist(), rd.phi_star.tolist(), rd.omega_star.tolist(), rd.residual.tolist(), asym)
     fields = ("p", "h", "phi", "omega_star", "residual", "phi_asymptote")
-    _emit(args.format, "resonance", fields, [(rd.p, *row) for row in zip(*columns)])
+    _emit(args.format, "resonance", fields, zip(repeat(rd.p), *columns))
     return 0
 
 
@@ -110,26 +169,27 @@ def cmd_beta(args, parser):
         parser.error(f"--p must be one of 2, 3, 4 (closed forms), got {args.p}")
     hs = _h_grid(args, parser)
     if not (args.breakdown or args.groups):
-        rows = [(r.h, r.beta1, r.leading, r.ratio, r.floor_flag) for r in beta_scan(args.p, hs)]
-        _emit(args.format, "scan", ("h", "beta1", "leading", "ratio", "floor_flag"), rows)
+        fields = ("h", "beta1", "leading", "ratio", "floor_flag")
+        _emit(args.format, "scan", fields, map(attrgetter(*fields), beta_scan(args.p, hs)))
         return 0
 
-    grid = _grid(args.p, hs)
+    grid = _grid(args.p, _scan_depths(hs))
     if args.breakdown:
-        ids = beta_term_ids(args.p)
-        rows = [
-            (grid.p, h, tid.label, tid.group, tid.sign, tid.sign * v)
-            for h, column in zip(grid.h.tolist(), grid.terms.T.tolist())
-            for tid, v in zip(ids, column)
-        ]
+        ids = beta_term_ids(grid.p)
+        signs = np.array([tid.sign for tid in ids])
+        rows = zip(
+            repeat(grid.p),
+            np.repeat(grid.h, len(ids)).tolist(),
+            cycle([tid.label for tid in ids]),
+            cycle([tid.group for tid in ids]),
+            cycle(signs.tolist()),
+            (grid.terms.T * signs).ravel().tolist(),  # the unsigned term: exact, as sign is +-1
+        )
         _emit(args.format, "beta_term", ("p", "h", "term", "group", "sign", "value"), rows)
     else:
         sums = {"b0": grid.terms[0], **grid.group_sums()}
-        rows = [
-            (grid.p, h, name, value)
-            for h, values in zip(grid.h.tolist(), np.array(list(sums.values())).T.tolist())
-            for name, value in zip(sums, values)
-        ]
+        values = np.array(list(sums.values())).T.ravel().tolist()
+        rows = zip(repeat(grid.p), np.repeat(grid.h, len(sums)).tolist(), cycle(sums), values)
         _emit(args.format, "beta_group", ("p", "h", "group", "value"), rows)
     return 0
 
@@ -234,8 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parsing leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

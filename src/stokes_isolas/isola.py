@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .resonance import _check_index, build_resonance_data
+
 __all__ = [
     "IsolaParams",
     "IsolaGeometry",
@@ -58,8 +60,7 @@ class IsolaParams:
     mu0: float
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p!r}")
+        object.__setattr__(self, "p", _check_index(self.p))
         for name in ("h", "eps", "beta1", "T1", "y0", "mu0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -76,7 +77,6 @@ class IsolaParams:
     def from_depth(cls, p, h, eps, T1, E, y0=None, mu0=None):
         """Fill beta1, y0, mu0 from one resonance solve at (p, h)."""
         from .beta import _signed_terms, neumaier_sum
-        from .resonance import build_resonance_data
 
         rd = build_resonance_data(p, h)
         return cls(

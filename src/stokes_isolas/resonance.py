@@ -55,7 +55,7 @@ _MAXITER = 100
 
 
 def _check_index(p: int) -> int:
-    if int(p) != p or p < 2:
+    if not (p >= 2 and p % 1 == 0):  # also refuses nan and inf
         raise ValueError(f"isola index p must be an integer >= 2, got {p!r}")
     return int(p)
 

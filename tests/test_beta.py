@@ -80,6 +80,15 @@ class TestBreakdown:
         for p, h in [(2, 2.0), (3, 3.3), (4, 0.8)]:
             assert beta1_breakdown(p, h).total == beta1(p, h)
 
+    def test_integral_float_p(self):
+        assert beta1_breakdown(2.0, 1.0) == beta1_breakdown(2, 1.0)
+        assert beta1_breakdown(np.int64(3), 1.0) == beta1_breakdown(3, 1.0)
+        assert type(beta1_breakdown(2.0, 1.0).p) is int
+        assert beta_term_ids(4.0) == beta_term_ids(4)
+        for bad in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be an integer >= 2"):
+                beta1_breakdown(bad, 1.0)
+
     def test_group_names(self):
         bd = beta1_breakdown(4, 1.0)
         assert set(bd.group_sums) == {
@@ -251,6 +260,10 @@ class TestZeros:
             find_beta_zeros(2, 2.0, 1.0, 500, 1e-8)
         with pytest.raises(ValueError):
             find_beta_zeros(2, 1.0, 2.0, 50, 1e-8)
+        for grid_n in (500.5, math.nan, math.inf, 99.0):
+            with pytest.raises(ValueError, match=r"grid_n must be an integer >= 100, got "):
+                find_beta_zeros(2, 1.0, 2.0, grid_n, 1e-8)
+        assert find_beta_zeros(4, 0.3, 3.0, 500.0) == find_beta_zeros(4, 0.3, 3.0, 500)
         # an infinite xtol would stop Brent at a bracket end at once
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tol must be positive and finite"):

@@ -108,6 +108,24 @@ class TestBetaCommand:
         assert out == ""
         assert "not allowed with" in err
 
+    @pytest.mark.parametrize("mode", [[], ["--breakdown"], ["--groups"]], ids=["scan", "breakdown", "groups"])
+    @pytest.mark.parametrize(
+        "depths, bad",
+        [
+            (["--h", "30"], 30.0),
+            (["--h", "0.001"], 0.001),
+            (["--h", "1e-200"], 1e-200),
+            (["--h", "nan"], math.nan),
+            (["--h-min", "0.01", "--h-max", "2"], 0.01),
+            (["--h-min", "1", "--h-max", "25", "--n", "3"], 25.0),
+        ],
+        ids=["deep", "shallow", "tiny", "nan", "grid-start", "grid-end"],
+    )
+    def test_every_table_refuses_depths_outside_range(self, mode, depths, bad):
+        code, out, err = run_cli("beta", "--p", "4", *depths, *mode)
+        assert (code, out) == (2, "")
+        assert err == f"error: scan grid must lie within (0.05, 20.0), got h={bad!r}\n"
+
     def test_groups_match_deep_water_coefficients(self):
         code, out, _ = run_cli("beta", "--p", "4", "--h", "6", "--groups")
         assert code == 0
@@ -317,10 +335,10 @@ class TestTinyDepths:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["beta", "--p", "2", "--groups", "--h", "1e-200"],
+            ["isola", "--p", "2", "--h", "1e-200", "--eps", "0.05", "--T1", "1", "--E", "0.5"],
             ["zeros", "--p", "2", "--h-min", "1e-200", "--h-max", "1e-100", "--n", "100"],
         ],
-        ids=["groups", "zeros"],
+        ids=["isola", "zeros"],
     )
     def test_numerical_exit_without_traceback(self, argv):
         proc = subprocess.run(

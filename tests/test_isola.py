@@ -56,6 +56,15 @@ class TestParams:
             with pytest.raises(ValueError, match="h must be positive"):
                 make_params(h=h)
 
+    @pytest.mark.parametrize("p", [1, 0, -2, 2.5, 3.0000001, math.nan, math.inf, -math.inf])
+    def test_isola_index_refused(self, p):
+        with pytest.raises(ValueError, match=f"isola index p must be an integer >= 2, got {p!r}"):
+            make_params(p=p)
+
+    def test_integral_float_index(self):
+        params = make_params(p=2.0)
+        assert type(params.p) is int and params == make_params(p=2)
+
     @pytest.mark.parametrize("name", ["h", "eps", "beta1", "T1", "y0", "mu0"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, name, value):
