@@ -26,25 +26,29 @@ The rule is compiled once per p into a plan (``_plan``): for each term its
 sign, its 4^(k+1), its hops as (l-1, w_m, m, w_n, n) and its intermediates
 (j, s), with each distinct hop factor and denominator evaluated once per
 depth.  One evaluator (``_evaluate``) applies the plan to Python floats at
-a single depth (``beta1``, ``beta1_breakdown``, ``IsolaParams.from_depth``)
-or to numpy arrays over a grid of depths, giving one grid record (``_Grid``)
-that ``beta_scan``, the grid pass of ``find_beta_zeros`` and the CLI tables
-read.  It performs the same IEEE operations in the same order either way,
-and the grid's phi* solve is a lane-wise port of the single-depth Brent
-solve, so every grid value equals the single-depth value bit for bit.
+a single depth or to numpy arrays over a grid of depths.  Either way the
+result is one record (``BetaBreakdown``): the signed terms and their total,
+floats at one depth (``beta1_breakdown``) or one column per depth over a
+grid (``_grid``).  ``beta_scan``, the grid pass of ``find_beta_zeros``, the
+CLI tables and ``IsolaParams.from_depth`` read it; ``beta1`` computes the
+same total directly.  The evaluator performs the same IEEE operations in
+the same order either way, and the grid's phi* solve is a lane-wise port of
+the single-depth Brent solve, so every grid value equals the single-depth
+value bit for bit.
 
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
-assembly uses compensated summation (``neumaier_sum``), and ``_floor``
-gives the resolution limit, 8 ulps of the largest term, below which a
-computed total is numerically meaningless.  Each has one body that runs
-on floats at one depth and on numpy rows over a grid, like ``_evaluate``.
+assembly uses compensated summation (``neumaier_sum``), and the record's
+``cancellation_floor`` gives the resolution limit, 8 ulps of the largest
+term, below which a computed total is numerically meaningless.  Each has
+one body that runs on floats at one depth and on numpy rows over a grid,
+like ``_evaluate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -52,7 +56,7 @@ import numpy as np
 
 from .dispersion import _check_depth, _libm, _phase, _sqrt
 from .errors import SingularityError
-from .resonance import ResonanceData, _check_index, _resonance_grid, brentq, build_resonance_data
+from .resonance import ResonanceData, _check_index, _resonance_grid, _scan_depths, brentq, build_resonance_data
 from .stokes_coefficients import _coefficients
 
 __all__ = [
@@ -71,8 +75,6 @@ __all__ = [
 # range [0.05, 20]; anything smaller than this is outside that range and
 # refused rather than silently amplified.
 DENOMINATOR_GUARD = 1e-10
-
-_SCAN_H_RANGE = (0.05, 20.0)
 
 
 def neumaier_sum(values):
@@ -212,17 +214,18 @@ def _signed_terms(rd: ResonanceData) -> list[float]:
     coefficients = _coefficients(c)
     Omega, t = rd.Omega.tolist(), rd.t.tolist()
     dens = _denominators(plan, Omega, c)
-    for tid, (_, _, _, den_ids) in zip(beta_term_ids(rd.p), plan.terms):
-        for k in den_ids:
-            if abs(dens[k]) < DENOMINATOR_GUARD:
-                j, s = plan.dens[k]
-                sign = "-" if s > 0 else "+"
-                raise SingularityError(
-                    f"near-vanishing denominator {j}*c_h {sign} Omega_{j} - Omega_0 = {dens[k]:.3e} "
-                    f"in term {tid.label} at (p={rd.p}, h={rd.h})",
-                    denominator_label=f"{j}*c_h {sign} Omega_{j} - Omega_0",
-                    value=dens[k],
-                )
+    if any(abs(d) < DENOMINATOR_GUARD for d in dens):
+        # name the first term, in beta_term_ids order, that divides by a guarded denominator
+        tid, k = next((tid, k) for tid, (_, _, _, den_ids) in zip(beta_term_ids(rd.p), plan.terms)
+                      for k in den_ids if abs(dens[k]) < DENOMINATOR_GUARD)
+        j, s = plan.dens[k]
+        sign = "-" if s > 0 else "+"
+        raise SingularityError(
+            f"near-vanishing denominator {j}*c_h {sign} Omega_{j} - Omega_0 = {dens[k]:.3e} "
+            f"in term {tid.label} at (p={rd.p}, h={rd.h})",
+            denominator_label=f"{j}*c_h {sign} Omega_{j} - Omega_0",
+            value=dens[k],
+        )
     return _evaluate(plan, Omega, t, coefficients, dens)
 
 
@@ -248,44 +251,59 @@ def _grid_terms(rd: ResonanceData) -> np.ndarray:
     return terms
 
 
-def _floor(terms):
-    """8 ulps of the largest |term|: a float at one depth, or one per column of grid rows."""
-    return 8.0 * _libm(math.ulp, np.abs(terms).max(axis=0))
-
-
-def _group_sums(p: int, terms) -> dict:
-    """Compensated sum of each path family's terms, at one depth or per grid column."""
-    return {name: neumaier_sum([terms[k] for k in rows]) for name, rows in _plan(p).groups.items()}
-
-
 @dataclass(frozen=True)
-class _Grid:
-    """beta1 over a grid of depths, one column per depth.
+class BetaBreakdown:
+    """Every summand of the p-th coefficient, at one depth or over a grid of depths.
 
-    terms holds the signed terms, one row per beta_term_ids(p) entry, and
-    total their compensated sum.  Every value equals the single-depth one.
+    ``signed`` holds the terms with their signs, in beta_term_ids order, and
+    ``total`` their compensated sum: floats at one depth, or one column per
+    depth over a grid, like ``rd``, the ResonanceData they came from.  The
+    other values are computed when read; ``terms`` maps each term id to its
+    raw (unsigned) value.  Every grid value equals the single-depth one.
     """
 
-    p: int
-    h: np.ndarray
-    terms: np.ndarray
-    total: np.ndarray
+    rd: ResonanceData = field(compare=False, repr=False)
+    signed: list[float] | np.ndarray
+    total: float | np.ndarray
 
     @property
-    def floor_flag(self) -> np.ndarray:
+    def p(self) -> int:
+        return self.rd.p
+
+    @property
+    def h(self) -> float | np.ndarray:
+        return self.rd.h
+
+    @property
+    def b0(self) -> float | np.ndarray:
+        """The direct 0 -> p term."""
+        return self.signed[0]
+
+    @property
+    def terms(self) -> dict[BetaTermId, float | np.ndarray]:
+        return {tid: tid.sign * v for tid, v in zip(beta_term_ids(self.p), self.signed)}
+
+    @property
+    def group_sums(self) -> dict[str, float | np.ndarray]:
+        """Compensated sum of each path family's signed terms."""
+        return {name: neumaier_sum([self.signed[k] for k in rows]) for name, rows in _plan(self.p).groups.items()}
+
+    @property
+    def cancellation_floor(self) -> float | np.ndarray:
+        """8 ulps of the largest term: the resolution limit of ``total``."""
+        return 8.0 * _libm(math.ulp, np.abs(self.signed).max(axis=0))
+
+    @property
+    def floor_flag(self) -> bool | np.ndarray:
         """Totals within 10x of the cancellation floor."""
-        return np.abs(self.total) < 10.0 * _floor(self.terms)
-
-    def group_sums(self) -> dict[str, np.ndarray]:
-        """Compensated sum of each path family, as BetaBreakdown.group_sums."""
-        return _group_sums(self.p, self.terms)
+        return abs(self.total) < 10.0 * self.cancellation_floor
 
 
-def _grid(p: int, hs) -> _Grid:
-    """The grid record at every depth of hs (see _grid_terms)."""
+def _grid(p: int, hs) -> BetaBreakdown:
+    """The record at every depth of hs, one column per depth (see _grid_terms)."""
     rd = _resonance_grid(p, hs)
-    terms = _grid_terms(rd)
-    return _Grid(rd.p, rd.h, terms, neumaier_sum(terms))
+    signed = _grid_terms(rd)
+    return BetaBreakdown(rd, signed, neumaier_sum(signed))
 
 
 def beta1(p: int, h: float) -> float:
@@ -293,42 +311,11 @@ def beta1(p: int, h: float) -> float:
     return neumaier_sum(_signed_terms(build_resonance_data(p, h)))
 
 
-@dataclass(frozen=True)
-class BetaBreakdown:
-    """Every summand of the p-th coefficient at one depth.
-
-    ``terms`` maps each term id to its raw (unsigned) value; the signed
-    assembly gives ``total`` and the per-path-family ``group_sums``.
-    """
-
-    p: int
-    h: float
-    b0: float
-    terms: dict[BetaTermId, float]
-    group_sums: dict[str, float]
-    total: float
-
-    @property
-    def cancellation_floor(self) -> float:
-        """8 ulps of the largest term: the resolution limit of ``total``."""
-        return _floor(list(self.terms.values()))
-
-    def signed_values(self) -> list[float]:
-        return [tid.sign * v for tid, v in self.terms.items()]
-
-
 def beta1_breakdown(p: int, h: float) -> BetaBreakdown:
     """Like :func:`beta1` but exposing every term and the group sums."""
     rd = build_resonance_data(p, h)
     signed = _signed_terms(rd)
-    return BetaBreakdown(
-        p=rd.p,
-        h=rd.h,
-        b0=signed[0],
-        terms={tid: tid.sign * v for tid, v in zip(beta_term_ids(rd.p), signed)},
-        group_sums=_group_sums(rd.p, signed),
-        total=neumaier_sum(signed),
-    )
+    return BetaBreakdown(rd, signed, neumaier_sum(signed))
 
 
 def find_beta_zeros(
@@ -373,15 +360,6 @@ def find_beta_zeros(
             # the grid already holds beta1 at both ends of the bracket
             zeros.append(brentq(f, hs[i], hs[i + 1], v, vals[i + 1], tol))
     return zeros
-
-
-def _scan_depths(hs) -> np.ndarray:
-    """hs as a float array, refused (ValueError) if a depth lies outside the documented range [0.05, 20]."""
-    grid = np.array([float(h) for h in hs])
-    inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])
-    if not inside.all():
-        raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={float(grid[np.argmin(inside)])!r}")
-    return grid
 
 
 @dataclass(frozen=True)

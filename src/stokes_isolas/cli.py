@@ -11,11 +11,11 @@ selftest    compare against the stored arbitrary-precision fixtures
 Conventions: each subcommand hands one emitter (``_emit``) its field names,
 in the order of the schema's ``required`` list, and its rows.  Data rows go
 to stdout, diagnostics to stderr; every float is printed in shortest
-round-trip form; exit code 0 on success, 2 on usage errors (non-finite
-inputs included), 3 on numerical failures.  CSV uses a header row and '.'
-decimals (isola band metadata appears as leading '#' comments); JSON is an
-array of schema-tagged objects validating against
-``schemas/output.schema.json``.
+round-trip form; exit code 0 on success, 1 when the reader closes stdout
+early, 2 on usage errors (non-finite inputs included), 3 on numerical
+failures.  CSV uses a header row and '.' decimals (isola band metadata
+appears as leading '#' comments); JSON is an array of schema-tagged
+objects validating against ``schemas/output.schema.json``.
 
 The argument parser is built once per process and reused unchanged.  The
 emitter writes a table in blocks of rows: it turns each column of a block
@@ -30,6 +30,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from itertools import cycle, islice, repeat
 from operator import attrgetter
@@ -38,13 +39,14 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import wavenumber_asymptote
-from .beta import _grid, _scan_depths, beta1, beta1_breakdown, beta_scan, beta_term_ids, find_beta_zeros
+from .beta import _grid, beta1, beta1_breakdown, beta_scan, find_beta_zeros
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
-from .resonance import _resonance_grid
+from .resonance import _resonance_grid, _scan_depths
 
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "output.schema.json"
 
+CLOSED_PIPE_EXIT = 1
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
@@ -165,8 +167,6 @@ def cmd_resonance(args, parser):
 
 
 def cmd_beta(args, parser):
-    if args.p not in (2, 3, 4):
-        parser.error(f"--p must be one of 2, 3, 4 (closed forms), got {args.p}")
     hs = _h_grid(args, parser)
     if not (args.breakdown or args.groups):
         fields = ("h", "beta1", "leading", "ratio", "floor_flag")
@@ -175,19 +175,18 @@ def cmd_beta(args, parser):
 
     grid = _grid(args.p, _scan_depths(hs))
     if args.breakdown:
-        ids = beta_term_ids(grid.p)
-        signs = np.array([tid.sign for tid in ids])
+        terms = grid.terms
         rows = zip(
             repeat(grid.p),
-            np.repeat(grid.h, len(ids)).tolist(),
-            cycle([tid.label for tid in ids]),
-            cycle([tid.group for tid in ids]),
-            cycle(signs.tolist()),
-            (grid.terms.T * signs).ravel().tolist(),  # the unsigned term: exact, as sign is +-1
+            np.repeat(grid.h, len(terms)).tolist(),
+            cycle([tid.label for tid in terms]),
+            cycle([tid.group for tid in terms]),
+            cycle([tid.sign for tid in terms]),
+            np.array(list(terms.values())).T.ravel().tolist(),
         )
         _emit(args.format, "beta_term", ("p", "h", "term", "group", "sign", "value"), rows)
     else:
-        sums = {"b0": grid.terms[0], **grid.group_sums()}
+        sums = {"b0": grid.b0, **grid.group_sums}
         values = np.array(list(sums.values())).T.ravel().tolist()
         rows = zip(repeat(grid.p), np.repeat(grid.h, len(sums)).tolist(), cycle(sums), values)
         _emit(args.format, "beta_group", ("p", "h", "group", "value"), rows)
@@ -195,8 +194,6 @@ def cmd_beta(args, parser):
 
 
 def cmd_zeros(args, parser):
-    if args.p not in (2, 3, 4):
-        parser.error(f"--p must be one of 2, 3, 4 (closed forms), got {args.p}")
     if not 0 < args.h_min < args.h_max:
         parser.error("need 0 < --h-min < --h-max")
     zeros = find_beta_zeros(args.p, args.h_min, args.h_max, args.n, args.tol)
@@ -257,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_resonance)
 
     s = sub.add_parser("beta", help="instability coefficient over depth")
-    s.add_argument("--p", type=int, required=True, help="isola index in {2, 3, 4}")
+    s.add_argument("--p", type=int, required=True, choices=(2, 3, 4))
     _add_grid_flags(s)
     table = s.add_mutually_exclusive_group()
     table.add_argument("--breakdown", action="store_true", help="emit every term")
@@ -266,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_beta)
 
     s = sub.add_parser("zeros", help="critical depths where the coefficient vanishes")
-    s.add_argument("--p", type=int, required=True, help="isola index in {2, 3, 4}")
+    s.add_argument("--p", type=int, required=True, choices=(2, 3, 4))
     s.add_argument("--h-min", type=float, required=True)
     s.add_argument("--h-max", type=float, required=True)
     s.add_argument("--n", type=int, default=2000, help="scan grid intervals")
@@ -304,7 +301,16 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a reader that left early shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # As the signal module docs advise: send what is still buffered to
+        # devnull, so that the flush at shutdown does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_PIPE_EXIT
     except StokesIsolasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT

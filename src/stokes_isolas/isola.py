@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .resonance import _check_index, build_resonance_data
+from .beta import beta1_breakdown
+from .resonance import _check_index, _scan_depths
 
 __all__ = [
     "IsolaParams",
@@ -75,19 +76,18 @@ class IsolaParams:
 
     @classmethod
     def from_depth(cls, p, h, eps, T1, E, y0=None, mu0=None):
-        """Fill beta1, y0, mu0 from one resonance solve at (p, h)."""
-        from .beta import _signed_terms, neumaier_sum
-
-        rd = build_resonance_data(p, h)
+        """Fill beta1, y0, mu0 from beta1_breakdown(p, h); h outside [0.05, 20] is refused as by the beta tables."""
+        _scan_depths([h])
+        bd = beta1_breakdown(p, h)
         return cls(
             p=p,
             h=h,
             eps=eps,
-            beta1=neumaier_sum(_signed_terms(rd)),
+            beta1=bd.total,
             T1=T1,
             E=E,
-            y0=rd.omega_star if y0 is None else y0,
-            mu0=rd.phi_star if mu0 is None else mu0,
+            y0=bd.rd.omega_star if y0 is None else y0,
+            mu0=bd.rd.phi_star if mu0 is None else mu0,
         )
 
     @property

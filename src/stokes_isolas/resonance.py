@@ -53,11 +53,22 @@ _XTOL = 1e-15
 _RTOL = 4 * float(np.finfo(float).eps)
 _MAXITER = 100
 
+_SCAN_H_RANGE = (0.05, 20.0)  # the documented depth range of the beta tables and of the isola model
+
 
 def _check_index(p: int) -> int:
     if not (p >= 2 and p % 1 == 0):  # also refuses nan and inf
         raise ValueError(f"isola index p must be an integer >= 2, got {p!r}")
     return int(p)
+
+
+def _scan_depths(hs) -> np.ndarray:
+    """hs as a float array, refused (ValueError) if a depth lies outside the documented range [0.05, 20]."""
+    grid = np.array([float(h) for h in hs])
+    inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])
+    if not inside.all():
+        raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={float(grid[np.argmin(inside)])!r}")
+    return grid
 
 
 def resonance_residual(phi: float, p: int, h: float) -> float:

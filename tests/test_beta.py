@@ -62,7 +62,7 @@ class TestBreakdown:
     @pytest.mark.parametrize("p,h", [(2, 1.3), (3, 0.9), (4, 2.2), (4, 8.0)])
     def test_reconstruction_two_orders(self, p, h):
         bd = beta1_breakdown(p, h)
-        signed = bd.signed_values()
+        signed = bd.signed
         forward = neumaier_sum(signed)
         backward = neumaier_sum(reversed(signed))
         largest = max(abs(v) for v in bd.terms.values())
@@ -320,15 +320,17 @@ class TestGridIdentity:
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_grid_breakdowns_equal_single_points(self, p):
         grid = _grid(p, DENSE)
-        sums = grid.group_sums()
+        sums, terms, floor = grid.group_sums, grid.terms, grid.cancellation_floor
         for i, h in enumerate(DENSE):
             one = beta1_breakdown(p, h)
             assert (grid.p, grid.h[i]) == (one.p, one.h)
-            assert _bits(grid.terms[:, i]) == _bits(one.signed_values())
+            assert _bits(grid.signed[:, i]) == _bits(one.signed)
+            assert list(terms) == list(one.terms)
+            assert _bits(v[i] for v in terms.values()) == _bits(one.terms.values())
             assert list(sums) == list(one.group_sums)
             assert _bits(s[i] for s in sums.values()) == _bits(one.group_sums.values())
-            assert _bits([grid.terms[0, i], grid.total[i]]) == _bits([one.b0, one.total])
-            assert grid.floor_flag[i] == (abs(one.total) < 10 * one.cancellation_floor)
+            assert _bits([grid.b0[i], grid.total[i], floor[i]]) == _bits([one.b0, one.total, one.cancellation_floor])
+            assert grid.floor_flag[i] == one.floor_flag == (abs(one.total) < 10 * one.cancellation_floor)
 
     def test_empty_scan(self):
         assert beta_scan(2, []) == []
@@ -376,20 +378,22 @@ class TestSingularityGuard:
             beta_scan(2, hs)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, error, match",
         [
-            lambda: beta1(2, 1e-40),
-            lambda: beta1_breakdown(4, 1e-200),
-            lambda: IsolaParams.from_depth(2, 1e-40, 0.1, 1.0, 0.5),
-            lambda: find_beta_zeros(2, 1e-200, 1e-100, 100),
-            lambda: beta._grid(2, [1.0, 1e-200]),
+            (lambda: beta1(2, 1e-40), SingularityError, "underflows to 0.0"),
+            (lambda: beta1_breakdown(4, 1e-200), SingularityError, "underflows to 0.0"),
+            # from_depth refuses the depth first, as the beta tables do
+            (lambda: IsolaParams.from_depth(2, 1e-40, 0.1, 1.0, 0.5), ValueError,
+             r"^scan grid must lie within \(0.05, 20.0\), got h=1e-40$"),
+            (lambda: find_beta_zeros(2, 1e-200, 1e-100, 100), SingularityError, "underflows to 0.0"),
+            (lambda: beta._grid(2, [1.0, 1e-200]), SingularityError, "underflows to 0.0"),
         ],
         ids=["beta1", "breakdown", "from_depth", "zeros", "grid"],
     )
-    def test_underflowing_depths(self, call):
+    def test_underflowing_depths(self, call, error, match):
         # Below h ~ 2.7e-33 a Stokes-coefficient denominator underflows to 0.0:
         # the same typed error as the guard above, for points and grids alike.
-        with pytest.raises(SingularityError, match="underflows to 0.0"):
+        with pytest.raises(error, match=match):
             call()
 
 

@@ -88,8 +88,12 @@ class TestBetaCommand:
         assert abs(float(row["beta1"])) <= 1e-4
 
     def test_p5_usage_error(self):
-        code, _, _ = run_cli("beta", "--p", "5", "--h", "1")
-        assert code == 2
+        # argparse checks --p, so the message names the subcommand
+        for command, depths in (("beta", ["--h", "1"]), ("zeros", ["--h-min", "1", "--h-max", "2"])):
+            for p in ("5", "1"):
+                code, out, err = run_cli(command, "--p", p, *depths)
+                assert (code, out) == (2, "")
+                assert f"stokes-isolas {command}: error: argument --p: invalid choice: {p} (choose from 2, 3, 4)" in err
 
     def test_breakdown_term_rows(self):
         code, out, _ = run_cli("beta", "--p", "4", "--h", "3", "--breakdown")
@@ -181,6 +185,12 @@ class TestIsolaCommand:
         code, _, err = run_cli("isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1")
         assert code == 2
         assert "--E" in err
+
+    @pytest.mark.parametrize("h", ["30", "0.001", "20.000001", "nan"])
+    def test_refuses_depths_outside_range(self, h):
+        code, out, err = run_cli("isola", "--p", "4", "--h", h, "--eps", "0.1", "--T1", "1", "--E", "0.5")
+        assert (code, out) == (2, "")
+        assert err == f"error: scan grid must lie within (0.05, 20.0), got h={float(h)!r}\n"
 
     def test_ellipse_samples_on_curve(self):
         code, out, _ = run_cli(
@@ -333,24 +343,39 @@ class TestSelftest:
 
 class TestTinyDepths:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, code, message",
         [
-            ["isola", "--p", "2", "--h", "1e-200", "--eps", "0.05", "--T1", "1", "--E", "0.5"],
-            ["zeros", "--p", "2", "--h-min", "1e-200", "--h-max", "1e-100", "--n", "100"],
+            # isola refuses the depth before it computes, as the beta tables do
+            (["isola", "--p", "2", "--h", "1e-200", "--eps", "0.05", "--T1", "1", "--E", "0.5"], 2,
+             "scan grid must lie within (0.05, 20.0), got h=1e-200"),
+            (["zeros", "--p", "2", "--h-min", "1e-200", "--h-max", "1e-100", "--n", "100"], 3, "underflows to 0.0"),
         ],
         ids=["isola", "zeros"],
     )
-    def test_numerical_exit_without_traceback(self, argv):
+    def test_numerical_exit_without_traceback(self, argv, code, message):
         proc = subprocess.run(
             [sys.executable, "-m", "stokes_isolas.cli", *argv], capture_output=True, text=True
         )
-        assert proc.returncode == 3
+        assert proc.returncode == code
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and "underflows to 0.0" in proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
 class TestEnvironment:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reader_leaving_early(self, fmt):
+        # 20000 rows outgrow the pipe buffer: the table is still being written when the reader leaves
+        argv = ["resonance", "--p", "2", "--h-min", "1", "--h-max", "5", "--n", "20000", "--format", fmt]
+        with subprocess.Popen(
+            [sys.executable, "-m", "stokes_isolas.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_console_script_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stokes_isolas.cli", "resonance", "--p", "2", "--h", "2"],

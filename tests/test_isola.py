@@ -71,7 +71,7 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make_params(**{name: value})
         if name in ("h", "beta1"):
-            # from_depth computes beta1 and refuses a bad h in the resonance solve
+            # from_depth computes beta1 and refuses a bad h as the beta tables do
             return
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             IsolaParams.from_depth(2, 3.0, **{"eps": 0.05, "T1": 1.0, "E": 0.5, name: value})
@@ -83,6 +83,13 @@ class TestParams:
         assert params.y0 == omega_star(2, 3.0)
         override = IsolaParams.from_depth(2, 3.0, 0.05, T1=1.0, E=0.5, y0=9.9, mu0=0.1)
         assert override.y0 == 9.9 and override.mu0 == 0.1
+
+    def test_from_depth_depth_range(self):
+        for h in (0.05, 20.0):
+            assert IsolaParams.from_depth(4, h, 0.1, T1=1.0, E=0.5).beta1 == beta1(4, h)
+        for h in (30.0, 0.001, 0.0499):
+            with pytest.raises(ValueError, match=rf"^scan grid must lie within \(0.05, 20.0\), got h={h!r}$"):
+                IsolaParams.from_depth(4, h, 0.1, T1=1.0, E=0.5)
 
     def test_from_depth_solves_once(self, monkeypatch):
         from stokes_isolas import resonance
