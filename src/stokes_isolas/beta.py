@@ -54,6 +54,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from .asymptotics import leading_term
 from .dispersion import _check_depth, _libm, _phase, _sqrt
 from .errors import SingularityError
 from .resonance import ResonanceData, _check_index, _resonance_grid, _scan_depths, brentq, build_resonance_data
@@ -251,7 +252,7 @@ def _grid_terms(rd: ResonanceData) -> np.ndarray:
     return terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaBreakdown:
     """Every summand of the p-th coefficient, at one depth or over a grid of depths.
 
@@ -260,11 +261,19 @@ class BetaBreakdown:
     depth over a grid, like ``rd``, the ResonanceData they came from.  The
     other values are computed when read; ``terms`` maps each term id to its
     raw (unsigned) value.  Every grid value equals the single-depth one.
+    Two records are equal when their p, h, signed terms and totals are.
     """
 
-    rd: ResonanceData = field(compare=False, repr=False)
+    rd: ResonanceData = field(repr=False)
     signed: list[float] | np.ndarray
     total: float | np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, BetaBreakdown):
+            return NotImplemented
+        return self.p == other.p and all(
+            np.array_equal(a, b) for a, b in ((self.h, other.h), (self.signed, other.signed), (self.total, other.total))
+        )
 
     @property
     def p(self) -> int:
@@ -373,6 +382,14 @@ class ScanRow:
     floor_flag: bool
 
 
+def _scan_columns(p: int, hs) -> list[list]:
+    """The columns of beta_scan(p, hs) as lists, in the order of ScanRow's fields."""
+    _plan(_check_index(p))  # refuses an unsupported p, also on an empty grid
+    g = _grid(p, _scan_depths(hs))
+    lead = leading_term(p, g.h)  # nonzero on the scan range, so ratio is a plain quotient
+    return [column.tolist() for column in (g.h, g.total, lead, g.total / lead, g.floor_flag)]
+
+
 def beta_scan(p: int, hs) -> list[ScanRow]:
     """Tabulate (h, beta1, leading, ratio, floor_flag) over a depth grid.
 
@@ -382,14 +399,4 @@ def beta_scan(p: int, hs) -> list[ScanRow]:
     the value should not be trusted.  The grid is evaluated at once, and
     every field equals what beta1 and leading_term return at that depth.
     """
-    from .asymptotics import leading_term
-
-    _plan(_check_index(p))  # refuses an unsupported p, also on an empty grid
-    grid = _scan_depths(hs)
-    if not grid.size:
-        return []
-    g = _grid(p, grid)
-    lead = leading_term(p, grid)
-    ratio = np.full(grid.size, math.nan)
-    np.divide(g.total, lead, out=ratio, where=lead != 0.0)
-    return list(map(ScanRow, grid.tolist(), g.total.tolist(), lead.tolist(), ratio.tolist(), g.floor_flag.tolist()))
+    return list(map(ScanRow, *_scan_columns(p, hs)))

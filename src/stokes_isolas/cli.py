@@ -27,19 +27,19 @@ bytes are those of ``json.dump(records, indent=2)`` and of ``csv.writer``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
 from itertools import cycle, islice, repeat
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import wavenumber_asymptote
-from .beta import _grid, beta1, beta1_breakdown, beta_scan, find_beta_zeros
+from .beta import ScanRow, _grid, _scan_columns, beta1, beta1_breakdown, find_beta_zeros
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
 from .resonance import _resonance_grid, _scan_depths
@@ -133,7 +133,7 @@ def _emit(fmt: str, schema: str, fields: tuple, rows, band=None):
         out.write("\n".join(_lines(fill, block, _csv_cell)) + "\n")
 
 
-def _h_grid(args, parser) -> list[float]:
+def _h_grid(args, parser) -> list[float] | np.ndarray:
     if args.h is not None:
         if args.h_min is not None or args.h_max is not None:
             parser.error("give either --h or --h-min/--h-max, not both")
@@ -144,7 +144,7 @@ def _h_grid(args, parser) -> list[float]:
         parser.error("need 0 < --h-min < --h-max < inf")
     if args.n < 2:
         parser.error(f"--n must be >= 2 for a --h-min/--h-max grid, got {args.n}")
-    return [float(x) for x in np.linspace(args.h_min, args.h_max, args.n)]
+    return np.linspace(args.h_min, args.h_max, args.n)
 
 
 def _add_grid_flags(sub, default_n=7):
@@ -169,8 +169,8 @@ def cmd_resonance(args, parser):
 def cmd_beta(args, parser):
     hs = _h_grid(args, parser)
     if not (args.breakdown or args.groups):
-        fields = ("h", "beta1", "leading", "ratio", "floor_flag")
-        _emit(args.format, "scan", fields, map(attrgetter(*fields), beta_scan(args.p, hs)))
+        fields = tuple(f.name for f in dataclasses.fields(ScanRow))
+        _emit(args.format, "scan", fields, zip(*_scan_columns(args.p, hs)))
         return 0
 
     grid = _grid(args.p, _scan_depths(hs))

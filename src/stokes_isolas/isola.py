@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beta import beta1_breakdown
-from .resonance import _check_index, _scan_depths
+from .resonance import _check_index, _scan_depth
 
 __all__ = [
     "IsolaParams",
@@ -73,11 +73,18 @@ class IsolaParams:
             raise ValueError(f"T1 must be positive, got {self.T1!r}")
         if not 0.0 < self.E < 1.0:
             raise ValueError(f"E must lie in (0, 1), got {self.E!r}")
+        try:  # max_growth / E >= max_growth, as E < 1
+            width, height = self.half_width, self.max_growth / self.E
+        except OverflowError:  # eps**p alone leaves the float range
+            width = height = math.inf
+        if not math.isfinite(max(width, height)):
+            raise ValueError(f"half_width and max_growth / E must be finite, got {width!r} and {height!r} "
+                             f"at eps={self.eps!r}, T1={self.T1!r}, E={self.E!r}")
 
     @classmethod
     def from_depth(cls, p, h, eps, T1, E, y0=None, mu0=None):
         """Fill beta1, y0, mu0 from beta1_breakdown(p, h); h outside [0.05, 20] is refused as by the beta tables."""
-        _scan_depths([h])
+        _scan_depth(h)
         bd = beta1_breakdown(p, h)
         return cls(
             p=p,

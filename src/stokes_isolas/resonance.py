@@ -62,12 +62,18 @@ def _check_index(p: int) -> int:
     return int(p)
 
 
+def _scan_depth(h) -> None:
+    """Refuse (ValueError) a depth h outside the documented range [0.05, 20], compared as a float."""
+    if not _SCAN_H_RANGE[0] <= float(h) <= _SCAN_H_RANGE[1]:
+        raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={float(h)!r}")
+
+
 def _scan_depths(hs) -> np.ndarray:
-    """hs as a float array, refused (ValueError) if a depth lies outside the documented range [0.05, 20]."""
-    grid = np.array([float(h) for h in hs])
+    """Any iterable of real depths as a float array; the first outside the range is refused by _scan_depth."""
+    grid = np.fromiter(hs, dtype=float)
     inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])
     if not inside.all():
-        raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={float(grid[np.argmin(inside)])!r}")
+        _scan_depth(grid[np.argmin(inside)])
     return grid
 
 

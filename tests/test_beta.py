@@ -76,6 +76,12 @@ class TestBreakdown:
             members = [tid.sign * v for tid, v in bd.terms.items() if tid.group == name]
             assert value == pytest.approx(neumaier_sum(members), abs=4 * math.ulp(max(map(abs, members))))
 
+    def test_grid_records_compare(self):
+        a, b = _grid(2, [1.0, 2.0]), _grid(2, [1.0, 2.0])
+        assert (a == b) is True and (a != b) is False
+        assert (a == _grid(2, [1.0, 2.5])) is False
+        assert (a == _grid(3, [1.0, 2.0])) is False
+
     def test_total_matches_beta1(self):
         for p, h in [(2, 2.0), (3, 3.3), (4, 0.8)]:
             assert beta1_breakdown(p, h).total == beta1(p, h)
@@ -283,6 +289,11 @@ class TestScan:
         # p=4 beyond h ~ 14.4 the total sinks under the cancellation floor
         (row,) = beta_scan(4, [17.0])
         assert row.floor_flag
+
+    def test_any_iterable_of_depths(self):
+        hs = [0.05, 1.0, 2.5, 20.0]
+        rows = beta_scan(4, hs)
+        assert beta_scan(4, (h for h in hs)) == beta_scan(4, tuple(hs)) == beta_scan(4, np.array(hs)) == rows
 
     def test_grid_range_enforced(self):
         with pytest.raises(ValueError):

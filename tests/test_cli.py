@@ -1,6 +1,7 @@
 """CLI surface: flags, schemas, formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from stokes_isolas.cli import SCHEMA_PATH, main
@@ -192,6 +194,21 @@ class TestIsolaCommand:
         assert (code, out) == (2, "")
         assert err == f"error: scan grid must lie within (0.05, 20.0), got h={float(h)!r}\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--eps", "1e100", "--T1", "1", "--E", "0.5"], ["--eps", "0.1", "--T1", "1e-320", "--E", "0.5"],
+         ["--eps", "0.1", "--T1", "1", "--E", "1e-320"]],
+        ids=["eps", "T1", "E"],
+    )
+    def test_refuses_overflowing_model(self, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "stokes_isolas.cli", "isola", "--p", "4", "--h", "3", *flags],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: half_width and max_growth / E must be finite, got ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_ellipse_samples_on_curve(self):
         code, out, _ = run_cli(
             "isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1", "--E", "0.5", "--n", "64"
@@ -294,6 +311,26 @@ class TestFormats:
         header = [line[2:].split(" = ")[0] for line in comments] if kind == "isola_band" else (
             out.splitlines()[len(comments)].split(","))
         assert header == required[1:]
+
+    def test_scan_row_fields_are_the_schema_fields(self):
+        from stokes_isolas import ScanRow
+
+        items = json.loads(SCHEMA_PATH.read_text())["items"]["oneOf"]
+        (required,) = [k["required"] for k in items if k["properties"]["schema"]["const"] == "scan"]
+        assert [f.name for f in dataclasses.fields(ScanRow)] == required[1:]
+
+    def test_scan_csv_is_beta_scan_to_the_bit(self):
+        from stokes_isolas import beta_scan
+
+        code, out, _ = run_cli("beta", "--p", "3", "--h-min", "0.05", "--h-max", "20", "--n", "401")
+        assert code == 0
+        rows = parse_csv(out)
+        expected = beta_scan(3, np.linspace(0.05, 20, 401))
+        assert len(rows) == len(expected) == 401
+        for row, scan_row in zip(rows, expected):
+            floats = ("h", "beta1", "leading", "ratio")
+            assert [float(row[f]).hex() for f in floats] == [getattr(scan_row, f).hex() for f in floats]
+            assert row["floor_flag"] == ("true" if scan_row.floor_flag else "false")
 
     def test_byte_stable(self):
         a = run_cli("beta", "--p", "4", "--h-min", "1", "--h-max", "4", "--n", "5")

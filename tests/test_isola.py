@@ -105,6 +105,15 @@ class TestParams:
         IsolaParams.from_depth(4, 2.5, 0.05, T1=1.0, E=0.5)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "over",
+        [{"p": 4, "eps": 1e100}, {"beta1": 1e300, "eps": 1e5}, {"T1": 1e-320}, {"E": 1e-320}],
+        ids=["eps-power", "growth", "half-width", "ordinate"],
+    )
+    def test_overflowing_model_refused(self, over):
+        with pytest.raises(ValueError, match=r"^half_width and max_growth / E must be finite, got .*\binf\b"):
+            make_params(**over)
+
     def test_max_growth_and_width(self):
         p = make_params()
         assert p.max_growth == abs(p.beta1) * p.eps**2
