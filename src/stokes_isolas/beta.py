@@ -25,8 +25,11 @@ independently transcribed reference evaluator in ``oracle.py``).
 The rule is compiled once per p into a plan (``_plan``): for each term its
 sign, its 4^(k+1), its hops as (l-1, w_m, m, w_n, n) and its intermediates
 (j, s), with each distinct hop factor and denominator evaluated once per
-depth.  One evaluator (``_evaluate``) applies the plan to Python floats at
-a single depth or to numpy arrays over a grid of depths.  Either way the
+depth.  One evaluator (``_evaluate``) applies the plan.  It is a rational
+function of c, Omega_j, t_j and root = sqrt(Omega_0 * Omega_p), which its
+caller supplies: only + - * / and float constants touch them, so it runs
+on Python floats at a single depth, on numpy arrays over a grid of depths
+and on mpmath numbers (the 40-digit audit in the tests).  For doubles the
 result is one record (``BetaBreakdown``): the signed terms and their total,
 floats at one depth (``beta1_breakdown``) or one column per depth over a
 grid (``_grid``).  ``beta_scan``, the grid pass of ``find_beta_zeros``, the
@@ -55,9 +58,10 @@ from itertools import combinations, product
 import numpy as np
 
 from .asymptotics import leading_term
-from .dispersion import _check_depth, _libm, _phase, _sqrt
+from .dispersion import _check_depth, _libm
 from .errors import SingularityError
-from .resonance import ResonanceData, _check_index, _resonance_grid, _scan_depths, brentq, build_resonance_data
+from .resonance import (ResonanceData, _check_index, _equal_fields, _resonance_grid, _scan_depths, brentq,
+                        build_resonance_data)
 from .stokes_coefficients import _coefficients
 
 __all__ = [
@@ -184,17 +188,17 @@ def _denominators(plan: _Plan, Omega, c) -> list:
     return [j * c - s * Omega[j] - Omega[0] for j, s in plan.dens]
 
 
-def _evaluate(plan: _Plan, Omega, t, coefficients, dens) -> list:
-    """Signed terms in beta_term_ids order.
+def _evaluate(plan: _Plan, Omega, t, coefficients, dens, root) -> list:
+    """Signed terms in beta_term_ids order, a rational function of the inputs.
 
-    Omega[j] and t[j] are floats at one depth or rows of arrays over a grid,
-    and the Stokes coefficients and denominators match; either way every
-    term gets the same IEEE operations in the same order, so a grid column
-    equals the single-depth result bit for bit.
+    Omega[j], t[j], the Stokes coefficients, the denominators and root =
+    sqrt(Omega_0 * Omega_p) are of one number type: only + - * / and float
+    constants touch them.  Floats at one depth and rows of arrays over a
+    grid get the same IEEE operations in the same order, so a grid column
+    equals the single-depth result bit for bit; mpmath numbers also work.
     """
     a, pl = coefficients
     hop = [a[l] + pl[l] * (wm * t[m] + wn * t[n]) for l, wm, m, wn, n in plan.hops]
-    root = _sqrt(Omega[0] * Omega[plan.p])
     out = []
     for sign, scale, hop_ids, den_ids in plan.terms:
         numerator = hop[hop_ids[0]]
@@ -211,10 +215,9 @@ def _evaluate(plan: _Plan, Omega, t, coefficients, dens) -> list:
 def _signed_terms(rd: ResonanceData) -> list[float]:
     """Every term of the rd.p-th coefficient at one depth with its sign, in beta_term_ids order."""
     plan = _plan(rd.p)
-    c = _phase(rd.h)
-    coefficients = _coefficients(c)
+    coefficients = _coefficients(rd.c)
     Omega, t = rd.Omega.tolist(), rd.t.tolist()
-    dens = _denominators(plan, Omega, c)
+    dens = _denominators(plan, Omega, rd.c)
     if any(abs(d) < DENOMINATOR_GUARD for d in dens):
         # name the first term, in beta_term_ids order, that divides by a guarded denominator
         tid, k = next((tid, k) for tid, (_, _, _, den_ids) in zip(beta_term_ids(rd.p), plan.terms)
@@ -227,7 +230,7 @@ def _signed_terms(rd: ResonanceData) -> list[float]:
             denominator_label=f"{j}*c_h {sign} Omega_{j} - Omega_0",
             value=dens[k],
         )
-    return _evaluate(plan, Omega, t, coefficients, dens)
+    return _evaluate(plan, Omega, t, coefficients, dens, math.sqrt(Omega[0] * Omega[rd.p]))
 
 
 def _grid_terms(rd: ResonanceData) -> np.ndarray:
@@ -238,16 +241,16 @@ def _grid_terms(rd: ResonanceData) -> np.ndarray:
     raises the error a row-by-row loop would raise first.
     """
     plan = _plan(rd.p)
-    c = _phase(rd.h)
-    dens = _denominators(plan, rd.Omega, c)
+    dens = _denominators(plan, rd.Omega, rd.c)
     with np.errstate(all="ignore"):
-        terms = np.array(_evaluate(plan, rd.Omega, rd.t, _coefficients(c), dens))
+        root = np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
+        terms = np.array(_evaluate(plan, rd.Omega, rd.t, _coefficients(rd.c), dens, root))
     redo = ~np.isfinite(terms).all(axis=0)
     for d in dens:
         redo |= np.abs(d) < DENOMINATOR_GUARD
     for i in np.flatnonzero(redo):
         lane = ResonanceData(rd.p, float(rd.h[i]), float(rd.phi_star[i]), float(rd.omega_star[i]),
-                             rd.Omega[:, i], rd.t[:, i], float(rd.residual[i]))
+                             rd.Omega[:, i], rd.t[:, i], float(rd.residual[i]), float(rd.c[i]))
         terms[:, i] = _signed_terms(lane)
     return terms
 
@@ -271,9 +274,7 @@ class BetaBreakdown:
     def __eq__(self, other):
         if not isinstance(other, BetaBreakdown):
             return NotImplemented
-        return self.p == other.p and all(
-            np.array_equal(a, b) for a, b in ((self.h, other.h), (self.signed, other.signed), (self.total, other.total))
-        )
+        return _equal_fields(self, other, ("p", "h", "signed", "total"))
 
     @property
     def p(self) -> int:

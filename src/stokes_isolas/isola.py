@@ -77,9 +77,10 @@ class IsolaParams:
             width, height = self.half_width, self.max_growth / self.E
         except OverflowError:  # eps**p alone leaves the float range
             width = height = math.inf
-        if not math.isfinite(max(width, height)):
-            raise ValueError(f"half_width and max_growth / E must be finite, got {width!r} and {height!r} "
-                             f"at eps={self.eps!r}, T1={self.T1!r}, E={self.E!r}")
+        ends = (self.mu0 - width, self.mu0 + width, self.y0 - height, self.y0 + height)
+        if not all(map(math.isfinite, ends)):
+            raise ValueError(f"band ends mu0 -+ half_width and ellipse extremes y0 +- max_growth / E must be finite, "
+                             f"got {ends!r} at eps={self.eps!r}, T1={self.T1!r}, E={self.E!r}")
 
     @classmethod
     def from_depth(cls, p, h, eps, T1, E, y0=None, mu0=None):

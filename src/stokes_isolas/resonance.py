@@ -25,7 +25,7 @@ Both accept phi* only when |f(phi*)| <= DEFAULT_TOL, a fixed tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -282,17 +282,24 @@ def _brentq_lanes(f, xa, xb, fa, fb):
     return root, froot, settled
 
 
-@dataclass(frozen=True)
+def _equal_fields(a, b, names) -> bool:
+    """Whether a and b agree in every named field: as floats, or as arrays element by element."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in names)
+
+
+@dataclass(frozen=True, eq=False)
 class ResonanceData:
     """Everything the instability-coefficient formulas need at one (p, h).
 
     Omega[j] and t[j] are the dispersion kernels evaluated at j + phi*
-    for j = 0..p; omega_star is the collision frequency, reachable from
-    either colliding branch (the residual records how well they agree).
+    for j = 0..p, and c is the phase speed c(h) the phi* solve used;
+    omega_star is the collision frequency, reachable from either colliding
+    branch (the residual records how well they agree).
 
     Over a grid of depths (see ``_resonance_grid``) h, phi_star,
-    omega_star and residual are arrays with one entry per depth, and Omega
-    and t have one row per harmonic j and one column per depth.
+    omega_star, residual and c are arrays with one entry per depth, and
+    Omega and t have one row per harmonic j and one column per depth.
+    Two records are equal when every field is, element by element.
     """
 
     p: int
@@ -301,7 +308,13 @@ class ResonanceData:
     omega_star: float
     Omega: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
-    residual: float = 0.0
+    residual: float
+    c: float
+
+    def __eq__(self, other):
+        if not isinstance(other, ResonanceData):
+            return NotImplemented
+        return _equal_fields(self, other, [f.name for f in fields(self)])
 
 
 def _tabulate(p, h, phi_star, c):
@@ -312,6 +325,7 @@ def _tabulate(p, h, phi_star, c):
         Omega=np.array(Omega),
         t=np.array(t),
         residual=Omega[0] + Omega[p] - p * c,
+        c=c,
     )
 
 
@@ -357,9 +371,8 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
     rd = ResonanceData(p=p, h=h, phi_star=phi, **_tabulate(p, h, phi, c))
     for i in np.flatnonzero(~settled):
         lane = build_resonance_data(p, given[i])
-        for name in ("h", "phi_star", "omega_star", "residual"):
-            getattr(rd, name)[i] = getattr(lane, name)
-        rd.Omega[:, i], rd.t[:, i] = lane.Omega, lane.t
+        for name in ("h", "phi_star", "omega_star", "Omega", "t", "residual", "c"):
+            getattr(rd, name)[..., i] = getattr(lane, name)
     return rd
 
 

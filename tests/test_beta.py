@@ -371,7 +371,8 @@ def _engineered(h):
 class TestSingularityGuard:
     def test_engineered_denominator(self):
         Omega, t = _engineered(1.0)
-        rd = ResonanceData(p=2, h=1.0, phi_star=0.3, omega_star=1.0, Omega=Omega, t=t, residual=0.0)
+        rd = ResonanceData(p=2, h=1.0, phi_star=0.3, omega_star=1.0, Omega=Omega, t=t, residual=0.0,
+                           c=stokes_coefficients(1.0).c)
         with pytest.raises(SingularityError) as err:
             _signed_terms(rd)
         assert "Omega_1" in str(err.value)

@@ -197,8 +197,10 @@ class TestIsolaCommand:
     @pytest.mark.parametrize(
         "flags",
         [["--eps", "1e100", "--T1", "1", "--E", "0.5"], ["--eps", "0.1", "--T1", "1e-320", "--E", "0.5"],
-         ["--eps", "0.1", "--T1", "1", "--E", "1e-320"]],
-        ids=["eps", "T1", "E"],
+         ["--eps", "0.1", "--T1", "1", "--E", "1e-320"],
+         ["--eps", "0.1", "--T1", "4e-315", "--E", "0.5", "--mu0", "1.7e308"],
+         ["--eps", "0.1", "--T1", "1", "--E", "2e-314", "--y0", "1.79e308"]],
+        ids=["eps", "T1", "E", "mu0", "y0"],
     )
     def test_refuses_overflowing_model(self, flags):
         proc = subprocess.run(
@@ -206,7 +208,8 @@ class TestIsolaCommand:
             capture_output=True, text=True,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: half_width and max_growth / E must be finite, got ")
+        assert proc.stderr.startswith("error: band ends mu0 -+ half_width and ellipse extremes y0 +- max_growth / E "
+                                      "must be finite, got ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_ellipse_samples_on_curve(self):

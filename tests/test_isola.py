@@ -107,11 +107,14 @@ class TestParams:
 
     @pytest.mark.parametrize(
         "over",
-        [{"p": 4, "eps": 1e100}, {"beta1": 1e300, "eps": 1e5}, {"T1": 1e-320}, {"E": 1e-320}],
-        ids=["eps-power", "growth", "half-width", "ordinate"],
+        [{"p": 4, "eps": 1e100}, {"beta1": 1e300, "eps": 1e5}, {"T1": 1e-320}, {"E": 1e-320},
+         {"T1": 3e-312, "mu0": 1.7e308}, {"T1": 3e-312, "mu0": -1.7e308},
+         {"E": 1.4e-312, "y0": 1.7e308}, {"E": 1.4e-312, "y0": -1.7e308}],
+        ids=["eps-power", "growth", "half-width", "ordinate", "band-high", "band-low", "top", "bottom"],
     )
     def test_overflowing_model_refused(self, over):
-        with pytest.raises(ValueError, match=r"^half_width and max_growth / E must be finite, got .*\binf\b"):
+        with pytest.raises(ValueError, match=r"^band ends mu0 -\+ half_width and ellipse extremes y0 \+- "
+                                             r"max_growth / E must be finite, got .*\binf\b"):
             make_params(**over)
 
     def test_max_growth_and_width(self):

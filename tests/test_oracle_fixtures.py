@@ -4,16 +4,17 @@ import math
 
 import pytest
 
-from stokes_isolas import beta1_breakdown, find_beta_zeros
+from stokes_isolas import beta, beta1_breakdown, find_beta_zeros
 from stokes_isolas.fixtures import DEFAULT_FIXTURES, load_fixtures
+from stokes_isolas.stokes_coefficients import _coefficients
 
-# 7-digit reference values for the critical depths next to their 50-digit
-# refinements (the coarse values carry their own ~5e-6 print rounding).
+# The paper's printed critical depths, with the rounding of their last
+# printed digit, next to their 50-digit refinements.
 KNOWN_ZEROS = {
-    (2, 0): 1.84940,
-    (3, 0): 0.82064,
-    (4, 0): 0.566633,
-    (4, 1): 1.255969,
+    (2, 0): (1.84940, 5e-6),
+    (3, 0): (0.82064, 5e-6),
+    (4, 0): (0.566633, 5e-7),
+    (4, 1): (1.255969, 5e-7),
 }
 ORACLE_ZEROS = {
     (2, 0): 1.84940408375057,
@@ -21,6 +22,11 @@ ORACLE_ZEROS = {
     (4, 0): 0.566633042083988,
     (4, 1): 1.25597417332237,
 }
+# The one exception: p = 4's second printed depth is 5.17e-6 from the
+# oracle's zero, ten times its print rounding.  The 40-digit audit
+# (test_plan_matches_oracle_to_forty_digits) shows the plan and the
+# longhand oracle agree, so the gap is not a transcription fault here.
+PRINTED_OFF_BY_MORE = (4, 1)
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +58,11 @@ def test_agreement_within_cancellation_floor(fixtures):
 
 
 def test_refined_zeros_match_coarse_references():
-    for key, coarse in KNOWN_ZEROS.items():
-        assert abs(ORACLE_ZEROS[key] - coarse) <= 6e-6
+    for key, (printed, rounding) in KNOWN_ZEROS.items():
+        if key != PRINTED_OFF_BY_MORE:
+            assert abs(ORACLE_ZEROS[key] - printed) <= rounding, key
+    # pinned, so that a moved oracle zero shows
+    assert 5.16e-6 <= ORACLE_ZEROS[PRINTED_OFF_BY_MORE] - KNOWN_ZEROS[PRINTED_OFF_BY_MORE][0] <= 5.18e-6
 
 
 def test_main_path_zeros_match_oracle_zeros():
@@ -71,6 +80,30 @@ def test_deep_water_ratio_fixture(fixtures):
     val = next(v for p, h, v, _ in fixtures if p == 4 and h == 14.0)
     lead = -(5.0 * math.sqrt(15.0) / 24.0) * math.exp(-28.0)
     assert 0.99 <= val / lead <= 1.01
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_plan_matches_oracle_to_forty_digits(p):
+    # beta._evaluate is a rational function of its inputs, so fed 60-digit
+    # oracle values it audits the compiled path rule and the Stokes
+    # coefficients against the longhand terms far below the double floor,
+    # also in deep water (h = 14..20), where doubles cannot resolve beta1
+    mp = pytest.importorskip("mpmath")
+    from stokes_isolas import oracle
+
+    cfg = oracle.OracleConfig()
+    plan = beta._plan(p)
+    depths = [h for q, h in oracle.FIXTURE_POINTS if q == p] + [0.05, 14.0, 16.0, 18.0, 20.0]
+    with mp.workdps(cfg.digits + 10):
+        for h in depths:
+            phi, x = oracle.oracle_phi(p, h, cfg), mp.mpf(h)
+            Omega = [oracle._omega(j + phi, x) for j in range(p + 1)]
+            t = [oracle._t(j + phi, x) for j in range(p + 1)]
+            c = oracle._coefficients(x)[0]
+            dens = beta._denominators(plan, Omega, c)
+            terms = beta._evaluate(plan, Omega, t, _coefficients(c), dens, mp.sqrt(Omega[0] * Omega[p]))
+            ref = oracle.oracle_beta1(p, h, cfg)
+            assert abs(mp.fsum(terms) - ref) <= mp.mpf("1e-40") * abs(ref), (p, h)
 
 
 def test_oracle_config_minimum_precision():

@@ -1,6 +1,7 @@
 """Critical wavenumber solver and resonance data: pinned values + invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from stokes_isolas import (
     t_ratio,
     wavenumber_asymptote,
 )
+from stokes_isolas.resonance import _resonance_grid
 
 # Reference evaluator values (50-digit bisection), rounded to double.
 PHI_2_10 = 0.25241594837813845756
@@ -144,6 +146,27 @@ class TestResonanceData:
                 lam_minus = eigenvalue_branch(0, -1, rd.phi_star, float(h))
                 lam_plus = eigenvalue_branch(p, +1, rd.phi_star, float(h))
                 assert abs(lam_minus - lam_plus) <= 1e-12
+
+    def test_phase_speed_of_the_solve(self):
+        hs = [0.05, 1.0, 20.0]
+        grid = _resonance_grid(3, hs)
+        assert grid.c.tolist() == [phase_speed(h) for h in hs] == [build_resonance_data(3, h).c for h in hs]
+
+    def test_single_depth_records_compare(self):
+        one = build_resonance_data(2, 1.0)
+        assert (one == build_resonance_data(2, 1.0)) is True
+        assert (one == build_resonance_data(2, 1.5)) is False
+        assert (one == build_resonance_data(3, 1.0)) is False
+        assert (one == replace(one, c=math.nextafter(one.c, 1.0))) is False
+        assert (one != build_resonance_data(2, 1.0)) is False
+
+    def test_grid_records_compare(self):
+        grid = _resonance_grid(2, [1.0, 2.0])
+        assert (grid == _resonance_grid(2, [1.0, 2.0])) is True
+        assert (grid == _resonance_grid(2, [1.0, 2.5])) is False
+        assert (grid == _resonance_grid(3, [1.0, 2.0])) is False
+        assert (grid == build_resonance_data(2, 1.0)) is False
+        assert (grid == "not a record") is False
 
 
 class TestOmegaStar:
