@@ -139,12 +139,11 @@ def fit_remainder_rate(f, model: AsymptoticModel, h1: float, h2: float, floor=No
     h1, h2 : float
         Fit depths, h2 > h1; choose them with the remainder well above the
         floating-point floor or the estimate is meaningless.
-    floor : float, callable or None
-        Resolution limit of f at a given depth.  A scalar applies to both
-        depths; a callable is evaluated at each; None estimates 8 ulps of
-        the larger of |f| and |model| (adequate when f itself is not a
-        cancellation-prone sum; for the coefficient sums pass the
-        breakdown's ``cancellation_floor``).
+    floor : callable or None
+        Resolution limit of f as a function of depth, evaluated at each
+        fit depth; None estimates 8 ulps of the larger of |f| and |model|
+        (adequate when f itself is not a cancellation-prone sum; for the
+        coefficient sums pass the breakdown's ``cancellation_floor``).
 
     Returns
     -------
@@ -168,12 +167,7 @@ def fit_remainder_rate(f, model: AsymptoticModel, h1: float, h2: float, floor=No
         r = f_val - model.value(h)
         if r == 0.0:
             raise DegenerateFitError(f"remainder is exactly zero at h={h}")
-        if callable(floor):
-            fl = floor(h)
-        elif floor is not None:
-            fl = float(floor)
-        else:
-            fl = _default_floor(f_val, model.value(h))
+        fl = _default_floor(f_val, model.value(h)) if floor is None else floor(h)
         flagged = flagged or abs(r) < 10.0 * fl
         rs.append(r)
 

@@ -60,8 +60,7 @@ import numpy as np
 from .asymptotics import leading_term
 from .dispersion import _check_depth, _libm
 from .errors import SingularityError
-from .resonance import (ResonanceData, _check_index, _equal_fields, _resonance_grid, _scan_depths, brentq,
-                        build_resonance_data)
+from .resonance import ResonanceData, _equal_fields, _resonance_grid, _scan_depths, brentq, build_resonance_data
 from .stokes_coefficients import _coefficients
 
 __all__ = [
@@ -385,7 +384,6 @@ class ScanRow:
 
 def _scan_columns(p: int, hs) -> list[list]:
     """The columns of beta_scan(p, hs) as lists, in the order of ScanRow's fields."""
-    _plan(_check_index(p))  # refuses an unsupported p, also on an empty grid
     g = _grid(p, _scan_depths(hs))
     lead = leading_term(p, g.h)  # nonzero on the scan range, so ratio is a plain quotient
     return [column.tolist() for column in (g.h, g.total, lead, g.total / lead, g.floor_flag)]

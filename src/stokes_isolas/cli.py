@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from itertools import cycle, islice, repeat
 from pathlib import Path
@@ -155,8 +156,6 @@ def _add_grid_flags(sub, default_n=7):
 
 
 def cmd_resonance(args, parser):
-    if args.p < 2:
-        parser.error(f"--p must be >= 2, got {args.p}")
     hs = _h_grid(args, parser)
     rd = _resonance_grid(args.p, hs)
     asym = wavenumber_asymptote(args.p, rd.h).tolist() if args.p in (2, 3, 4) else repeat(None)
@@ -194,8 +193,6 @@ def cmd_beta(args, parser):
 
 
 def cmd_zeros(args, parser):
-    if not 0 < args.h_min < args.h_max:
-        parser.error("need 0 < --h-min < --h-max")
     zeros = find_beta_zeros(args.p, args.h_min, args.h_max, args.n, args.tol)
     _emit(args.format, "zero", ("p", "h_star", "residual"), [(args.p, z, beta1(args.p, z)) for z in zeros])
     return 0
@@ -237,8 +234,16 @@ def cmd_selftest(args, parser):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "--mu0 -2e-3" as "--mu0=-2e-3": Python 3.11's negative-number pattern has no exponent, inf or nan."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)  # subparsers are built of the same class
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stokes-isolas",
         description="instability-isola coefficients of Stokes waves: tables and plot data",
     )

@@ -145,4 +145,4 @@ def eigenvalue_branch(j: int, sigma: int, mu: float, h: float) -> float:
     h = _check_depth(h)
     mu = _check_finite(mu, "mu")
     phi = j + mu
-    return phase_speed(h) * phi - sigma * omega_disp(phi, h)
+    return _phase(h) * phi - sigma * _omega(abs(phi), h)

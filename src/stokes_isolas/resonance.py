@@ -19,7 +19,9 @@ a scalar and a lane-wise port of scipy's ``brentq`` (Brent's method, Brent,
 *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Both
 perform the IEEE operations scipy's C code performs, so they return the same
 phi* as scipy and as each other, and the package needs no scipy at run time.
-Both accept phi* only when |f(phi*)| <= DEFAULT_TOL, a fixed tolerance.
+``build_resonance_data``, the one single-depth solve, checks p and h once.
+At one depth and over a grid (``_resonance_grid``) phi* is accepted when the
+record's residual f(phi*) has |residual| <= DEFAULT_TOL, a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dispersion import _check_depth, _omega, _omega_t, _phase, omega_disp, phase_speed
+from .dispersion import _check_depth, _check_finite, _omega, _omega_t, _phase
 from .errors import SolverError
 
 __all__ = [
@@ -70,7 +72,8 @@ def _scan_depth(h) -> None:
 
 def _scan_depths(hs) -> np.ndarray:
     """Any iterable of real depths as a float array; the first outside the range is refused by _scan_depth."""
-    grid = np.fromiter(hs, dtype=float)
+    # a 1-d array converts whole: np.fromiter would walk it through numpy scalars, at twice a list's cost
+    grid = hs.astype(float) if isinstance(hs, np.ndarray) and hs.ndim == 1 else np.fromiter(hs, dtype=float)
     inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])
     if not inside.all():
         _scan_depth(grid[np.argmin(inside)])
@@ -87,7 +90,7 @@ def resonance_residual(phi: float, p: int, h: float) -> float:
     h = _check_depth(h)
     if phi <= 0.0:
         raise ValueError(f"phi must be positive, got {phi!r}")
-    return omega_disp(phi, h) + omega_disp(phi + p, h) - p * phase_speed(h)
+    return _residual(_check_finite(phi, "phi"), p, h, _phase(h))
 
 
 def _residual(phi, p, h, c):
@@ -98,58 +101,6 @@ def _residual(phi, p, h, c):
 def _bracket(p: int) -> tuple[float, float]:
     center = (p - 1) ** 2 / 4.0
     return max(center - 0.5, 0.0625), center + 0.5
-
-
-def solve_wavenumber(p: int, h: float) -> float:
-    """Solve f(phi*) = 0 for the critical wavenumber phi*(p, h).
-
-    Starts from a bracket centered on the deep-water limit (p-1)^2/4,
-    expands it geometrically toward 0+ or +infinity until the residual
-    changes sign, then refines with Brent's method.  The returned phi*
-    satisfies |f(phi*)| <= DEFAULT_TOL.
-
-    Raises
-    ------
-    SolverError
-        If no sign change is found after the documented maximum number of
-        expansions (pathological depths far outside [1e-3, 1e3]), or if
-        the residual at the root exceeds DEFAULT_TOL.
-    """
-    p = _check_index(p)
-    h = _check_depth(h)
-
-    c = _phase(h)
-    lo, hi = _bracket(p)
-    f = lambda phi: _residual(phi, p, h, c)
-
-    expansions = 0
-    flo = f(lo)
-    while flo > 0.0:
-        lo /= 4.0
-        expansions += 1
-        if expansions > _MAX_EXPANSIONS:
-            raise SolverError(
-                f"no sign change toward 0+ for p={p}, h={h}", bracket=(lo, hi)
-            )
-        flo = f(lo)
-    fhi = f(hi)
-    while fhi < 0.0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > _MAX_EXPANSIONS:
-            raise SolverError(
-                f"no sign change toward +inf for p={p}, h={h}", bracket=(lo, hi)
-            )
-        fhi = f(hi)
-
-    phi_star = brentq(f, lo, hi, flo, fhi, _XTOL)
-    residual = f(phi_star)
-    if abs(residual) > DEFAULT_TOL:
-        raise SolverError(
-            f"residual {residual:.3e} above tol {DEFAULT_TOL:.3e} at phi={phi_star!r}",
-            bracket=(lo, hi),
-        )
-    return phi_star
 
 
 def brentq(f, xa, xb, fa, fb, xtol):
@@ -226,16 +177,15 @@ def _brentq_lanes(f, xa, xb, fa, fb):
     so it returns the same double; lanes leave the loop as they converge.
     f(x, lanes) evaluates the residual at x for the given lane indices.
 
-    Returns (root, f(root), settled).  A lane is unsettled where brentq
-    would raise: a NaN residual, no sign change, no convergence.
+    Returns (root, settled).  A lane is unsettled where brentq would
+    raise: a NaN residual, no sign change, no convergence.
     """
     n = xa.size
     root = np.full(n, np.nan)
-    froot = np.full(n, np.nan)
     settled = np.zeros(n, dtype=bool)
     nan = np.isnan(fa) | np.isnan(fb)
-    for x, fx, at in ((xa, fa, ~nan & (fa == 0)), (xb, fb, ~nan & (fa != 0) & (fb == 0))):
-        root[at], froot[at], settled[at] = x[at], fx[at], True
+    for x, at in ((xa, ~nan & (fa == 0)), (xb, ~nan & (fa != 0) & (fb == 0))):
+        root[at], settled[at] = x[at], True
     lanes = np.flatnonzero(~nan & (fa != 0) & (fb != 0) & (np.signbit(fa) != np.signbit(fb)))
     xpre, xcur, fpre, fcur = xa[lanes], xb[lanes], fa[lanes], fb[lanes]
     xblk = fblk = spre = scur = np.zeros(lanes.size)
@@ -251,7 +201,7 @@ def _brentq_lanes(f, xa, xb, fa, fb):
             delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
             done = (fcur == 0) | (np.abs(sbis) < delta)
-            root[lanes[done]], froot[lanes[done]], settled[lanes[done]] = xcur[done], fcur[done], True
+            root[lanes[done]], settled[lanes[done]] = xcur[done], True
             go = ~done
             lanes = lanes[go]
             if not lanes.size:
@@ -279,7 +229,7 @@ def _brentq_lanes(f, xa, xb, fa, fb):
                 lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
                     a[ok] for a in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
                 )
-    return root, froot, settled
+    return root, settled
 
 
 def _equal_fields(a, b, names) -> bool:
@@ -330,30 +280,69 @@ def _tabulate(p, h, phi_star, c):
 
 
 def build_resonance_data(p: int, h: float) -> ResonanceData:
-    """Solve for phi* and tabulate Omega_j, t_j, omega* for j = 0..p."""
+    """Solve f(phi*) = 0 and tabulate Omega_j, t_j, omega* for j = 0..p.
+
+    Starts from a bracket centered on the deep-water limit (p-1)^2/4,
+    expands it geometrically toward 0+ or +infinity until the residual
+    changes sign, then refines with Brent's method.  The record's residual
+    is f(phi*), and the root is accepted when |residual| <= DEFAULT_TOL.
+
+    Raises
+    ------
+    SolverError
+        If no sign change is found after the documented maximum number of
+        expansions (pathological depths far outside [1e-3, 1e3]), or if
+        the residual at the root exceeds DEFAULT_TOL.
+    """
     p = _check_index(p)
     h = _check_depth(h)
-    phi_star = solve_wavenumber(p, h)
-    return ResonanceData(p=p, h=h, phi_star=phi_star, **_tabulate(p, h, phi_star, _phase(h)))
+
+    c = _phase(h)
+    lo, hi = _bracket(p)
+    f = lambda phi: _residual(phi, p, h, c)
+
+    expansions = 0
+    flo = f(lo)
+    while flo > 0.0:
+        lo /= 4.0
+        expansions += 1
+        if expansions > _MAX_EXPANSIONS:
+            raise SolverError(f"no sign change toward 0+ for p={p}, h={h}", bracket=(lo, hi))
+        flo = f(lo)
+    fhi = f(hi)
+    while fhi < 0.0:
+        hi *= 2.0
+        expansions += 1
+        if expansions > _MAX_EXPANSIONS:
+            raise SolverError(f"no sign change toward +inf for p={p}, h={h}", bracket=(lo, hi))
+        fhi = f(hi)
+
+    phi_star = brentq(f, lo, hi, flo, fhi, _XTOL)
+    rd = ResonanceData(p=p, h=h, phi_star=phi_star, **_tabulate(p, h, phi_star, c))
+    if abs(rd.residual) > DEFAULT_TOL:
+        raise SolverError(f"residual {rd.residual:.3e} above tol {DEFAULT_TOL:.3e} at phi={phi_star!r}",
+                          bracket=(lo, hi))
+    return rd
 
 
 def _resonance_grid(p: int, hs) -> ResonanceData:
     """build_resonance_data at every depth of hs at once, as one ResonanceData of arrays.
 
-    Bit-identical to calling build_resonance_data per depth.  Depths whose
-    lane the array solve cannot settle (bad input, no bracket, no
-    convergence, residual above DEFAULT_TOL) are re-solved one by one in grid
-    order, so the first failing depth raises the error a row-by-row loop
-    would raise.
+    Bit-identical to calling build_resonance_data per depth.  The first
+    non-finite or non-positive depth is refused before any solve.  Lanes
+    the array solve cannot settle (no bracket, no convergence, a record
+    residual above DEFAULT_TOL) are re-solved one by one in grid order, so
+    the first failing depth raises the error a row-by-row loop would raise.
     """
     p = _check_index(p)
-    given = np.asarray(hs, dtype=float)
-    valid = np.isfinite(given) & (given > 0.0)
-    h = np.where(valid, given, 1.0)  # placeholder depth for lanes re-solved below
+    h = np.array(hs, dtype=float)
+    bad = ~(np.isfinite(h) & (h > 0.0))
+    if bad.any():
+        _check_depth(h[np.argmax(bad)])
     c = _phase(h)
     f = lambda phi, lanes: _residual(phi, p, h[lanes], c[lanes])
 
-    # bracket expansion, lane by lane as in solve_wavenumber
+    # bracket expansion, lane by lane as in build_resonance_data
     lo, hi = (np.full(h.size, end) for end in _bracket(p))
     flo, fhi = f(lo, ...), f(hi, ...)
     expansions = np.zeros(h.size, dtype=int)
@@ -366,14 +355,19 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
             fx[lanes] = f(x[lanes], lanes)
             lanes = lanes[outward(fx[lanes], 0.0)]
 
-    phi, fphi, settled = _brentq_lanes(f, lo, hi, flo, fhi)
-    settled &= valid & (expansions <= _MAX_EXPANSIONS) & (np.abs(fphi) <= DEFAULT_TOL)
+    phi, settled = _brentq_lanes(f, lo, hi, flo, fhi)
     rd = ResonanceData(p=p, h=h, phi_star=phi, **_tabulate(p, h, phi, c))
+    settled &= (expansions <= _MAX_EXPANSIONS) & (np.abs(rd.residual) <= DEFAULT_TOL)
     for i in np.flatnonzero(~settled):
-        lane = build_resonance_data(p, given[i])
-        for name in ("h", "phi_star", "omega_star", "Omega", "t", "residual", "c"):
+        lane = build_resonance_data(p, h[i])
+        for name in ("phi_star", "omega_star", "Omega", "t", "residual"):
             getattr(rd, name)[..., i] = getattr(lane, name)
     return rd
+
+
+def solve_wavenumber(p: int, h: float) -> float:
+    """The critical wavenumber phi*(p, h): the root of f that build_resonance_data accepts."""
+    return build_resonance_data(p, h).phi_star
 
 
 def omega_star(p: int, h: float) -> float:

@@ -31,8 +31,18 @@ from stokes_isolas import (
 )
 from stokes_isolas.fixtures import DEFAULT_FIXTURES, load_fixtures
 
-# 7-digit reference values for the critical depths (reproduced to 5e-4)
-KNOWN_ZEROS = {2: [1.84940], 3: [0.82064], 4: [0.566633, 1.255969]}
+# The paper's printed critical depths, each with the rounding of its last
+# printed digit.  The one exception, p = 4's 1.255969, is 5.17e-6 below the
+# zero (as pinned in test_oracle_fixtures.py): None marks it, and its gap is
+# checked instead.
+KNOWN_ZEROS = {2: [(1.84940, 5e-6)], 3: [(0.82064, 5e-6)], 4: [(0.566633, 5e-7), (1.255969, None)]}
+PRINTED_GAP = (5.16e-6, 5.18e-6)
+
+
+def matches_printed(z, printed, rounding):
+    if rounding is None:
+        return PRINTED_GAP[0] <= z - printed <= PRINTED_GAP[1]
+    return abs(z - printed) <= rounding
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -52,7 +62,7 @@ def test_criterion_1_critical_depths():
         elapsed = time.perf_counter() - start
         expected = KNOWN_ZEROS[p]
         ok &= len(zeros) == len(expected)
-        ok &= all(abs(z - e) <= 5e-4 for z, e in zip(zeros, expected))
+        ok &= all(matches_printed(z, *e) for z, e in zip(zeros, expected))
         ok &= elapsed < 5.0
         details.append(f"p={p}: {[round(z, 6) for z in zeros]} in {elapsed:.2f}s")
     report(1, "critical-depth reproduction", ok, "; ".join(details))

@@ -53,8 +53,9 @@ class TestResonanceCommand:
         assert phis[-1] == pytest.approx(2.25, abs=1e-5)
 
     def test_p_below_two_is_usage_error(self):
-        code, _, err = run_cli("resonance", "--p", "1", "--h", "2")
-        assert code == 2
+        # the library's check alone: one error line that names the value
+        expected = (2, "", "error: isola index p must be an integer >= 2, got 1\n")
+        assert run_cli("resonance", "--p", "1", "--h", "2") == expected
 
     def test_grid_flag_conflicts(self):
         code, _, _ = run_cli("resonance", "--p", "2", "--h", "1", "--h-min", "1", "--h-max", "2")
@@ -169,12 +170,47 @@ class TestZerosCommand:
         assert len(rows) == 1
         assert float(rows[0]["h_star"]) == pytest.approx(0.82064, abs=5e-4)
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [(("3", "1"), "need h_min < h_max, got 3.0 >= 1.0"),
+         (("0", "1"), "depth must be a positive finite real, got 0.0")],
+        ids=["reversed", "zero"],
+    )
+    def test_bad_bounds_one_error_line(self, bounds, message):
+        # the library's check alone: one error line that names the value
+        argv = ("zeros", "--p", "2", "--h-min", bounds[0], "--h-max", bounds[1])
+        assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol_is_usage_error(self, tol):
         code, out, err = run_cli("zeros", "--p", "2", "--h-min", "1", "--h-max", "2", "--tol", tol)
         assert code == 2
         assert out == ""
         assert err == f"error: tol must be positive and finite, got {float(tol)!r}\n"
+
+
+class TestNegativeExponents:
+    # "--flag -2e-3" reads as "--flag=-2e-3" does, in every subcommand
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["isola", "--p", "4", "--h", "3", "--eps", "0.1", "--T1", "1", "--E", "0.5", "--mu0", "-2e-3"], 0),
+            (["isola", "--p", "4", "--h", "3", "--eps", "0.1", "--T1", "1", "--E", "0.5", "--y0", "-1e-1"], 0),
+            (["isola", "--p", "4", "--h", "3", "--eps", "0.1", "--T1", "1", "--E", "0.5", "--mu0", "-1.7e308"], 0),
+            (["isola", "--p", "4", "--h", "3", "--eps", "0.1", "--T1", "1", "--E", "0.5", "--mu0", "-Inf"], 2),
+            (["resonance", "--p", "2", "--h", "-1e-3"], 2),
+            (["beta", "--p", "2", "--h-max", "2", "--h-min", "-1E+1"], 2),
+            (["zeros", "--p", "2", "--h-min", "-1e-3", "--h-max", "2"], 2),
+        ],
+        ids=["isola-mu0", "isola-y0", "isola-mu0-huge", "isola-mu0-inf", "resonance", "beta", "zeros"],
+    )
+    def test_spaced_value_reads_as_equals(self, argv, code):
+        joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+        expected = run_cli(*joined)
+        assert expected[0] == code
+        assert run_cli(*argv) == expected
+        if code:
+            assert expected[1] == "" and "error: " in expected[2]
 
 
 class TestIsolaCommand:

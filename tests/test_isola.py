@@ -95,13 +95,13 @@ class TestParams:
         from stokes_isolas import resonance
 
         calls = []
-        original = resonance.solve_wavenumber
+        original = resonance.brentq
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(resonance, "solve_wavenumber", counting)
+        monkeypatch.setattr(resonance, "brentq", counting)
         IsolaParams.from_depth(4, 2.5, 0.05, T1=1.0, E=0.5)
         assert len(calls) == 1
 

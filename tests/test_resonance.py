@@ -17,6 +17,7 @@ from stokes_isolas import (
     t_ratio,
     wavenumber_asymptote,
 )
+from stokes_isolas import resonance
 from stokes_isolas.resonance import _resonance_grid
 
 # Reference evaluator values (50-digit bisection), rounded to double.
@@ -167,6 +168,37 @@ class TestResonanceData:
         assert (grid == _resonance_grid(3, [1.0, 2.0])) is False
         assert (grid == build_resonance_data(2, 1.0)) is False
         assert (grid == "not a record") is False
+
+
+class TestChecksOnce:
+    @pytest.mark.parametrize("p, h", [(2, 0.05), (3, 1.0), (4, 20.0)])
+    def test_beta1_checks_its_inputs_once(self, monkeypatch, p, h):
+        from stokes_isolas import beta1
+
+        calls = []
+
+        def counting(name):
+            original = getattr(resonance, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            return counted
+
+        for name in ("_check_depth", "_check_index", "_phase"):
+            monkeypatch.setattr(resonance, name, counting(name))
+        value = beta1(p, h)
+        monkeypatch.undo()
+        assert sorted(calls) == ["_check_depth", "_check_index", "_phase"]
+        assert value == beta1(p, h)
+
+    def test_residual_is_the_acceptance_test(self):
+        # the record's residual is f(phi*) itself, the quantity the solve judges
+        for p, h in [(2, 0.1), (3, 7.0), (4, 15.0), (9, 1e-3)]:
+            rd = build_resonance_data(p, h)
+            assert rd.residual == resonance_residual(rd.phi_star, p, h)
+            assert abs(rd.residual) <= resonance.DEFAULT_TOL
 
 
 class TestOmegaStar:
