@@ -25,16 +25,19 @@ independently transcribed reference evaluator in ``oracle.py``).
 The rule is compiled once per p into a plan (``_plan``): for each term its
 sign, its 4^(k+1), its hops as (l-1, w_m, m, w_n, n) and its intermediates
 (j, s), with each distinct hop factor and denominator evaluated once per
-depth.  One evaluator (``_evaluate``) applies the plan.  It is a rational
-function of c, Omega_j, t_j and root = sqrt(Omega_0 * Omega_p), which its
-caller supplies: only + - * / and float constants touch them, so it runs
-on Python floats at a single depth, on numpy arrays over a grid of depths
-and on mpmath numbers (the 40-digit audit in the tests).  For doubles the
-result is one record (``BetaBreakdown``): the signed terms and their total,
-floats at one depth (``beta1_breakdown``) or one column per depth over a
-grid (``_grid``).  ``beta_scan``, the grid pass of ``find_beta_zeros``, the
-CLI tables and ``IsolaParams.from_depth`` read it; ``beta1`` computes the
-same total directly.  The evaluator performs the same IEEE operations in
+depth.  The plan is compiled in turn into straight-line Python source
+(``_Plan.rule``), one expression per term, executed once and cached, so
+evaluating it walks no loops.  One evaluator (``_evaluate``) runs that
+code.  It is a rational function of c, Omega_j, t_j and root =
+sqrt(Omega_0 * Omega_p), which its caller supplies: only + - * / and float
+constants touch them, so it runs on Python floats at a single depth, on
+numpy arrays over a grid of depths and on mpmath numbers (the 40-digit
+audit in the tests).  For doubles the result is one record
+(``BetaBreakdown``): the signed terms and their total, floats at one depth
+(``beta1_breakdown``) or one column per depth over a grid (``_grid``).
+``beta_scan``, the grid pass of ``find_beta_zeros``, the CLI tables and
+``IsolaParams.from_depth`` read it; ``beta1`` computes the same total
+directly.  The evaluator performs the same IEEE operations in
 the same order either way, and the grid's phi* solve is a lane-wise port of
 the single-depth Brent solve, so every grid value equals the single-depth
 value bit for bit.
@@ -50,9 +53,10 @@ like ``_evaluate``.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -162,6 +166,46 @@ class _Plan:
     terms: tuple
     groups: dict
 
+    @cached_property
+    def rule(self):
+        """The plan as straight-line Python: rule(Omega, t, coefficients, dens, root) -> signed terms.
+
+        Omega_j, t_j, the coefficients a_l, p_l and the denominators become
+        locals, each distinct hop factor is one local N, and each term one
+        expression, sign * ((root * Omega_j ...) * (N * N ...) / (4^(k+1) * d ...)),
+        multiplied left to right within each bracket.  The source is compiled
+        under the file name ``<path rule p=...>`` and registered in linecache,
+        so tracebacks and inspect.getsource show the generated lines.
+        """
+        p = self.p
+        lines = [
+            "def path_rule(Omega, t, coefficients, dens, root):",
+            f"    {', '.join(f'O{j}' for j in range(p + 1))} = Omega",
+            f"    {', '.join(f't{j}' for j in range(p + 1))} = t",
+            "    (a1, a2, a3, a4), (p1, p2, p3, p4) = coefficients",
+            f"    {', '.join(f'd{k}' for k in range(len(self.dens)))} = dens",
+        ]
+        lines += [f"    N{k} = a{l + 1} + p{l + 1} * ({wm!r} * t{m} + {wn!r} * t{n})"
+                  for k, (l, wm, m, wn, n) in enumerate(self.hops)]
+        lines.append("    return [")
+        for tid, (sign, scale, hop_ids, den_ids) in zip(beta_term_ids(p), self.terms):
+            prefactor = _product(["root", *(f"O{self.dens[k][0]}" for k in den_ids)])
+            numerator = _product([f"N{k}" for k in hop_ids])
+            denominator = _product([repr(scale), *(f"d{k}" for k in den_ids)])
+            lines.append(f"        {sign!r} * ({prefactor} * {numerator} / {denominator}),  # {tid.label}")
+        lines.append("    ]")
+        source = "\n".join(lines) + "\n"
+        filename = f"<path rule p={p}>"
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {"__name__": __name__}
+        exec(compile(source, filename, "exec"), namespace)
+        return namespace["path_rule"]
+
+
+def _product(factors: list[str]) -> str:
+    """Source of the left-to-right product of factors, bracketed unless it is one factor."""
+    return factors[0] if len(factors) == 1 else f"({' * '.join(factors)})"
+
 
 @lru_cache(maxsize=None)
 def _plan(p: int) -> _Plan:
@@ -191,24 +235,13 @@ def _evaluate(plan: _Plan, Omega, t, coefficients, dens, root) -> list:
     """Signed terms in beta_term_ids order, a rational function of the inputs.
 
     Omega[j], t[j], the Stokes coefficients, the denominators and root =
-    sqrt(Omega_0 * Omega_p) are of one number type: only + - * / and float
-    constants touch them.  Floats at one depth and rows of arrays over a
-    grid get the same IEEE operations in the same order, so a grid column
-    equals the single-depth result bit for bit; mpmath numbers also work.
+    sqrt(Omega_0 * Omega_p) are of one number type: the plan's compiled
+    rule (``_Plan.rule``) touches them only with + - * / and float
+    constants.  Floats at one depth and rows of arrays over a grid get the
+    same IEEE operations in the same order, so a grid column equals the
+    single-depth result bit for bit; mpmath numbers also work.
     """
-    a, pl = coefficients
-    hop = [a[l] + pl[l] * (wm * t[m] + wn * t[n]) for l, wm, m, wn, n in plan.hops]
-    out = []
-    for sign, scale, hop_ids, den_ids in plan.terms:
-        numerator = hop[hop_ids[0]]
-        for k in hop_ids[1:]:
-            numerator = numerator * hop[k]
-        prefactor, denominator = root, scale
-        for k in den_ids:
-            prefactor = prefactor * Omega[plan.dens[k][0]]
-            denominator = denominator * dens[k]
-        out.append(sign * (prefactor * numerator / denominator))
-    return out
+    return plan.rule(Omega, t, coefficients, dens, root)
 
 
 def _signed_terms(rd: ResonanceData) -> list[float]:

@@ -19,9 +19,14 @@ a scalar and a lane-wise port of scipy's ``brentq`` (Brent's method, Brent,
 *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Both
 perform the IEEE operations scipy's C code performs, so they return the same
 phi* as scipy and as each other, and the package needs no scipy at run time.
-``build_resonance_data``, the one single-depth solve, checks p and h once.
-At one depth and over a grid (``_resonance_grid``) phi* is accepted when the
-record's residual f(phi*) has |residual| <= DEFAULT_TOL, a fixed tolerance.
+``build_resonance_data``, the one single-depth solve, checks p and h once
+and then evaluates the residual and the record's kernels inline on floats,
+with libm's tanh and sqrt bound once per solve; the grid solve
+(``_resonance_grid``) evaluates them with the dispersion kernels, whose one
+body takes floats or arrays.  Both perform the same IEEE operations in the
+same order, so every grid value equals the single-depth one bit for bit.
+At one depth and over a grid phi* is accepted when the record's residual
+f(phi*) has |residual| <= DEFAULT_TOL, a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dispersion import _check_depth, _check_finite, _omega, _omega_t, _phase
+from .dispersion import _SERIES_THRESHOLD, _check_depth, _check_finite, _omega, _omega_t, _phase, _series_ratio
 from .errors import SolverError
 
 __all__ = [
@@ -267,18 +272,6 @@ class ResonanceData:
         return _equal_fields(self, other, [f.name for f in fields(self)])
 
 
-def _tabulate(p, h, phi_star, c):
-    """The ResonanceData fields that follow from phi*, for floats or arrays of depths."""
-    Omega, t = zip(*(_omega_t(j + phi_star, h) for j in range(p + 1)))
-    return dict(
-        omega_star=c * phi_star + Omega[0],
-        Omega=np.array(Omega),
-        t=np.array(t),
-        residual=Omega[0] + Omega[p] - p * c,
-        c=c,
-    )
-
-
 def build_resonance_data(p: int, h: float) -> ResonanceData:
     """Solve f(phi*) = 0 and tabulate Omega_j, t_j, omega* for j = 0..p.
 
@@ -296,11 +289,15 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
     """
     p = _check_index(p)
     h = _check_depth(h)
-
     c = _phase(h)
-    lo, hi = _bracket(p)
-    f = lambda phi: _residual(phi, p, h, c)
+    tanh, sqrt, pc = math.tanh, math.sqrt, p * c
 
+    def f(phi):
+        # _residual's IEEE operations on floats, in its order, without the kernels' array dispatch
+        q = phi + p
+        return sqrt(phi * tanh(h * phi)) + sqrt(q * tanh(h * q)) - pc
+
+    lo, hi = _bracket(p)
     expansions = 0
     flo = f(lo)
     while flo > 0.0:
@@ -318,11 +315,19 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
         fhi = f(hi)
 
     phi_star = brentq(f, lo, hi, flo, fhi, _XTOL)
-    rd = ResonanceData(p=p, h=h, phi_star=phi_star, **_tabulate(p, h, phi_star, c))
-    if abs(rd.residual) > DEFAULT_TOL:
-        raise SolverError(f"residual {rd.residual:.3e} above tol {DEFAULT_TOL:.3e} at phi={phi_star!r}",
+    # _omega_t's IEEE operations at j + phi*, series branch included, as in the grid's tabulation
+    Omega, t = [], []
+    for j in range(p + 1):
+        phi = j + phi_star
+        x = h * phi
+        th = tanh(x)
+        Omega.append(sqrt(phi * th))
+        t.append(sqrt(_series_ratio(x, h) if x < _SERIES_THRESHOLD else phi / th))
+    residual = Omega[0] + Omega[p] - pc
+    if abs(residual) > DEFAULT_TOL:
+        raise SolverError(f"residual {residual:.3e} above tol {DEFAULT_TOL:.3e} at phi={phi_star!r}",
                           bracket=(lo, hi))
-    return rd
+    return ResonanceData(p, h, phi_star, c * phi_star + Omega[0], np.array(Omega), np.array(t), residual, c)
 
 
 def _resonance_grid(p: int, hs) -> ResonanceData:
@@ -356,7 +361,8 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
             lanes = lanes[outward(fx[lanes], 0.0)]
 
     phi, settled = _brentq_lanes(f, lo, hi, flo, fhi)
-    rd = ResonanceData(p=p, h=h, phi_star=phi, **_tabulate(p, h, phi, c))
+    Omega, t = zip(*(_omega_t(j + phi, h) for j in range(p + 1)))
+    rd = ResonanceData(p, h, phi, c * phi + Omega[0], np.array(Omega), np.array(t), Omega[0] + Omega[p] - p * c, c)
     settled &= (expansions <= _MAX_EXPANSIONS) & (np.abs(rd.residual) <= DEFAULT_TOL)
     for i in np.flatnonzero(~settled):
         lane = build_resonance_data(p, h[i])

@@ -1,7 +1,10 @@
 """Coefficient assembly: term table, group cancellations, zeros, summation."""
 
+import ast
+import inspect
 import math
 import random
+import traceback
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from stokes_isolas import (
 )
 from stokes_isolas import beta
 from stokes_isolas.beta import _grid, _grid_terms, _signed_terms
-from stokes_isolas.resonance import ResonanceData, _resonance_grid, solve_wavenumber
+from stokes_isolas.resonance import ResonanceData, _resonance_grid, build_resonance_data, solve_wavenumber
+from stokes_isolas.stokes_coefficients import _coefficients
 
 # Zeros of the coefficient curves refined by the 50-digit reference
 # evaluator (coarser 7-digit reference values round these).
@@ -360,6 +364,68 @@ class TestGridIdentity:
     def test_grid_depth_check(self, bad):
         with pytest.raises(ValueError, match=f"depth must be a positive finite real, got {bad!r}"):
             _resonance_grid(3, [1.0, bad, -5.0])
+
+
+def _evaluate_by_loops(plan, Omega, t, coefficients, dens, root):
+    """The plan walked in nested loops: the reference the compiled path rule must equal bit for bit."""
+    a, pl = coefficients
+    hop = [a[l] + pl[l] * (wm * t[m] + wn * t[n]) for l, wm, m, wn, n in plan.hops]
+    out = []
+    for sign, scale, hop_ids, den_ids in plan.terms:
+        numerator = hop[hop_ids[0]]
+        for k in hop_ids[1:]:
+            numerator = numerator * hop[k]
+        prefactor, denominator = root, scale
+        for k in den_ids:
+            prefactor = prefactor * Omega[plan.dens[k][0]]
+            denominator = denominator * dens[k]
+        out.append(sign * (prefactor * numerator / denominator))
+    return out
+
+
+def _rule_inputs(plan, rd):
+    """_evaluate's arguments after plan, from a record at one depth (floats) or over a grid (arrays)."""
+    if np.ndim(rd.h):
+        Omega, t, root = rd.Omega, rd.t, np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
+    else:
+        Omega, t = rd.Omega.tolist(), rd.t.tolist()
+        root = math.sqrt(Omega[0] * Omega[rd.p])
+    return Omega, t, _coefficients(rd.c), beta._denominators(plan, Omega, rd.c), root
+
+
+class TestCompiledPathRule:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_floats_equal_the_loops(self, p):
+        plan = beta._plan(p)
+        hs = np.geomspace(0.05, 20.0, 501).tolist()
+        assert (hs[0], hs[-1]) == (0.05, 20.0)
+        for h in hs:
+            args = _rule_inputs(plan, build_resonance_data(p, h))
+            assert _bits(beta._evaluate(plan, *args)) == _bits(_evaluate_by_loops(plan, *args)), h
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_arrays_equal_the_loops(self, p):
+        plan = beta._plan(p)
+        args = _rule_inputs(plan, _resonance_grid(p, np.linspace(0.05, 20.0, 2000)))
+        rule, loops = beta._evaluate(plan, *args), _evaluate_by_loops(plan, *args)
+        assert all(type(v) is np.ndarray and v.shape == (2000,) for v in rule)
+        assert np.array(rule).tobytes() == np.array(loops).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_one_expression_per_term(self, p):
+        source = inspect.getsource(beta._plan(p).rule)
+        returned = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Return)).value
+        lines = source.splitlines()
+        labels = [lines[term.lineno - 1].rsplit("# ", 1)[1] for term in returned.elts]
+        assert labels == [tid.label for tid in beta_term_ids(p)]
+
+    def test_traceback_shows_the_generated_line(self):
+        # d0 = 0 divides term B_{1,1}^{-} of p = 2 by zero
+        with pytest.raises(ZeroDivisionError) as err:
+            beta._plan(2).rule([1.0] * 3, [1.0] * 3, ((1.0,) * 4, (1.0,) * 4), [0.0, 1.0], 1.0)
+        frame = traceback.extract_tb(err.value.__traceback__)[-1]
+        assert frame.filename == "<path rule p=2>"
+        assert frame.line.endswith("/ (16.0 * d0)),  # B_{1,1}^{-}")
 
 
 def _engineered(h):

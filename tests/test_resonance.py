@@ -1,7 +1,7 @@
 """Critical wavenumber solver and resonance data: pinned values + invariants."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from stokes_isolas import (
     wavenumber_asymptote,
 )
 from stokes_isolas import resonance
+from stokes_isolas.dispersion import _SERIES_THRESHOLD
 from stokes_isolas.resonance import _resonance_grid
 
 # Reference evaluator values (50-digit bisection), rounded to double.
@@ -194,11 +195,32 @@ class TestChecksOnce:
         assert value == beta1(p, h)
 
     def test_residual_is_the_acceptance_test(self):
-        # the record's residual is f(phi*) itself, the quantity the solve judges
-        for p, h in [(2, 0.1), (3, 7.0), (4, 15.0), (9, 1e-3)]:
+        # the record's residual is f(phi*) itself, the quantity the solve judges:
+        # the solve's inline residual equals the kernels' one body at every depth
+        cases = [(2, 0.1), (3, 7.0), (4, 15.0), (9, 1e-3)]
+        cases += [(p, h) for p in (2, 3, 4) for h in np.geomspace(1e-3, 1e3, 300).tolist()]
+        for p, h in cases:
             rd = build_resonance_data(p, h)
             assert rd.residual == resonance_residual(rd.phi_star, p, h)
             assert abs(rd.residual) <= resonance.DEFAULT_TOL
+
+
+class TestSeriesBranch:
+    @pytest.mark.parametrize("p, h_min, h_max", [(2, 0.05, 0.06), (3, 0.03, 0.04), (4, 0.02, 0.03)])
+    def test_single_depth_equals_grid_across_the_crossover(self, p, h_min, h_max):
+        # t_0 at x = h*phi* below _SERIES_THRESHOLD comes from the series, above it from phi/tanh(x):
+        # the solve's inline tabulation and the grid's _omega_t agree bit for bit on both sides
+        hs = np.linspace(h_min, h_max, 201).tolist()
+        grid = _resonance_grid(p, hs)
+        series = grid.h * grid.phi_star < _SERIES_THRESHOLD
+        assert 0 < series.sum() < len(hs)  # both branches are taken
+        for i, h in enumerate(hs):
+            one = build_resonance_data(p, h)
+            for f in fields(one):
+                column = np.asarray(getattr(grid, f.name), dtype=float)
+                if f.name != "p":
+                    column = column[..., i]
+                assert column.tobytes() == np.asarray(getattr(one, f.name), dtype=float).tobytes(), (h, f.name)
 
 
 class TestOmegaStar:
