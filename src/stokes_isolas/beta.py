@@ -26,13 +26,16 @@ The rule is compiled once per p into a plan (``_plan``): for each term its
 sign, its 4^(k+1), its hops as (l-1, w_m, m, w_n, n) and its intermediates
 (j, s), with each distinct hop factor and denominator evaluated once per
 depth.  The plan is compiled in turn into straight-line Python source
-(``_Plan.rule``), one expression per term, executed once and cached, so
-evaluating it walks no loops.  One evaluator (``_evaluate``) runs that
-code.  It is a rational function of c, Omega_j, t_j and root =
-sqrt(Omega_0 * Omega_p), which its caller supplies: only + - * / and float
-constants touch them, so it runs on Python floats at a single depth, on
-numpy arrays over a grid of depths and on mpmath numbers (the 40-digit
-audit in the tests).  For doubles the result is one record
+(``_Plan.rule``), executed once and cached, so evaluating it walks no
+loops: each distinct hop factor is one local a_l + p_l * (+-t_m +- t_n),
+with the t-weights written as signs, each distinct prefactor
+root * Omega_j ... one local, and each term one expression, x or -(x).
+Dropping the multiplies by +-1 changes no double.  One evaluator
+(``_evaluate``) runs that code.  It is a rational function of c, Omega_j,
+t_j and root = sqrt(Omega_0 * Omega_p), which its caller supplies: only
++ - * / and float constants touch them, so it runs on Python floats at a
+single depth, on numpy arrays over a grid of depths and on mpmath numbers
+(the 40-digit audit in the tests).  For doubles the result is one record
 (``BetaBreakdown``): the signed terms and their total, floats at one depth
 (``beta1_breakdown``) or one column per depth over a grid (``_grid``).
 ``beta_scan``, the grid pass of ``find_beta_zeros``, the CLI tables and
@@ -171,11 +174,16 @@ class _Plan:
         """The plan as straight-line Python: rule(Omega, t, coefficients, dens, root) -> signed terms.
 
         Omega_j, t_j, the coefficients a_l, p_l and the denominators become
-        locals, each distinct hop factor is one local N, and each term one
-        expression, sign * ((root * Omega_j ...) * (N * N ...) / (4^(k+1) * d ...)),
-        multiplied left to right within each bracket.  The source is compiled
-        under the file name ``<path rule p=...>`` and registered in linecache,
-        so tracebacks and inspect.getsource show the generated lines.
+        locals.  Each distinct hop factor is one local N = a + p * (+-t_m +- t_n),
+        its t-weights written as signs (w * t with w = +-1 is exactly +-t,
+        and x + -y is exactly x - y).  Each distinct prefactor
+        root * Omega_j ... is one local r, assigned once from the prefactor
+        of its subset's prefix (r12 = r1 * O2), so it keeps its left-to-right
+        association.  Each term is one expression x or -(x), with
+        x = prefactor * (N * N ...) / (4^(k+1) * d ...), multiplied left to
+        right within each bracket.  The source is compiled under the file
+        name ``<path rule p=...>`` and registered in linecache, so
+        tracebacks and inspect.getsource show the generated lines.
         """
         p = self.p
         lines = [
@@ -185,14 +193,18 @@ class _Plan:
             "    (a1, a2, a3, a4), (p1, p2, p3, p4) = coefficients",
             f"    {', '.join(f'd{k}' for k in range(len(self.dens)))} = dens",
         ]
-        lines += [f"    N{k} = a{l + 1} + p{l + 1} * ({wm!r} * t{m} + {wn!r} * t{n})"
+        lines += [f"    N{k} = a{l + 1} + p{l + 1} * ({'-' if wm < 0 else ''}t{m} {'-' if wn < 0 else '+'} t{n})"
                   for k, (l, wm, m, wn, n) in enumerate(self.hops)]
+        prefactors = {(): "root"}
+        for J in dict.fromkeys(tid.intermediates for tid in beta_term_ids(p) if tid.intermediates):
+            prefactors[J] = "r" + "".join(map(str, J))
+            lines.append(f"    {prefactors[J]} = {prefactors[J[:-1]]} * O{J[-1]}")
         lines.append("    return [")
         for tid, (sign, scale, hop_ids, den_ids) in zip(beta_term_ids(p), self.terms):
-            prefactor = _product(["root", *(f"O{self.dens[k][0]}" for k in den_ids)])
             numerator = _product([f"N{k}" for k in hop_ids])
             denominator = _product([repr(scale), *(f"d{k}" for k in den_ids)])
-            lines.append(f"        {sign!r} * ({prefactor} * {numerator} / {denominator}),  # {tid.label}")
+            term = f"{prefactors[tid.intermediates]} * {numerator} / {denominator}"
+            lines.append(f"        {term if sign > 0 else f'-({term})'},  # {tid.label}")
         lines.append("    ]")
         source = "\n".join(lines) + "\n"
         filename = f"<path rule p={p}>"
@@ -404,7 +416,7 @@ def find_beta_zeros(
     return zeros
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRow:
     """One point of the coefficient curve with its leading asymptote."""
 

@@ -42,16 +42,39 @@ _SERIES_THRESHOLD = 1e-4
 def _libm(fn, x):
     """fn of a float, or of each element of an array, through the math module.
 
-    numpy's tanh and exp are not bit-equal to libm's: on uniform samples of
-    [0, 20], np.tanh differs from math.tanh in the last bit for about a
-    fifth of the arguments and np.exp from math.exp for about 5%.  The grid
-    path must return the same doubles as the single-point path, so arrays
-    go through libm one element at a time.  sqrt needs no such care: IEEE
-    754 rounds it correctly in both.
+    numpy's exp is not bit-equal to libm's: on uniform samples of [0, 20]
+    np.exp differs from math.exp in the last bit for about 5% of the
+    arguments.  The grid path must return the same doubles as the
+    single-point path, so arrays go through libm one element at a time.
+    ``exp`` (``asymptotics``) and ``ulp`` (``beta``) use it; ``tanh`` has
+    its own kernel, ``_tanh``.  sqrt needs no such care: IEEE 754 rounds it
+    correctly in both.
     """
     if isinstance(x, np.ndarray):
         return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
     return fn(x)
+
+
+# From here up libm's tanh is exactly 1.0: fdlibm's s_tanh.c, which glibc
+# uses, returns 1 - tiny, rounded to 1.0, for every x >= 22 and for +inf.
+_TANH_ONE = 22.0
+
+
+def _tanh(x):
+    """libm's tanh of a float, or of each element of an array.
+
+    np.tanh is not bit-equal to math.tanh (it differs in the last bit for
+    about a fifth of uniform samples of [0, 20]), so arrays go through libm
+    like ``_libm``, but only where x < 22 (NaN included); elsewhere libm
+    would return exactly 1.0, which is written without a call.  Deep grids
+    put many of their arguments h * (j + phi*) there.
+    """
+    if not isinstance(x, np.ndarray):
+        return math.tanh(x)
+    th = np.ones(x.shape)
+    below = ~(x >= _TANH_ONE)
+    th[below] = _libm(math.tanh, x[below])
+    return th
 
 
 def _sqrt(x):
@@ -59,12 +82,12 @@ def _sqrt(x):
 
 
 def _phase(h):
-    return _sqrt(_libm(math.tanh, h))
+    return _sqrt(_tanh(h))
 
 
 def _omega(phi, h):
     """Omega for phi >= 0, unchecked; floats or arrays."""
-    return _sqrt(phi * _libm(math.tanh, h * phi))
+    return _sqrt(phi * _tanh(h * phi))
 
 
 def _series_ratio(x: float, h: float) -> float:
@@ -74,7 +97,7 @@ def _series_ratio(x: float, h: float) -> float:
 def _omega_t(phi, h):
     """(Omega, t) for phi >= 0, unchecked, from one tanh; floats, or arrays of equal shape."""
     x = h * phi
-    th = _libm(math.tanh, x)
+    th = _tanh(x)
     omega = _sqrt(phi * th)
     if not isinstance(x, np.ndarray):
         return omega, math.sqrt(_series_ratio(x, h) if x < _SERIES_THRESHOLD else phi / th)

@@ -206,13 +206,14 @@ def _brentq_lanes(f, xa, xb, fa, fb):
             delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
             done = (fcur == 0) | (np.abs(sbis) < delta)
-            root[lanes[done]], settled[lanes[done]] = xcur[done], True
-            go = ~done
-            lanes = lanes[go]
+            if done.any():  # the first iterations settle no lane: nothing to compact
+                root[lanes[done]], settled[lanes[done]] = xcur[done], True
+                go = ~done
+                lanes = lanes[go]
+                xpre, xcur, xblk, fpre, fcur, fblk = xpre[go], xcur[go], xblk[go], fpre[go], fcur[go], fblk[go]
+                spre, scur, delta, sbis = spre[go], scur[go], delta[go], sbis[go]
             if not lanes.size:
                 break
-            xpre, xcur, xblk, fpre, fcur, fblk = xpre[go], xcur[go], xblk[go], fpre[go], fcur[go], fblk[go]
-            spre, scur, delta, sbis = spre[go], scur[go], delta[go], sbis[go]
 
             dpre = (fpre - fcur) / (xpre - xcur)
             dblk = (fblk - fcur) / (xblk - xcur)

@@ -1,10 +1,14 @@
 """Coefficient assembly: term table, group cancellations, zeros, summation."""
 
 import ast
+import dataclasses
 import inspect
 import math
+import pickle
 import random
+import re
 import traceback
+import weakref
 
 import numpy as np
 import pytest
@@ -305,6 +309,29 @@ class TestScan:
         with pytest.raises(ValueError):
             beta_scan(2, [25.0])
 
+    def test_slotted_row_keeps_the_dataclass_api(self):
+        row, deeper = beta_scan(3, [1.0, 2.0])
+        names = ("h", "beta1", "leading", "ratio", "floor_flag")
+        assert tuple(f.name for f in dataclasses.fields(row)) == names
+        assert dataclasses.asdict(row) == {name: getattr(row, name) for name in names}
+        flipped = dataclasses.replace(row, beta1=-row.beta1)
+        assert (flipped.h, flipped.beta1, flipped.ratio) == (row.h, -row.beta1, row.ratio)
+        twin = type(row)(*dataclasses.astuple(row))
+        assert twin == row and hash(twin) == hash(row) and row != deeper and flipped != row
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(row, protocol)) == row
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.beta1 = 0.0
+
+    def test_slotted_row_has_no_instance_dict(self):
+        # the documented cost of the slots: no vars(row), no weak references
+        (row,) = beta_scan(2, [1.0])
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(TypeError):
+            vars(row)
+        with pytest.raises(TypeError):
+            weakref.ref(row)
+
 
 def _bits(values):
     return [float(v).hex() for v in values]
@@ -418,6 +445,27 @@ class TestCompiledPathRule:
         lines = source.splitlines()
         labels = [lines[term.lineno - 1].rsplit("# ", 1)[1] for term in returned.elts]
         assert labels == [tid.label for tid in beta_term_ids(p)]
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_no_unit_weights_or_signs_multiply(self, p):
+        # +-1 t-weights are written as signs and term signs as -(x): no 1.0 *, -1.0 *, 1 * (
+        source = inspect.getsource(beta._plan(p).rule)
+        assert not re.findall(r"(?<![\w.])-?1(?:\.0)? \*", source)
+        assert re.search(r"\bN\d+ = a\d \+ p\d \* \(-t\d - t\d\)$", source, re.MULTILINE)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_each_prefactor_assigned_once(self, p):
+        tree = ast.parse(inspect.getsource(beta._plan(p).rule))
+        assigned = [target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)]
+        subsets = dict.fromkeys(tid.intermediates for tid in beta_term_ids(p) if tid.intermediates)
+        prefactors = [name for name in assigned if name.startswith("r")]
+        assert prefactors == ["r" + "".join(map(str, J)) for J in subsets]
+        assert len(assigned) == len(set(assigned))
+        # the terms read the prefactors: no Omega_j is multiplied in the return
+        returned = next(node for node in ast.walk(tree) if isinstance(node, ast.Return)).value
+        used = {node.id for node in ast.walk(returned) if isinstance(node, ast.Name)}
+        assert used == {"root", *prefactors} | {name for name in used if re.fullmatch(r"[Nd]\d+", name)}
 
     def test_traceback_shows_the_generated_line(self):
         # d0 = 0 divides term B_{1,1}^{-} of p = 2 by zero

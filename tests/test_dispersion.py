@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokes_isolas import eigenvalue_branch, omega_disp, phase_speed, t_ratio
+from stokes_isolas.dispersion import _TANH_ONE, _libm, _tanh
 
 # High-precision reference evaluations (>= 50 digits), rounded to double.
 PHASE_SPEED_1 = 0.87269362089782969154
@@ -144,3 +145,43 @@ class TestEigenvalueBranch:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             eigenvalue_branch(0, 2, 0.1, 1.0)
+
+
+class TestTanhKernel:
+    """_tanh: libm's tanh, called on arrays only where it is not already 1.0."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.linspace(-3.0, 21.9, 257),
+            np.linspace(0.0, 60.0, 257),
+            np.geomspace(22.0, 1e300, 257),
+            np.array([22.0, np.nextafter(22.0, 0.0), np.inf, np.nan, -np.inf, -22.0, -30.0, -0.0, 0.0, 1e-300]),
+            np.array([]),
+        ],
+        ids=["none-saturated", "some-saturated", "all-saturated", "edges", "empty"],
+    )
+    def test_arrays_equal_libm_bit_for_bit(self, x):
+        th = _tanh(x)
+        assert th.dtype == np.float64 and th.shape == x.shape
+        assert th.tobytes() == _libm(math.tanh, x).tobytes()
+
+    def test_libm_is_called_only_below_22(self, monkeypatch):
+        calls = []
+        libm_tanh = math.tanh
+        monkeypatch.setattr(math, "tanh", lambda v: calls.append(v) or libm_tanh(v))
+        x = np.array([0.5, 22.0, np.nextafter(22.0, 0.0), np.inf, np.nan, 40.0, -40.0])
+        _tanh(x)
+        assert len(calls) == 4 and calls[:2] == [0.5, np.nextafter(22.0, 0.0)]
+        assert math.isnan(calls[2]) and calls[3] == -40.0
+
+    def test_floats_stay_libm(self):
+        for x in (0.3, 21.5, 22.0, 1e10, -25.0):
+            assert type(_tanh(x)) is float and _tanh(x) == math.tanh(x)
+
+    def test_libm_saturates_from_22(self):
+        # the premise of _tanh: libm's tanh is exactly 1.0 on [22, inf]
+        xs = np.geomspace(_TANH_ONE, 1e308, 100_001).tolist()
+        assert (xs[0], xs[-1]) == (22.0, 1e308)
+        assert all(math.tanh(x) == 1.0 for x in xs)
+        assert math.tanh(math.inf) == 1.0
