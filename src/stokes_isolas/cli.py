@@ -12,10 +12,10 @@ Conventions: each subcommand hands one emitter (``_emit``) its field names,
 in the order of the schema's ``required`` list, and its rows.  Data rows go
 to stdout, diagnostics to stderr; every float is printed in shortest
 round-trip form; exit code 0 on success, 1 when the reader closes stdout
-early, 2 on usage errors (non-finite inputs included), 3 on numerical
-failures.  CSV uses a header row and '.' decimals (isola band metadata
-appears as leading '#' comments); JSON is an array of schema-tagged
-objects validating against ``schemas/output.schema.json``.
+early, 2 on usage errors (non-finite inputs, grids too big to allocate), 3
+on numerical failures.  CSV uses a header row and '.' decimals (isola band
+metadata appears as leading '#' comments); JSON is an array of
+schema-tagged objects validating against ``schemas/output.schema.json``.
 
 The argument parser is built once per process and reused unchanged.  The
 emitter writes a table in blocks of rows: it turns each column of a block
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     except StokesIsolasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a --n too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -13,12 +13,11 @@ together with the flat-water eigenvalue branches
 labelled by a mode index j and a signature sigma = +-1.
 
 The public functions take floats and check their inputs.  The private
-kernels ``_omega``, ``_omega_t`` and ``_phase`` skip the checks and take either
-floats or numpy arrays of depths and wavenumbers; both forms perform the same
-IEEE operations, so a grid of depths gets the same doubles as one call per
-depth.  No caching, no global state, safe to call concurrently.  Double
-precision throughout; Omega and t are accurate to a few ulps, which
-downstream consumers budget against.
+kernels ``_phase`` and ``_tabulate`` skip the checks and take the number
+type's (tanh, sqrt, ratio): ``_FLOATS``, or ``_ARRAYS`` for numpy arrays of
+depths and wavenumbers, which performs the same IEEE operations, so a grid
+gets the same doubles as one call per depth.  No caching, no global state.
+Double precision throughout; Omega and t are accurate to a few ulps.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ def _libm(fn, x):
     np.exp differs from math.exp in the last bit for about 5% of the
     arguments.  The grid path must return the same doubles as the
     single-point path, so arrays go through libm one element at a time.
-    ``exp`` (``asymptotics``) and ``ulp`` (``beta``) use it; ``tanh`` has
-    its own kernel, ``_tanh``.  sqrt needs no such care: IEEE 754 rounds it
-    correctly in both.
+    ``exp`` (``asymptotics``), ``ulp`` (``beta``) and ``_tanh`` use it.
     """
     if isinstance(x, np.ndarray):
         return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
@@ -60,53 +57,57 @@ def _libm(fn, x):
 _TANH_ONE = 22.0
 
 
-def _tanh(x):
-    """libm's tanh of a float, or of each element of an array.
+def _tanh(x: np.ndarray) -> np.ndarray:
+    """libm's tanh of each element of an array.
 
     np.tanh is not bit-equal to math.tanh (it differs in the last bit for
-    about a fifth of uniform samples of [0, 20]), so arrays go through libm
-    like ``_libm``, but only where x < 22 (NaN included); elsewhere libm
+    about a fifth of uniform samples of [0, 20]), so the elements go through
+    libm like ``_libm``, but only where x < 22 (NaN included); elsewhere libm
     would return exactly 1.0, which is written without a call.  Deep grids
     put many of their arguments h * (j + phi*) there.
     """
-    if not isinstance(x, np.ndarray):
-        return math.tanh(x)
     th = np.ones(x.shape)
     below = ~(x >= _TANH_ONE)
     th[below] = _libm(math.tanh, x[below])
     return th
 
 
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+def _ratio(x, phi, th, h):
+    """phi / th, with th = tanh(x) and x = h * phi, from its series where x < _SERIES_THRESHOLD; one float."""
+    return (1.0 + x * x / 3.0 - x ** 4 / 45.0) / h if x < _SERIES_THRESHOLD else phi / th
 
 
-def _phase(h):
-    return _sqrt(_tanh(h))
-
-
-def _omega(phi, h):
-    """Omega for phi >= 0, unchecked; floats or arrays."""
-    return _sqrt(phi * _tanh(h * phi))
-
-
-def _series_ratio(x: float, h: float) -> float:
-    return (1.0 + x * x / 3.0 - x ** 4 / 45.0) / h
-
-
-def _omega_t(phi, h):
-    """(Omega, t) for phi >= 0, unchecked, from one tanh; floats, or arrays of equal shape."""
-    x = h * phi
-    th = _tanh(x)
-    omega = _sqrt(phi * th)
-    if not isinstance(x, np.ndarray):
-        return omega, math.sqrt(_series_ratio(x, h) if x < _SERIES_THRESHOLD else phi / th)
+def _ratios(x, phi, th, h):
+    """_ratio at every element of arrays of equal shape."""
     small = x < _SERIES_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = phi / th
-    # x ** 4 as Python floats: libm pow, as in the scalar branch
-    ratio[small] = list(map(_series_ratio, x[small].tolist(), h[small].tolist()))
-    return omega, np.sqrt(ratio)
+    # the series on Python floats: x ** 4 by libm's pow, as in _ratio
+    ratio[small] = list(map(_ratio, *(a[small].tolist() for a in (x, phi, th, h))))
+    return ratio
+
+
+# The kernels' (tanh, sqrt, ratio) for floats and for numpy arrays; IEEE 754 rounds sqrt correctly in both.
+_FLOATS = (math.tanh, math.sqrt, _ratio)
+_ARRAYS = (_tanh, np.sqrt, _ratios)
+
+
+def _phase(h, kernels):
+    tanh, sqrt, _ = kernels
+    return sqrt(tanh(h))
+
+
+def _tabulate(n: int, h, phi, kernels):
+    """The lists Omega_j and t_j at j + phi for j = 0..n and phi >= 0, unchecked; each pair from one tanh."""
+    tanh, sqrt, ratio = kernels
+    Omega, t = [], []
+    for j in range(n + 1):
+        q = j + phi
+        x = h * q
+        th = tanh(x)
+        Omega.append(sqrt(q * th))
+        t.append(sqrt(ratio(x, q, th, h)))
+    return Omega, t
 
 
 def _check_depth(h: float) -> float:
@@ -129,7 +130,7 @@ def phase_speed(h: float) -> float:
     Strictly increasing in h, with values in (0, 1); approaches 1 like
     1 - exp(-2h) in deep water.
     """
-    return _phase(_check_depth(h))
+    return _phase(_check_depth(h), _FLOATS)
 
 
 def omega_disp(phi: float, h: float) -> float:
@@ -140,7 +141,8 @@ def omega_disp(phi: float, h: float) -> float:
     """
     h = _check_depth(h)
     phi = _check_finite(phi, "phi")
-    return _omega(abs(phi), h)  # phi * tanh(h*phi) is even; abs makes that exact
+    (omega,), _ = _tabulate(0, h, abs(phi), _FLOATS)  # phi * tanh(h*phi) is even; abs makes that exact
+    return omega
 
 
 def t_ratio(phi: float, h: float) -> float:
@@ -154,7 +156,8 @@ def t_ratio(phi: float, h: float) -> float:
     phi = _check_finite(phi, "phi")
     if phi < 0.0:
         raise ValueError(f"phi must be nonnegative, got {phi!r}")
-    return _omega_t(phi, h)[1]
+    _, (t,) = _tabulate(0, h, phi, _FLOATS)
+    return t
 
 
 def eigenvalue_branch(j: int, sigma: int, mu: float, h: float) -> float:
@@ -163,9 +166,10 @@ def eigenvalue_branch(j: int, sigma: int, mu: float, h: float) -> float:
     Returns omega^sigma(j + mu, h) = c(h)*(j + mu) - sigma*Omega(j + mu, h).
     The branches obey the reflection omega^+(-phi, h) = -omega^-(phi, h).
     """
-    if sigma not in (1, -1):
-        raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
+    if sigma not in (1, -1) or not j % 1 == 0:  # j % 1 also refuses nan and inf
+        raise ValueError(f"need an integer mode index j and sigma = +1 or -1, got j={j!r}, sigma={sigma!r}")
     h = _check_depth(h)
     mu = _check_finite(mu, "mu")
     phi = j + mu
-    return _phase(h) * phi - sigma * _omega(abs(phi), h)
+    (omega,), _ = _tabulate(0, h, abs(phi), _FLOATS)
+    return _phase(h, _FLOATS) * phi - sigma * omega

@@ -143,8 +143,9 @@ def ellipse_points(params: IsolaParams, n: int) -> np.ndarray:
     n the sample set is symmetric under x -> -x.  Extreme points are
     (+-max_growth, y0) and (0, y0 +- max_growth/E).
     """
-    if n < 8:
-        raise ValueError(f"need n >= 8 samples, got {n!r}")
+    if not (n >= 8 and n % 1 == 0):  # also refuses nan and inf
+        raise ValueError(f"need an integer n >= 8 samples, got {n!r}")
+    n = int(n)
     g = params.max_growth
     theta = 2.0 * math.pi * np.arange(n) / n
     pts = np.empty((n, 2))

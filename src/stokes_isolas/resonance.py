@@ -19,12 +19,10 @@ a scalar and a lane-wise port of scipy's ``brentq`` (Brent's method, Brent,
 *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Both
 perform the IEEE operations scipy's C code performs, so they return the same
 phi* as scipy and as each other, and the package needs no scipy at run time.
-``build_resonance_data``, the one single-depth solve, checks p and h once
-and then evaluates the residual and the record's kernels inline on floats,
-with libm's tanh and sqrt bound once per solve; the grid solve
-(``_resonance_grid``) evaluates them with the dispersion kernels, whose one
-body takes floats or arrays.  Both perform the same IEEE operations in the
-same order, so every grid value equals the single-depth one bit for bit.
+``build_resonance_data``, the one single-depth solve, checks p and h once.
+It and the grid solve ``_resonance_grid`` share one residual (``_residual``)
+and one record (``_record``) body, over the dispersion kernels' float or
+array triple, so every grid value equals the single-depth one bit for bit.
 At one depth and over a grid phi* is accepted when the record's residual
 f(phi*) has |residual| <= DEFAULT_TOL, a fixed tolerance.
 """
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dispersion import _SERIES_THRESHOLD, _check_depth, _check_finite, _omega, _omega_t, _phase, _series_ratio
+from .dispersion import _ARRAYS, _FLOATS, _check_depth, _check_finite, _phase, _tabulate
 from .errors import SolverError
 
 __all__ = [
@@ -95,12 +93,18 @@ def resonance_residual(phi: float, p: int, h: float) -> float:
     h = _check_depth(h)
     if phi <= 0.0:
         raise ValueError(f"phi must be positive, got {phi!r}")
-    return _residual(_check_finite(phi, "phi"), p, h, _phase(h))
+    return _residual(p, h, _phase(h, _FLOATS), _FLOATS)(_check_finite(phi, "phi"))
 
 
-def _residual(phi, p, h, c):
-    """f(phi) with c = c(h) precomputed and no input checks; floats or arrays."""
-    return _omega(phi, h) + _omega(phi + p, h) - p * c
+def _residual(p: int, h, c, kernels):
+    """f(phi) at depth h with c = c(h), unchecked, binding the kernels' tanh and sqrt once."""
+    tanh, sqrt, _ = kernels
+    pc = p * c
+
+    def f(phi):
+        q = phi + p
+        return sqrt(phi * tanh(h * phi)) + sqrt(q * tanh(h * q)) - pc
+    return f
 
 
 def _bracket(p: int) -> tuple[float, float]:
@@ -273,6 +277,12 @@ class ResonanceData:
         return _equal_fields(self, other, [f.name for f in fields(self)])
 
 
+def _record(p: int, h, c, phi, kernels) -> ResonanceData:
+    """The record at phi* = phi: Omega_j, t_j tabulated, and its residual f(phi*) read off them."""
+    Omega, t = _tabulate(p, h, phi, kernels)
+    return ResonanceData(p, h, phi, c * phi + Omega[0], np.array(Omega), np.array(t), Omega[0] + Omega[p] - p * c, c)
+
+
 def build_resonance_data(p: int, h: float) -> ResonanceData:
     """Solve f(phi*) = 0 and tabulate Omega_j, t_j, omega* for j = 0..p.
 
@@ -290,13 +300,8 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
     """
     p = _check_index(p)
     h = _check_depth(h)
-    c = _phase(h)
-    tanh, sqrt, pc = math.tanh, math.sqrt, p * c
-
-    def f(phi):
-        # _residual's IEEE operations on floats, in its order, without the kernels' array dispatch
-        q = phi + p
-        return sqrt(phi * tanh(h * phi)) + sqrt(q * tanh(h * q)) - pc
+    c = _phase(h, _FLOATS)
+    f = _residual(p, h, c, _FLOATS)
 
     lo, hi = _bracket(p)
     expansions = 0
@@ -315,20 +320,11 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
             raise SolverError(f"no sign change toward +inf for p={p}, h={h}", bracket=(lo, hi))
         fhi = f(hi)
 
-    phi_star = brentq(f, lo, hi, flo, fhi, _XTOL)
-    # _omega_t's IEEE operations at j + phi*, series branch included, as in the grid's tabulation
-    Omega, t = [], []
-    for j in range(p + 1):
-        phi = j + phi_star
-        x = h * phi
-        th = tanh(x)
-        Omega.append(sqrt(phi * th))
-        t.append(sqrt(_series_ratio(x, h) if x < _SERIES_THRESHOLD else phi / th))
-    residual = Omega[0] + Omega[p] - pc
-    if abs(residual) > DEFAULT_TOL:
-        raise SolverError(f"residual {residual:.3e} above tol {DEFAULT_TOL:.3e} at phi={phi_star!r}",
+    rd = _record(p, h, c, brentq(f, lo, hi, flo, fhi, _XTOL), _FLOATS)
+    if abs(rd.residual) > DEFAULT_TOL:
+        raise SolverError(f"residual {rd.residual:.3e} above tol {DEFAULT_TOL:.3e} at phi={rd.phi_star!r}",
                           bracket=(lo, hi))
-    return ResonanceData(p, h, phi_star, c * phi_star + Omega[0], np.array(Omega), np.array(t), residual, c)
+    return rd
 
 
 def _resonance_grid(p: int, hs) -> ResonanceData:
@@ -345,8 +341,8 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
     bad = ~(np.isfinite(h) & (h > 0.0))
     if bad.any():
         _check_depth(h[np.argmax(bad)])
-    c = _phase(h)
-    f = lambda phi, lanes: _residual(phi, p, h[lanes], c[lanes])
+    c = _phase(h, _ARRAYS)
+    f = lambda phi, lanes: _residual(p, h[lanes], c[lanes], _ARRAYS)(phi)
 
     # bracket expansion, lane by lane as in build_resonance_data
     lo, hi = (np.full(h.size, end) for end in _bracket(p))
@@ -362,8 +358,7 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
             lanes = lanes[outward(fx[lanes], 0.0)]
 
     phi, settled = _brentq_lanes(f, lo, hi, flo, fhi)
-    Omega, t = zip(*(_omega_t(j + phi, h) for j in range(p + 1)))
-    rd = ResonanceData(p, h, phi, c * phi + Omega[0], np.array(Omega), np.array(t), Omega[0] + Omega[p] - p * c, c)
+    rd = _record(p, h, c, phi, _ARRAYS)
     settled &= (expansions <= _MAX_EXPANSIONS) & (np.abs(rd.residual) <= DEFAULT_TOL)
     for i in np.flatnonzero(~settled):
         lane = build_resonance_data(p, h[i])

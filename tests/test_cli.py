@@ -438,6 +438,25 @@ class TestTinyDepths:
         assert "Traceback" not in proc.stderr
 
 
+class TestHugeGrids:
+    # 10**14 doubles are 728 TiB, above the 128 TiB user address space of x86-64 Linux:
+    # the allocation fails at once and touches no memory
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["beta", "--p", "2", "--h-min", "1", "--h-max", "2"],
+            ["resonance", "--p", "2", "--h-min", "1", "--h-max", "2"],
+            ["zeros", "--p", "2", "--h-min", "1", "--h-max", "2"],
+            ["isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1", "--E", "0.5"],
+        ],
+        ids=["beta", "resonance", "zeros", "isola"],
+    )
+    def test_grid_too_large_is_usage_error(self, argv):
+        code, out, err = run_cli(*argv, "--n", str(10**14))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestEnvironment:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_reader_leaving_early(self, fmt):

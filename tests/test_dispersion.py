@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokes_isolas import eigenvalue_branch, omega_disp, phase_speed, t_ratio
-from stokes_isolas.dispersion import _TANH_ONE, _libm, _tanh
+from stokes_isolas.dispersion import _FLOATS, _TANH_ONE, _libm, _tanh
+from stokes_isolas.resonance import build_resonance_data
 
 # High-precision reference evaluations (>= 50 digits), rounded to double.
 PHASE_SPEED_1 = 0.87269362089782969154
@@ -146,6 +147,14 @@ class TestEigenvalueBranch:
         with pytest.raises(ValueError):
             eigenvalue_branch(0, 2, 0.1, 1.0)
 
+    @pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf, 1.5, -0.5])
+    def test_mode_index_must_be_an_integer(self, j):
+        with pytest.raises(ValueError, match="need an integer mode index j"):
+            eigenvalue_branch(j, 1, 0.1, 1.0)
+
+    def test_integral_float_mode_index(self):
+        assert eigenvalue_branch(2.0, 1, 0.1, 1.0) == eigenvalue_branch(2, 1, 0.1, 1.0)
+
 
 class TestTanhKernel:
     """_tanh: libm's tanh, called on arrays only where it is not already 1.0."""
@@ -176,8 +185,15 @@ class TestTanhKernel:
         assert math.isnan(calls[2]) and calls[3] == -40.0
 
     def test_floats_stay_libm(self):
+        # floats get math.tanh's own values: from the float kernels, and in the single-depth solve's record
+        tanh = _FLOATS[0]
         for x in (0.3, 21.5, 22.0, 1e10, -25.0):
-            assert type(_tanh(x)) is float and _tanh(x) == math.tanh(x)
+            assert type(tanh(x)) is float and tanh(x) == math.tanh(x)
+        for p, h in ((2, 0.3), (3, 21.5), (4, 30.0)):
+            rd = build_resonance_data(p, h)
+            assert rd.c == math.sqrt(math.tanh(h))
+            q = [j + rd.phi_star for j in range(p + 1)]
+            assert rd.Omega.tolist() == [math.sqrt(x * math.tanh(h * x)) for x in q]
 
     def test_libm_saturates_from_22(self):
         # the premise of _tanh: libm's tanh is exactly 1.0 on [22, inf]

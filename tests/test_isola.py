@@ -258,6 +258,14 @@ class TestEllipse:
         with pytest.raises(ValueError):
             ellipse_points(make_params(), 4)
 
+    @pytest.mark.parametrize("n", [8.5, math.nan, math.inf, -math.inf, 7.0])
+    def test_n_must_be_an_integer_of_at_least_8(self, n):
+        with pytest.raises(ValueError, match="need an integer n >= 8 samples"):
+            ellipse_points(make_params(), n)
+
+    def test_integral_float_n(self):
+        assert ellipse_points(make_params(), 8.0).tobytes() == ellipse_points(make_params(), 8).tobytes()
+
     def test_on_curve_to_rounding(self):
         p = make_params()
         pts = ellipse_points(p, 257)

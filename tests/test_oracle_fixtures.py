@@ -106,6 +106,28 @@ def test_plan_matches_oracle_to_forty_digits(p):
             assert abs(mp.fsum(terms) - ref) <= mp.mpf("1e-40") * abs(ref), (p, h)
 
 
+def test_kernels_run_on_mpmath_numbers():
+    # the phi* residual and the Omega_j/t_j tabulation are written once against a
+    # (tanh, sqrt, ratio) triple: given mpmath's tanh and sqrt at the oracle's
+    # precision, they reproduce the oracle's longhand kernels and its root
+    mp = pytest.importorskip("mpmath")
+    from stokes_isolas import oracle
+    from stokes_isolas.dispersion import _FLOATS, _phase, _tabulate
+    from stokes_isolas.resonance import _residual
+
+    cfg = oracle.OracleConfig()
+    kernels = (mp.tanh, mp.sqrt, _FLOATS[2])
+    with mp.workdps(cfg.digits + 10):
+        tol = mp.mpf("1e-50")
+        for p, h in oracle.FIXTURE_POINTS:
+            phi, x = oracle.oracle_phi(p, h, cfg), mp.mpf(h)
+            Omega, t = _tabulate(p, x, phi, kernels)
+            for j in range(p + 1):
+                assert abs(Omega[j] - oracle._omega(j + phi, x)) <= tol * Omega[j], (p, h, j)
+                assert abs(t[j] - oracle._t(j + phi, x)) <= tol * t[j], (p, h, j)
+            assert abs(_residual(p, x, _phase(x, kernels), kernels)(phi)) <= tol, (p, h)
+
+
 def test_oracle_config_minimum_precision():
     pytest.importorskip("mpmath")
     from stokes_isolas.oracle import OracleConfig

@@ -196,7 +196,7 @@ class TestChecksOnce:
 
     def test_residual_is_the_acceptance_test(self):
         # the record's residual is f(phi*) itself, the quantity the solve judges:
-        # the solve's inline residual equals the kernels' one body at every depth
+        # read off the record's tabulation, it equals the public residual at every depth
         cases = [(2, 0.1), (3, 7.0), (4, 15.0), (9, 1e-3)]
         cases += [(p, h) for p in (2, 3, 4) for h in np.geomspace(1e-3, 1e3, 300).tolist()]
         for p, h in cases:
@@ -209,7 +209,7 @@ class TestSeriesBranch:
     @pytest.mark.parametrize("p, h_min, h_max", [(2, 0.05, 0.06), (3, 0.03, 0.04), (4, 0.02, 0.03)])
     def test_single_depth_equals_grid_across_the_crossover(self, p, h_min, h_max):
         # t_0 at x = h*phi* below _SERIES_THRESHOLD comes from the series, above it from phi/tanh(x):
-        # the solve's inline tabulation and the grid's _omega_t agree bit for bit on both sides
+        # the float and the array ratio of the one tabulation agree bit for bit on both sides
         hs = np.linspace(h_min, h_max, 201).tolist()
         grid = _resonance_grid(p, hs)
         series = grid.h * grid.phi_star < _SERIES_THRESHOLD
