@@ -38,12 +38,12 @@ single depth, on numpy arrays over a grid of depths and on mpmath numbers
 (the 40-digit audit in the tests).  For doubles the result is one record
 (``BetaBreakdown``): the signed terms and their total, floats at one depth
 (``beta1_breakdown``) or one column per depth over a grid (``_grid``).
-``beta_scan``, the grid pass of ``find_beta_zeros``, the CLI tables and
-``IsolaParams.from_depth`` read it; ``beta1`` computes the same total
-directly.  The evaluator performs the same IEEE operations in
-the same order either way, and the grid's phi* solve is a lane-wise port of
-the single-depth Brent solve, so every grid value equals the single-depth
-value bit for bit.
+``beta_scan`` (which fills its rows' slots a column at a time), the grid
+pass of ``find_beta_zeros``, the CLI tables and ``IsolaParams.from_depth``
+read it; ``beta1`` computes the same total directly.  The evaluator
+performs the same IEEE operations in the same order either way, and the
+grid's phi* solve is a lane-wise port of the single-depth Brent solve, so
+every grid value equals the single-depth value bit for bit.
 
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
@@ -51,21 +51,23 @@ assembly uses compensated summation (``neumaier_sum``), and the record's
 ``cancellation_floor`` gives the resolution limit, 8 ulps of the largest
 term, below which a computed total is numerically meaningless.  Each has
 one body that runs on floats at one depth and on numpy rows over a grid,
-like ``_evaluate``.
+like ``_evaluate``; the floor's ulps are math.ulp's at one depth and
+np.spacing's, the same doubles, over a grid (``dispersion._ulp``).
 """
 
 from __future__ import annotations
 
 import linecache
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 import numpy as np
 
 from .asymptotics import leading_term
-from .dispersion import _check_depth, _libm
+from .dispersion import _check_depth, _ulp
 from .errors import SingularityError
 from .resonance import ResonanceData, _equal_fields, _resonance_grid, _scan_depths, brentq, build_resonance_data
 from .stokes_coefficients import _coefficients
@@ -345,7 +347,7 @@ class BetaBreakdown:
     @property
     def cancellation_floor(self) -> float | np.ndarray:
         """8 ulps of the largest term: the resolution limit of ``total``."""
-        return 8.0 * _libm(math.ulp, np.abs(self.signed).max(axis=0))
+        return 8.0 * _ulp(np.abs(self.signed).max(axis=0))
 
     @property
     def floor_flag(self) -> bool | np.ndarray:
@@ -418,13 +420,21 @@ def find_beta_zeros(
 
 @dataclass(frozen=True, slots=True)
 class ScanRow:
-    """One point of the coefficient curve with its leading asymptote."""
+    """One point of the coefficient curve with its leading asymptote.
+
+    beta_scan fills rows without calling __init__, so a __post_init__ here
+    would not run.
+    """
 
     h: float
     beta1: float
     leading: float
     ratio: float
     floor_flag: bool
+
+
+# The __set__ of each field's slot, in field order: what ScanRow's __init__ does, a column at a time.
+_SCAN_ROW_SETTERS = [getattr(ScanRow, f.name).__set__ for f in fields(ScanRow)]
 
 
 def _scan_columns(p: int, hs) -> list[list]:
@@ -442,5 +452,13 @@ def beta_scan(p: int, hs) -> list[ScanRow]:
     marks points where |beta1| is within 10x of the cancellation floor and
     the value should not be trusted.  The grid is evaluated at once, and
     every field equals what beta1 and leading_term return at that depth.
+
+    The rows are made without ScanRow's __init__, which would set their
+    five fields one row at a time through object.__setattr__: each field's
+    slot descriptor fills that field's column of rows in one map.
     """
-    return list(map(ScanRow, *_scan_columns(p, hs)))
+    columns = _scan_columns(p, hs)
+    rows = list(map(object.__new__, repeat(ScanRow, len(columns[0]))))
+    for set_field, column in zip(_SCAN_ROW_SETTERS, columns):
+        deque(map(set_field, rows, column), maxlen=0)
+    return rows

@@ -12,17 +12,21 @@ together with the flat-water eigenvalue branches
 
 labelled by a mode index j and a signature sigma = +-1.
 
-The public functions take floats and check their inputs.  The private
-kernels ``_phase`` and ``_tabulate`` skip the checks and take the number
-type's (tanh, sqrt, ratio): ``_FLOATS``, or ``_ARRAYS`` for numpy arrays of
-depths and wavenumbers, which performs the same IEEE operations, so a grid
-gets the same doubles as one call per depth.  No caching, no global state.
-Double precision throughout; Omega and t are accurate to a few ulps.
+The public functions take floats and check their inputs; a real beyond
+the double range reads as +-inf (``_float``) and is refused like one.  The
+private kernels ``_phase`` and ``_tabulate`` skip the checks and take the
+number type's (tanh, sqrt, ratio): ``_FLOATS``, or ``_ARRAYS`` for numpy
+arrays of depths and wavenumbers, which performs the same IEEE operations,
+so a grid gets the same doubles as one call per depth.  Over arrays libm's
+tanh is called only below 19.1, where its value is not exactly 1.0, and
+``_ulp`` takes math.ulp's values from np.spacing.  No caching, no global
+state.  Double precision throughout; Omega and t are accurate to a few ulps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -45,16 +49,22 @@ def _libm(fn, x):
     np.exp differs from math.exp in the last bit for about 5% of the
     arguments.  The grid path must return the same doubles as the
     single-point path, so arrays go through libm one element at a time.
-    ``exp`` (``asymptotics``), ``ulp`` (``beta``) and ``_tanh`` use it.
+    ``exp`` (``asymptotics``) uses it, and ``_tanh`` and ``_ulp`` where
+    they cannot do without libm.
     """
     if isinstance(x, np.ndarray):
         return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
     return fn(x)
 
 
-# From here up libm's tanh is exactly 1.0: fdlibm's s_tanh.c, which glibc
-# uses, returns 1 - tiny, rounded to 1.0, for every x >= 22 and for +inf.
-_TANH_ONE = 22.0
+# From here up libm's tanh is exactly 1.0.  For x >= 19.1 the true value
+# has 1 - tanh(x) = 2 / (e^(2x) + 1) < 2 e^(-38.2) ~ 5.1e-17, below 2^-54 ~
+# 5.55e-17, half an ulp under 1.0, so tanh(x) rounds to 1.0.  So does
+# fdlibm's s_tanh.c, which glibc uses: it returns 1 - 2 / (expm1(2x) + 2)
+# below 22 (1 - tiny from 22 up, and 1.0 at +inf), and its small term
+# carries only a few ulps of relative error.  Bisecting glibc's math.tanh
+# finds its first 1.0 at 19.0615474653985.
+_TANH_ONE = 19.1
 
 
 def _tanh(x: np.ndarray) -> np.ndarray:
@@ -62,14 +72,30 @@ def _tanh(x: np.ndarray) -> np.ndarray:
 
     np.tanh is not bit-equal to math.tanh (it differs in the last bit for
     about a fifth of uniform samples of [0, 20]), so the elements go through
-    libm like ``_libm``, but only where x < 22 (NaN included); elsewhere libm
-    would return exactly 1.0, which is written without a call.  Deep grids
-    put many of their arguments h * (j + phi*) there.
+    libm like ``_libm``, but only where x < 19.1 (NaN included); elsewhere
+    libm would return exactly 1.0, which is written without a call.  Deep
+    grids put many of their arguments h * (j + phi*) there.
     """
     th = np.ones(x.shape)
     below = ~(x >= _TANH_ONE)
     th[below] = _libm(math.tanh, x[below])
     return th
+
+
+def _ulp(x):
+    """math.ulp of a float, or of each element of an array of x >= 0 (NaN included), bit for bit.
+
+    For a finite x >= 0 below the largest double, np.spacing(x) is the gap
+    from x up to the next double, which is math.ulp(x), at 0.0 and the
+    subnormals too.  The largest double, inf and NaN go through libm: there
+    np.spacing overflows to inf, or returns NaN for inf.
+    """
+    if not isinstance(x, np.ndarray):
+        return math.ulp(x)
+    edge = ~(x < sys.float_info.max)
+    ulp = np.spacing(np.where(edge, 0.0, x))
+    ulp[edge] = _libm(math.ulp, x[edge])
+    return ulp
 
 
 def _ratio(x, phi, th, h):
@@ -110,15 +136,23 @@ def _tabulate(n: int, h, phi, kernels):
     return Omega, t
 
 
+def _float(x) -> float:
+    """float(x), with a real beyond the double range rounded to +-inf as IEEE 754 rounds it, not OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _check_depth(h: float) -> float:
-    h = float(h)
+    h = _float(h)
     if not math.isfinite(h) or h <= 0.0:
         raise ValueError(f"depth must be a positive finite real, got {h!r}")
     return h
 
 
 def _check_finite(x: float, name: str) -> float:
-    x = float(x)
+    x = _float(x)
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
@@ -166,7 +200,7 @@ def eigenvalue_branch(j: int, sigma: int, mu: float, h: float) -> float:
     Returns omega^sigma(j + mu, h) = c(h)*(j + mu) - sigma*Omega(j + mu, h).
     The branches obey the reflection omega^+(-phi, h) = -omega^-(phi, h).
     """
-    if sigma not in (1, -1) or not j % 1 == 0:  # j % 1 also refuses nan and inf
+    if sigma not in (1, -1) or not _float(j) % 1 == 0:  # inf % 1 is nan: refuses nan, inf and j beyond the double range
         raise ValueError(f"need an integer mode index j and sigma = +1 or -1, got j={j!r}, sigma={sigma!r}")
     h = _check_depth(h)
     mu = _check_finite(mu, "mu")

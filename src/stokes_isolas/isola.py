@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beta import beta1_breakdown
+from .dispersion import _check_finite
 from .resonance import _check_index, _scan_depth
 
 __all__ = [
@@ -63,8 +64,7 @@ class IsolaParams:
     def __post_init__(self):
         object.__setattr__(self, "p", _check_index(self.p))
         for name in ("h", "eps", "beta1", "T1", "y0", "mu0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            _check_finite(getattr(self, name), name)
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h!r}")
         if not self.eps > 0:

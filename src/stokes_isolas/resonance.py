@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dispersion import _ARRAYS, _FLOATS, _check_depth, _check_finite, _phase, _tabulate
+from .dispersion import _ARRAYS, _FLOATS, _check_depth, _check_finite, _float, _phase, _tabulate
 from .errors import SolverError
 
 __all__ = [
@@ -69,14 +69,21 @@ def _check_index(p: int) -> int:
 
 def _scan_depth(h) -> None:
     """Refuse (ValueError) a depth h outside the documented range [0.05, 20], compared as a float."""
-    if not _SCAN_H_RANGE[0] <= float(h) <= _SCAN_H_RANGE[1]:
-        raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={float(h)!r}")
+    h = _float(h)
+    if not _SCAN_H_RANGE[0] <= h <= _SCAN_H_RANGE[1]:
+        raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={h!r}")
 
 
 def _scan_depths(hs) -> np.ndarray:
     """Any iterable of real depths as a float array; the first outside the range is refused by _scan_depth."""
-    # a 1-d array converts whole: np.fromiter would walk it through numpy scalars, at twice a list's cost
-    grid = hs.astype(float) if isinstance(hs, np.ndarray) and hs.ndim == 1 else np.fromiter(hs, dtype=float)
+    whole = isinstance(hs, np.ndarray) and hs.ndim == 1
+    if not whole:
+        hs = list(hs)  # read again below if a real in it lies beyond the double range
+    try:
+        # a 1-d array converts whole: np.fromiter would walk it through numpy scalars, at twice a list's cost
+        grid = hs.astype(float) if whole else np.fromiter(hs, dtype=float)
+    except OverflowError:  # such a real reads as +-inf, refused below
+        grid = np.fromiter(map(_float, hs), dtype=float)
     inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])
     if not inside.all():
         _scan_depth(grid[np.argmin(inside)])

@@ -333,6 +333,53 @@ class TestScan:
             weakref.ref(row)
 
 
+class TestBulkRows:
+    """beta_scan fills its rows' slots a column at a time, skipping ScanRow's __init__."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_rows_equal_constructed_rows(self, p):
+        hs = np.linspace(0.05, 20.0, 1001)
+        rows = beta_scan(p, hs)
+        built = [beta.ScanRow(*r) for r in zip(*beta._scan_columns(p, hs))]
+        assert rows == built and list(map(hash, rows)) == list(map(hash, built))
+        assert list(map(repr, rows)) == list(map(repr, built))
+        for r in rows:
+            assert type(r) is beta.ScanRow
+            assert [type(getattr(r, f)) for f in ("h", "beta1", "leading", "ratio", "floor_flag")] == \
+                [float, float, float, float, bool]
+
+    def test_row_has_no_post_init(self):
+        # the bulk fill calls no __init__, so a __post_init__ would silently not run
+        assert not hasattr(beta.ScanRow, "__post_init__")
+        assert beta.ScanRow.__slots__ == ("h", "beta1", "leading", "ratio", "floor_flag")
+        assert beta.ScanRow.__dataclass_params__.frozen
+
+
+class TestCancellationFloor:
+    """8 ulps of the largest term, as math.ulp gives them, at one depth and over a grid."""
+
+    def test_grid_equals_math_ulp(self):
+        # each column's largest term in magnitude, of either sign, with a third of it beside it
+        tiny = 5e-324
+        largest = [0.0, tiny, 2 * tiny, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+                   1.0, np.nextafter(1.0, 0.0), 3.7e-5, 1e308, np.nextafter(np.finfo(float).max, 0.0),
+                   np.finfo(float).max, math.inf, math.nan]
+        rng = np.random.default_rng(7)
+        largest = np.array(largest + (rng.standard_normal(1000) * 10.0 ** rng.integers(-320, 308, 1000)).tolist())
+        signs = rng.choice([-1.0, 1.0], largest.size)
+        signed = np.array([signs * largest, -signs * largest / 3])
+        floor = beta.BetaBreakdown(None, signed, np.zeros(largest.size)).cancellation_floor
+        expected = np.array([8.0 * math.ulp(v) for v in largest.tolist()])
+        assert floor.dtype == np.float64 and floor.shape == largest.shape
+        assert floor.tobytes() == expected.tobytes()
+
+    def test_one_depth_equals_math_ulp(self):
+        for p, h in ((2, 0.3), (3, 5.0), (4, 17.0)):
+            bd = beta1_breakdown(p, h)
+            floor = bd.cancellation_floor
+            assert type(floor) is float and floor == 8.0 * math.ulp(max(map(abs, bd.signed)))
+
+
 def _bits(values):
     return [float(v).hex() for v in values]
 

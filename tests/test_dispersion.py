@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokes_isolas import eigenvalue_branch, omega_disp, phase_speed, t_ratio
-from stokes_isolas.dispersion import _FLOATS, _TANH_ONE, _libm, _tanh
+from stokes_isolas import (
+    IsolaParams,
+    beta1,
+    beta_scan,
+    eigenvalue_branch,
+    find_beta_zeros,
+    omega_disp,
+    phase_speed,
+    t_ratio,
+)
+from stokes_isolas.dispersion import _FLOATS, _TANH_ONE, _libm, _tanh, _ulp
 from stokes_isolas.resonance import build_resonance_data
 
 # High-precision reference evaluations (>= 50 digits), rounded to double.
@@ -175,13 +184,15 @@ class TestTanhKernel:
         assert th.dtype == np.float64 and th.shape == x.shape
         assert th.tobytes() == _libm(math.tanh, x).tobytes()
 
-    def test_libm_is_called_only_below_22(self, monkeypatch):
+    def test_libm_is_called_only_below_tanh_one(self, monkeypatch):
         calls = []
         libm_tanh = math.tanh
         monkeypatch.setattr(math, "tanh", lambda v: calls.append(v) or libm_tanh(v))
-        x = np.array([0.5, 22.0, np.nextafter(22.0, 0.0), np.inf, np.nan, 40.0, -40.0])
+        below = np.nextafter(_TANH_ONE, 0.0)
+        x = np.array([0.5, _TANH_ONE, below, 22.0, np.inf, np.nan, 40.0, -40.0])
         _tanh(x)
-        assert len(calls) == 4 and calls[:2] == [0.5, np.nextafter(22.0, 0.0)]
+        assert _TANH_ONE == 19.1
+        assert len(calls) == 4 and calls[:2] == [0.5, below]
         assert math.isnan(calls[2]) and calls[3] == -40.0
 
     def test_floats_stay_libm(self):
@@ -195,9 +206,59 @@ class TestTanhKernel:
             q = [j + rd.phi_star for j in range(p + 1)]
             assert rd.Omega.tolist() == [math.sqrt(x * math.tanh(h * x)) for x in q]
 
-    def test_libm_saturates_from_22(self):
-        # the premise of _tanh: libm's tanh is exactly 1.0 on [22, inf]
+    def test_libm_saturates_from_tanh_one(self):
+        # the premise of _tanh: libm's tanh is exactly 1.0 on [19.1, inf]
         xs = np.geomspace(_TANH_ONE, 1e308, 100_001).tolist()
-        assert (xs[0], xs[-1]) == (22.0, 1e308)
-        assert all(math.tanh(x) == 1.0 for x in xs)
+        assert (xs[0], xs[-1]) == (19.1, 1e308)
+        # densely where 1 - tanh(x) is closest to half an ulp under 1.0, and each end's neighbours
+        dense = np.linspace(_TANH_ONE, 22.0, 1_000_001).tolist()
+        ends = [np.nextafter(x, d).item() for x in (_TANH_ONE, 22.0) for d in (0.0, math.inf)]
+        assert all(math.tanh(x) == 1.0 for x in xs + dense + ends)
         assert math.tanh(math.inf) == 1.0
+
+
+class TestUlpKernel:
+    """_ulp: math.ulp's values over arrays, from np.spacing where that is the same double."""
+
+    def test_arrays_equal_libm_bit_for_bit(self):
+        # every bit pattern with the sign bit clear: subnormals, the largest double, inf and NaNs included
+        bits = np.random.default_rng(3).integers(0, 2**63, 100_000, dtype=np.uint64)
+        edges = np.array([0.0, 5e-324, 1.0, np.finfo(float).max, np.nextafter(np.finfo(float).max, 0.0), np.inf, np.nan])
+        x = np.concatenate([bits.view(np.float64), edges])
+        assert _ulp(x).tobytes() == _libm(math.ulp, x).tobytes()
+        assert _ulp(np.array([])).shape == (0,)
+
+    def test_floats_stay_libm(self):
+        for x in (0.0, 1.0, 1e308, math.inf):
+            assert type(_ulp(x)) is float and _ulp(x) == math.ulp(x)
+
+
+BEYOND = 10**400  # an int no double can hold: float() raises OverflowError
+
+
+class TestBeyondDoubleRange:
+    """A real beyond the double range reads as +-inf and is refused with the usual ValueError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: beta1(2, BEYOND), "depth must be a positive finite real, got inf"),
+            (lambda: beta_scan(2, [BEYOND]), r"scan grid must lie within .*, got h=inf"),
+            (lambda: beta_scan(2, np.array([1.0, -BEYOND], dtype=object)), r"scan grid must lie within .*, got h=-inf"),
+            (lambda: beta_scan(2, (h for h in [1.0, 25.0, BEYOND])), r"scan grid must lie within .*, got h=25.0"),
+            (lambda: find_beta_zeros(2, 1.0, BEYOND), "depth must be a positive finite real, got inf"),
+            (lambda: IsolaParams.from_depth(2, BEYOND, 0.05, 1.0, 0.5), r"scan grid must lie within .*, got h=inf"),
+            (lambda: IsolaParams(p=2, h=1.0, eps=BEYOND, beta1=1.0, T1=1.0, E=0.5, y0=1.0, mu0=0.5),
+             "eps must be finite, got inf"),
+            (lambda: phase_speed(BEYOND), "depth must be a positive finite real, got inf"),
+            (lambda: phase_speed(-BEYOND), "depth must be a positive finite real, got -inf"),
+            (lambda: omega_disp(BEYOND, 1.0), "phi must be finite, got inf"),
+            (lambda: eigenvalue_branch(2**1100, 1, 0.1, 1.0), "need an integer mode index j"),
+        ],
+        ids=["beta1", "beta_scan", "beta_scan-object-array", "beta_scan-first-refused", "find_beta_zeros",
+             "from_depth", "IsolaParams-eps", "phase_speed", "phase_speed-negative", "omega_disp",
+             "eigenvalue_branch"],
+    )
+    def test_refused_with_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

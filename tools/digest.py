@@ -1,0 +1,66 @@
+"""One SHA-256 over the doubles the grid and single-depth paths return.
+
+A change that claims to keep every output bit can be checked by running
+this script before and after it: the two digests must be equal.  It hashes
+the raw float64 and bool bytes (not pickles, whose bytes depend on the
+Python and numpy versions) of these results at the 1001 depths
+np.linspace(0.05, 20, 1001), for p = 2, 3, 4 in turn:
+
+- ``_resonance_grid``: h, phi*, omega*, Omega_j, t_j, the residual and c;
+- ``_grid``: the signed terms, their total and the cancellation floor;
+- ``beta_scan``: each column of its rows, floor_flag as bools;
+- ``beta1_breakdown`` at every 20th depth: the same values as the first
+  two items at that depth, and floor_flag.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tools/digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from stokes_isolas.beta import _grid, beta1_breakdown, beta_scan
+from stokes_isolas.resonance import _resonance_grid
+
+RESONANCE_FIELDS = ("h", "phi_star", "omega_star", "Omega", "t", "residual", "c")
+HS = np.linspace(0.05, 20.0, 1001)
+
+
+def _floats(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _bools(x) -> bytes:
+    return np.asarray(x, dtype=bool).tobytes()
+
+
+def _record(bd) -> list[bytes]:
+    """The bytes of a BetaBreakdown's resonance data, terms, total, floor and flag."""
+    rd = [_floats(getattr(bd.rd, name)) for name in RESONANCE_FIELDS]
+    return rd + [_floats(bd.signed), _floats(bd.total), _floats(bd.cancellation_floor), _bools(bd.floor_flag)]
+
+
+def digest() -> str:
+    sha = hashlib.sha256()
+    for p in (2, 3, 4):
+        rd = _resonance_grid(p, HS)
+        parts = [_floats(getattr(rd, name)) for name in RESONANCE_FIELDS]
+        g = _grid(p, HS)
+        parts += [_floats(g.signed), _floats(g.total), _floats(g.cancellation_floor)]
+        rows = beta_scan(p, HS)
+        parts += [_floats([r.h for r in rows]), _floats([r.beta1 for r in rows]),
+                  _floats([r.leading for r in rows]), _floats([r.ratio for r in rows]),
+                  _bools([r.floor_flag for r in rows])]
+        for h in HS[::20].tolist():
+            parts += _record(beta1_breakdown(p, h))
+        for part in parts:
+            sha.update(part)
+    return sha.hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest())
