@@ -28,7 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dispersion import _libm
+import numpy as np
+
+from .dispersion import _check_depth, _check_depths, _libm
 from .errors import DegenerateFitError
 
 __all__ = [
@@ -113,14 +115,19 @@ def _model_for(p: int, table, what: str) -> AsymptoticModel:
         raise ValueError(f"no closed-form {what} for p={p!r}; supported: 2, 3, 4") from None
 
 
+def _depth(h):
+    """h checked as a depth: a float, or an array of floats whose first non-finite or non-positive depth is refused."""
+    return _check_depths(h) if isinstance(h, np.ndarray) else _check_depth(h)
+
+
 def leading_term(p: int, h: float) -> float:
-    """Leading deep-water part of the p-th coefficient (yellow curve data)."""
-    return _model_for(p, LEADING_MODELS, "leading term").leading(h)
+    """Leading deep-water part of the p-th coefficient (yellow curve data); h may be an array of depths."""
+    return _model_for(p, LEADING_MODELS, "leading term").leading(_depth(h))
 
 
 def wavenumber_asymptote(p: int, h: float) -> float:
-    """Two-term deep-water expansion of the critical wavenumber phi(p, h)."""
-    return _model_for(p, WAVENUMBER_MODELS, "wavenumber expansion").value(h)
+    """Two-term deep-water expansion of the critical wavenumber phi(p, h); h may be an array of depths."""
+    return _model_for(p, WAVENUMBER_MODELS, "wavenumber expansion").value(_depth(h))
 
 
 def _default_floor(f_val: float, lead_val: float) -> float:

@@ -25,25 +25,31 @@ independently transcribed reference evaluator in ``oracle.py``).
 The rule is compiled once per p into a plan (``_plan``): for each term its
 sign, its 4^(k+1), its hops as (l-1, w_m, m, w_n, n) and its intermediates
 (j, s), with each distinct hop factor and denominator evaluated once per
-depth.  The plan is compiled in turn into straight-line Python source
-(``_Plan.rule``), executed once and cached, so evaluating it walks no
-loops: each distinct hop factor is one local a_l + p_l * (+-t_m +- t_n),
-with the t-weights written as signs, each distinct prefactor
-root * Omega_j ... one local, and each term one expression, x or -(x).
-Dropping the multiplies by +-1 changes no double.  One evaluator
-(``_evaluate``) runs that code.  It is a rational function of c, Omega_j,
-t_j and root = sqrt(Omega_0 * Omega_p), which its caller supplies: only
-+ - * / and float constants touch them, so it runs on Python floats at a
-single depth, on numpy arrays over a grid of depths and on mpmath numbers
-(the 40-digit audit in the tests).  For doubles the result is one record
-(``BetaBreakdown``): the signed terms and their total, floats at one depth
-(``beta1_breakdown``) or one column per depth over a grid (``_grid``).
-``beta_scan`` (which fills its rows' slots a column at a time), the grid
-pass of ``find_beta_zeros``, the CLI tables and ``IsolaParams.from_depth``
-read it; ``beta1`` computes the same total directly.  The evaluator
-performs the same IEEE operations in the same order either way, and the
-grid's phi* solve is a lane-wise port of the single-depth Brent solve, so
-every grid value equals the single-depth value bit for bit.
+depth.  The plan is compiled in turn, lazily and once, into two pieces of
+straight-line Python source, so evaluating it walks no loops.  Its
+denominators (``_Plan.denominators``) are one expression each,
+j*c -+ Omega_j - Omega_0, with -s*Omega_j written as a sign.  Its rule
+(``_Plan.rule``) has each distinct hop factor as one local
+a_l + p_l * (+-t_m +- t_n), with the t-weights written as signs, each
+distinct prefactor root * Omega_j ... as one local, and each term as one
+expression, x or -(x).  Dropping the multiplies by +-1 changes no double.
+One evaluator (``_evaluate``) runs the rule.  It is a rational function of
+c, Omega_j, t_j and root = sqrt(Omega_0 * Omega_p), which its caller
+supplies: only + - * / and float constants touch them, so it runs on
+Python floats at a single depth, on numpy arrays over a grid of depths and
+on mpmath numbers (the 40-digit audit in the tests).
+
+At one depth (``_point``) p is refused before the depth and both before
+the one single-depth solve (``resonance._solve``), whose plain floats and
+lists ``_signed_terms`` reads: ``beta1`` and ``IsolaParams.from_depth``
+build no record.  For doubles the record is ``BetaBreakdown``: the signed
+terms and their total, floats at one depth (``beta1_breakdown``) or one
+column per depth over a grid (``_grid``).  ``beta_scan`` (which fills its
+rows' slots a column at a time), the grid pass of ``find_beta_zeros`` and
+the CLI tables read it.  The evaluator performs the same IEEE operations
+in the same order either way, and the grid's phi* solve is a lane-wise
+port of the single-depth Brent solve, so every grid value equals the
+single-depth value bit for bit.
 
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
@@ -69,7 +75,9 @@ import numpy as np
 from .asymptotics import leading_term
 from .dispersion import _check_depth, _ulp
 from .errors import SingularityError
-from .resonance import ResonanceData, _equal_fields, _resonance_grid, _scan_depths, brentq, build_resonance_data
+from .resonance import (
+    ResonanceData, _check_index, _equal_fields, _record, _resonance_grid, _scan_depths, _solve, brentq,
+)
 from .stokes_coefficients import _coefficients
 
 __all__ = [
@@ -172,6 +180,25 @@ class _Plan:
     groups: dict
 
     @cached_property
+    def denominators(self):
+        """The plan's denominators as straight-line Python: denominators(Omega, c) -> [d0, d1, ...].
+
+        d_k = j*c - s*Omega_j - Omega_0 for the k-th distinct intermediate
+        (j, s), left to right, with 1 * c written c and -s * Omega_j written
+        as a sign (x - (-y) is exactly x + y): the same doubles as the
+        longhand expression, on floats and arrays alike.  Compiled under
+        ``<denominators p=...>``.
+        """
+        p = self.p
+        dens = [f"{'c' if j == 1 else f'{j} * c'} {'-' if s > 0 else '+'} O{j} - O0" for j, s in self.dens]
+        lines = [
+            "def denominators(Omega, c):",
+            f"    {', '.join(f'O{j}' for j in range(p + 1))} = Omega",
+            f"    return [{', '.join(dens)}]",
+        ]
+        return _compile(f"<denominators p={p}>", lines, "denominators")
+
+    @cached_property
     def rule(self):
         """The plan as straight-line Python: rule(Omega, t, coefficients, dens, root) -> signed terms.
 
@@ -183,9 +210,7 @@ class _Plan:
         of its subset's prefix (r12 = r1 * O2), so it keeps its left-to-right
         association.  Each term is one expression x or -(x), with
         x = prefactor * (N * N ...) / (4^(k+1) * d ...), multiplied left to
-        right within each bracket.  The source is compiled under the file
-        name ``<path rule p=...>`` and registered in linecache, so
-        tracebacks and inspect.getsource show the generated lines.
+        right within each bracket.  Compiled under ``<path rule p=...>``.
         """
         p = self.p
         lines = [
@@ -208,12 +233,16 @@ class _Plan:
             term = f"{prefactors[tid.intermediates]} * {numerator} / {denominator}"
             lines.append(f"        {term if sign > 0 else f'-({term})'},  # {tid.label}")
         lines.append("    ]")
-        source = "\n".join(lines) + "\n"
-        filename = f"<path rule p={p}>"
-        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        namespace = {"__name__": __name__}
-        exec(compile(source, filename, "exec"), namespace)
-        return namespace["path_rule"]
+        return _compile(f"<path rule p={p}>", lines, "path_rule")
+
+
+def _compile(filename: str, lines: list[str], name: str):
+    """The function name that lines define, compiled under filename and put in linecache for tracebacks."""
+    source = "\n".join(lines) + "\n"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"__name__": __name__}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
 def _product(factors: list[str]) -> str:
@@ -240,11 +269,6 @@ def _plan(p: int) -> _Plan:
     return _Plan(p, tuple(hops), tuple(dens), tuple(terms), groups)
 
 
-def _denominators(plan: _Plan, Omega, c) -> list:
-    """j*c - s*Omega_j - Omega_0 for each distinct intermediate (j, s)."""
-    return [j * c - s * Omega[j] - Omega[0] for j, s in plan.dens]
-
-
 def _evaluate(plan: _Plan, Omega, t, coefficients, dens, root) -> list:
     """Signed terms in beta_term_ids order, a rational function of the inputs.
 
@@ -258,25 +282,28 @@ def _evaluate(plan: _Plan, Omega, t, coefficients, dens, root) -> list:
     return plan.rule(Omega, t, coefficients, dens, root)
 
 
-def _signed_terms(rd: ResonanceData) -> list[float]:
-    """Every term of the rd.p-th coefficient at one depth with its sign, in beta_term_ids order."""
-    plan = _plan(rd.p)
-    coefficients = _coefficients(rd.c)
-    Omega, t = rd.Omega.tolist(), rd.t.tolist()
-    dens = _denominators(plan, Omega, rd.c)
-    if any(abs(d) < DENOMINATOR_GUARD for d in dens):
+def _signed_terms(plan: _Plan, h: float, c: float, Omega: list[float], t: list[float]) -> list[float]:
+    """Every term of the plan.p-th coefficient at depth h with its sign, in beta_term_ids order.
+
+    c, Omega_j and t_j are the floats and lists the single-depth solve
+    returns.  Each denominator is checked against DENOMINATOR_GUARD before
+    any term divides by it.
+    """
+    coefficients = _coefficients(c)
+    dens = plan.denominators(Omega, c)
+    if min(map(abs, dens)) < DENOMINATOR_GUARD:
         # name the first term, in beta_term_ids order, that divides by a guarded denominator
-        tid, k = next((tid, k) for tid, (_, _, _, den_ids) in zip(beta_term_ids(rd.p), plan.terms)
+        tid, k = next((tid, k) for tid, (_, _, _, den_ids) in zip(beta_term_ids(plan.p), plan.terms)
                       for k in den_ids if abs(dens[k]) < DENOMINATOR_GUARD)
         j, s = plan.dens[k]
         sign = "-" if s > 0 else "+"
         raise SingularityError(
             f"near-vanishing denominator {j}*c_h {sign} Omega_{j} - Omega_0 = {dens[k]:.3e} "
-            f"in term {tid.label} at (p={rd.p}, h={rd.h})",
+            f"in term {tid.label} at (p={plan.p}, h={h})",
             denominator_label=f"{j}*c_h {sign} Omega_{j} - Omega_0",
             value=dens[k],
         )
-    return _evaluate(plan, Omega, t, coefficients, dens, math.sqrt(Omega[0] * Omega[rd.p]))
+    return _evaluate(plan, Omega, t, coefficients, dens, math.sqrt(Omega[0] * Omega[plan.p]))
 
 
 def _grid_terms(rd: ResonanceData) -> np.ndarray:
@@ -287,7 +314,7 @@ def _grid_terms(rd: ResonanceData) -> np.ndarray:
     raises the error a row-by-row loop would raise first.
     """
     plan = _plan(rd.p)
-    dens = _denominators(plan, rd.Omega, rd.c)
+    dens = plan.denominators(rd.Omega, rd.c)
     with np.errstate(all="ignore"):
         root = np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
         terms = np.array(_evaluate(plan, rd.Omega, rd.t, _coefficients(rd.c), dens, root))
@@ -295,9 +322,8 @@ def _grid_terms(rd: ResonanceData) -> np.ndarray:
     for d in dens:
         redo |= np.abs(d) < DENOMINATOR_GUARD
     for i in np.flatnonzero(redo):
-        lane = ResonanceData(rd.p, float(rd.h[i]), float(rd.phi_star[i]), float(rd.omega_star[i]),
-                             rd.Omega[:, i], rd.t[:, i], float(rd.residual[i]), float(rd.c[i]))
-        terms[:, i] = _signed_terms(lane)
+        Omega, t = rd.Omega[:, i].tolist(), rd.t[:, i].tolist()
+        terms[:, i] = _signed_terms(plan, float(rd.h[i]), float(rd.c[i]), Omega, t)
     return terms
 
 
@@ -356,22 +382,35 @@ class BetaBreakdown:
 
 
 def _grid(p: int, hs) -> BetaBreakdown:
-    """The record at every depth of hs, one column per depth (see _grid_terms)."""
-    rd = _resonance_grid(p, hs)
+    """The record at every depth of hs, one column per depth (see _grid_terms); p is refused as by _point."""
+    rd = _resonance_grid(_plan(_check_index(p)).p, hs)
     signed = _grid_terms(rd)
     return BetaBreakdown(rd, signed, neumaier_sum(signed))
 
 
+def _point(p: int, h: float) -> tuple:
+    """(p, h, c, phi*, Omega_j, t_j, signed terms) at one depth, as ints, floats and lists: no record.
+
+    p is refused first, then h, both before the one single-depth solve
+    (``resonance._solve``): a p that is not an integer >= 2 by _check_index,
+    then one outside {2, 3, 4} by the plan.  The first six entries are
+    _record's arguments.
+    """
+    plan = _plan(_check_index(p))
+    h = _check_depth(h)
+    c, phi, Omega, t = _solve(plan.p, h)
+    return plan.p, h, c, phi, Omega, t, _signed_terms(plan, h, c, Omega, t)
+
+
 def beta1(p: int, h: float) -> float:
     """Signed compensated sum of all terms of the p-th coefficient at depth h."""
-    return neumaier_sum(_signed_terms(build_resonance_data(p, h)))
+    return neumaier_sum(_point(p, h)[-1])
 
 
 def beta1_breakdown(p: int, h: float) -> BetaBreakdown:
     """Like :func:`beta1` but exposing every term and the group sums."""
-    rd = build_resonance_data(p, h)
-    signed = _signed_terms(rd)
-    return BetaBreakdown(rd, signed, neumaier_sum(signed))
+    *solved, signed = _point(p, h)
+    return BetaBreakdown(_record(*solved), signed, neumaier_sum(signed))
 
 
 def find_beta_zeros(

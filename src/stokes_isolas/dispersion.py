@@ -151,6 +151,14 @@ def _check_depth(h: float) -> float:
     return h
 
 
+def _check_depths(h: np.ndarray) -> np.ndarray:
+    """_check_depth over an array of floats in one pass: its first non-finite or non-positive depth is refused."""
+    ok = (h > 0.0) & (h < math.inf)  # false at NaN too
+    if not ok.all():
+        _check_depth(h[np.argmin(ok)])
+    return h
+
+
 def _check_finite(x: float, name: str) -> float:
     x = _float(x)
     if not math.isfinite(x):

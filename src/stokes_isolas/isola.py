@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beta import beta1_breakdown
+from .beta import _point, neumaier_sum
 from .dispersion import _check_finite
 from .resonance import _check_index, _scan_depth
 
@@ -84,18 +84,23 @@ class IsolaParams:
 
     @classmethod
     def from_depth(cls, p, h, eps, T1, E, y0=None, mu0=None):
-        """Fill beta1, y0, mu0 from beta1_breakdown(p, h); h outside [0.05, 20] is refused as by the beta tables."""
+        """Fill beta1, y0, mu0 from one phi* solve at depth h: the values of beta1_breakdown(p, h).
+
+        beta1 is its total, y0 the collision frequency omega* = c*phi* + Omega_0
+        and mu0 the critical wavenumber phi*.  h outside [0.05, 20] is refused
+        as by the beta tables, then p as by beta1, both before the solve.
+        """
         _scan_depth(h)
-        bd = beta1_breakdown(p, h)
+        _, _, c, phi, Omega, _, signed = _point(p, h)
         return cls(
             p=p,
             h=h,
             eps=eps,
-            beta1=bd.total,
+            beta1=neumaier_sum(signed),
             T1=T1,
             E=E,
-            y0=bd.rd.omega_star if y0 is None else y0,
-            mu0=bd.rd.phi_star if mu0 is None else mu0,
+            y0=c * phi + Omega[0] if y0 is None else y0,
+            mu0=phi if mu0 is None else mu0,
         )
 
     @property

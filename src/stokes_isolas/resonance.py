@@ -19,12 +19,17 @@ a scalar and a lane-wise port of scipy's ``brentq`` (Brent's method, Brent,
 *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Both
 perform the IEEE operations scipy's C code performs, so they return the same
 phi* as scipy and as each other, and the package needs no scipy at run time.
-``build_resonance_data``, the one single-depth solve, checks p and h once.
-It and the grid solve ``_resonance_grid`` share one residual (``_residual``)
-and one record (``_record``) body, over the dispersion kernels' float or
-array triple, so every grid value equals the single-depth one bit for bit.
-At one depth and over a grid phi* is accepted when the record's residual
-f(phi*) has |residual| <= DEFAULT_TOL, a fixed tolerance.
+``_solve``, the one single-depth solve, returns plain floats and lists (c,
+phi* and the Omega_j, t_j) and builds no record; its callers check p and h
+once.  ``build_resonance_data`` wraps its result in a ``ResonanceData``;
+``solve_wavenumber``, ``omega_star`` and the beta coefficients at one depth
+read it directly.  It and the grid solve ``_resonance_grid`` share one
+residual (``_residual``) body and one tabulation, over the dispersion
+kernels' float or array triple, and both records come from one ``_record``
+body, so every grid value equals the single-depth one bit for bit.  At one
+depth and over a grid phi* is accepted when the residual read off the
+tabulation, f(phi*) = Omega_0 + Omega_p - p*c, has magnitude at most
+DEFAULT_TOL, a fixed tolerance; the record carries that residual.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dispersion import _ARRAYS, _FLOATS, _check_depth, _check_finite, _float, _phase, _tabulate
+from .dispersion import _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _float, _phase, _tabulate
 from .errors import SolverError
 
 __all__ = [
@@ -284,19 +289,20 @@ class ResonanceData:
         return _equal_fields(self, other, [f.name for f in fields(self)])
 
 
-def _record(p: int, h, c, phi, kernels) -> ResonanceData:
-    """The record at phi* = phi: Omega_j, t_j tabulated, and its residual f(phi*) read off them."""
-    Omega, t = _tabulate(p, h, phi, kernels)
+def _record(p: int, h, c, phi, Omega, t) -> ResonanceData:
+    """The record at phi* = phi from its tabulated Omega_j, t_j: omega* and the residual f(phi*) read off them."""
     return ResonanceData(p, h, phi, c * phi + Omega[0], np.array(Omega), np.array(t), Omega[0] + Omega[p] - p * c, c)
 
 
-def build_resonance_data(p: int, h: float) -> ResonanceData:
-    """Solve f(phi*) = 0 and tabulate Omega_j, t_j, omega* for j = 0..p.
+def _solve(p: int, h: float) -> tuple[float, float, list[float], list[float]]:
+    """The one single-depth solve: (c, phi*, Omega_j, t_j for j = 0..p), floats and lists, no record.
 
-    Starts from a bracket centered on the deep-water limit (p-1)^2/4,
-    expands it geometrically toward 0+ or +infinity until the residual
-    changes sign, then refines with Brent's method.  The record's residual
-    is f(phi*), and the root is accepted when |residual| <= DEFAULT_TOL.
+    p and h are as _check_index and _check_depth return them: every caller
+    checks them first.  Starts from a bracket centered on the deep-water
+    limit (p-1)^2/4, expands it geometrically toward 0+ or +infinity until
+    the residual changes sign, then refines with Brent's method.  The root
+    is accepted when the residual read off the tabulation (the record's),
+    f(phi*) = Omega_0 + Omega_p - p*c, has magnitude at most DEFAULT_TOL.
 
     Raises
     ------
@@ -305,8 +311,6 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
         expansions (pathological depths far outside [1e-3, 1e3]), or if
         the residual at the root exceeds DEFAULT_TOL.
     """
-    p = _check_index(p)
-    h = _check_depth(h)
     c = _phase(h, _FLOATS)
     f = _residual(p, h, c, _FLOATS)
 
@@ -327,11 +331,22 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
             raise SolverError(f"no sign change toward +inf for p={p}, h={h}", bracket=(lo, hi))
         fhi = f(hi)
 
-    rd = _record(p, h, c, brentq(f, lo, hi, flo, fhi, _XTOL), _FLOATS)
-    if abs(rd.residual) > DEFAULT_TOL:
-        raise SolverError(f"residual {rd.residual:.3e} above tol {DEFAULT_TOL:.3e} at phi={rd.phi_star!r}",
-                          bracket=(lo, hi))
-    return rd
+    phi = brentq(f, lo, hi, flo, fhi, _XTOL)
+    Omega, t = _tabulate(p, h, phi, _FLOATS)
+    residual = Omega[0] + Omega[p] - p * c
+    if abs(residual) > DEFAULT_TOL:
+        raise SolverError(f"residual {residual:.3e} above tol {DEFAULT_TOL:.3e} at phi={phi!r}", bracket=(lo, hi))
+    return c, phi, Omega, t
+
+
+def build_resonance_data(p: int, h: float) -> ResonanceData:
+    """Solve f(phi*) = 0 and tabulate Omega_j, t_j, omega* for j = 0..p, as one record.
+
+    Checks p and h (ValueError), then solves by ``_solve``, whose
+    SolverError it raises; the record's residual is the f(phi*) accepted.
+    """
+    p, h = _check_index(p), _check_depth(h)
+    return _record(p, h, *_solve(p, h))
 
 
 def _resonance_grid(p: int, hs) -> ResonanceData:
@@ -344,10 +359,7 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
     the first failing depth raises the error a row-by-row loop would raise.
     """
     p = _check_index(p)
-    h = np.array(hs, dtype=float)
-    bad = ~(np.isfinite(h) & (h > 0.0))
-    if bad.any():
-        _check_depth(h[np.argmax(bad)])
+    h = _check_depths(np.array(hs, dtype=float))
     c = _phase(h, _ARRAYS)
     f = lambda phi, lanes: _residual(p, h[lanes], c[lanes], _ARRAYS)(phi)
 
@@ -365,7 +377,7 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
             lanes = lanes[outward(fx[lanes], 0.0)]
 
     phi, settled = _brentq_lanes(f, lo, hi, flo, fhi)
-    rd = _record(p, h, c, phi, _ARRAYS)
+    rd = _record(p, h, c, phi, *_tabulate(p, h, phi, _ARRAYS))
     settled &= (expansions <= _MAX_EXPANSIONS) & (np.abs(rd.residual) <= DEFAULT_TOL)
     for i in np.flatnonzero(~settled):
         lane = build_resonance_data(p, h[i])
@@ -375,10 +387,11 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
 
 
 def solve_wavenumber(p: int, h: float) -> float:
-    """The critical wavenumber phi*(p, h): the root of f that build_resonance_data accepts."""
-    return build_resonance_data(p, h).phi_star
+    """The critical wavenumber phi*(p, h): the root of f that the single-depth solve accepts."""
+    return _solve(_check_index(p), _check_depth(h))[1]
 
 
 def omega_star(p: int, h: float) -> float:
     """Collision frequency omega*(p, h) = c*phi* + Omega(phi*, h)."""
-    return build_resonance_data(p, h).omega_star
+    c, phi, Omega, _ = _solve(_check_index(p), _check_depth(h))
+    return c * phi + Omega[0]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from stokes_isolas import (
@@ -45,6 +46,38 @@ class TestModels:
     def test_model_invariant(self):
         with pytest.raises(ValueError):
             AsymptoticModel(1.0, 2.0, 2.0, "remainder not smaller")
+
+
+BAD_DEPTHS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e4, 10**400]
+
+
+class TestDepthChecks:
+    @pytest.mark.parametrize("f", [leading_term, wavenumber_asymptote])
+    @pytest.mark.parametrize("bad", BAD_DEPTHS)
+    def test_float_depth_refused(self, f, bad):
+        # was nan, a number or OverflowError: a depth is checked as everywhere else
+        shown = "inf" if bad == 10**400 else repr(bad)  # a real beyond the double range reads as inf
+        with pytest.raises(ValueError, match=f"^depth must be a positive finite real, got {shown}$"):
+            f(2, bad)
+
+    @pytest.mark.parametrize("f", [leading_term, wavenumber_asymptote])
+    @pytest.mark.parametrize("bad", [b for b in BAD_DEPTHS if b != 10**400])
+    def test_array_names_its_first_bad_depth(self, f, bad):
+        with pytest.raises(ValueError, match=f"^depth must be a positive finite real, got {bad!r}$"):
+            f(3, np.array([1.0, 5.0, bad, -2.0, math.nan]))
+
+    @pytest.mark.parametrize("f", [leading_term, wavenumber_asymptote])
+    def test_unsupported_p_comes_first(self, f):
+        with pytest.raises(ValueError, match="^no closed-form"):
+            f(5, math.nan)
+
+    @pytest.mark.parametrize("f", [leading_term, wavenumber_asymptote])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_valid_depths_unchanged(self, f, p):
+        # an array of depths gives each float's value, bit for bit; tiny and huge depths stay valid
+        hs = np.concatenate([np.geomspace(1e-300, 1e300, 61), np.linspace(0.05, 20.0, 1001)])
+        assert f(p, hs).tobytes() == np.array([f(p, h) for h in hs.tolist()]).tobytes()
+        assert f(p, 1) == f(p, 1.0)
 
 
 class TestWavenumberAsymptote:

@@ -29,9 +29,9 @@ from stokes_isolas import (
     neumaier_sum,
     stokes_coefficients,
 )
-from stokes_isolas import beta
+from stokes_isolas import beta, resonance
 from stokes_isolas.beta import _grid, _grid_terms, _signed_terms
-from stokes_isolas.resonance import ResonanceData, _resonance_grid, build_resonance_data, solve_wavenumber
+from stokes_isolas.resonance import _resonance_grid, build_resonance_data, solve_wavenumber
 from stokes_isolas.stokes_coefficients import _coefficients
 
 # Zeros of the coefficient curves refined by the 50-digit reference
@@ -440,6 +440,94 @@ class TestGridIdentity:
             _resonance_grid(3, [1.0, bad, -5.0])
 
 
+class TestOneDepthWithoutRecord:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_beta1_is_the_breakdown_total(self, p):
+        assert _bits(beta1(p, h) for h in DENSE) == _bits(beta1_breakdown(p, h).total for h in DENSE)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_from_depth_reads_the_breakdown(self, p):
+        for h in DENSE:
+            params, bd = IsolaParams.from_depth(p, h, 0.1, 1.0, 0.5), beta1_breakdown(p, h)
+            assert _bits([params.beta1, params.y0, params.mu0]) == _bits([bd.total, bd.rd.omega_star, bd.rd.phi_star])
+            assert (params.p, params.h) == (p, h)
+
+    def test_beta1_and_from_depth_build_no_record(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ResonanceData was built")
+
+        monkeypatch.setattr(resonance, "ResonanceData", refuse)
+        assert beta1(4, 1.0) == IsolaParams.from_depth(4, 1.0, 0.1, 1.0, 0.5).beta1
+
+    @pytest.mark.parametrize("p", [1, 2.5, math.nan, 5])
+    def test_same_error_for_a_bad_index(self, p):
+        with pytest.raises(ValueError) as one:
+            beta1(p, 1.0)
+        with pytest.raises(ValueError) as other:
+            beta1_breakdown(p, 1.0)
+        assert (type(one.value), str(one.value)) == (type(other.value), str(other.value))
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0, -1, 10**400, 1e-40, 1e-5],
+                             ids=["nan", "inf", "0", "-1", "10**400", "1e-40", "1e-5"])
+    def test_same_error_for_a_bad_depth(self, p, h):
+        with pytest.raises(Exception) as one:
+            beta1(p, h)
+        with pytest.raises(Exception) as other:
+            beta1_breakdown(p, h)
+        assert (type(one.value), str(one.value)) == (type(other.value), str(other.value))
+        if h == 1e-5:
+            assert type(one.value) is SingularityError
+            assert f"in term B_{{1,1}}^{{+}} at (p={p}, h=1e-05)" in str(one.value)
+
+
+def _count_solves(monkeypatch):
+    """Counts of the single-depth and the lane-wise phi* Brent solves, as the solves look them up."""
+    calls = {"brentq": 0, "_brentq_lanes": 0}
+    for name in calls:
+        original = getattr(resonance, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(resonance, name, counted)
+    return calls
+
+
+CLOSED_FORMS = r"^closed-form coefficients exist for p in \{2, 3, 4\}, got 5$"
+INDEX = r"^isola index p must be an integer >= 2, got "
+
+
+class TestIndexRefusedBeforeSolve:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: beta1(p, 1.0),
+            lambda p: beta1_breakdown(p, 1.0),
+            lambda p: IsolaParams.from_depth(p, 1.0, 0.1, 1.0, 0.5),
+            lambda p: beta_scan(p, DENSE),
+            lambda p: find_beta_zeros(p, 0.3, 3.0),
+            lambda p: beta._grid(p, DENSE),
+        ],
+        ids=["beta1", "breakdown", "from_depth", "scan", "zeros", "grid"],
+    )
+    @pytest.mark.parametrize("p, match", [(5, CLOSED_FORMS), (1, INDEX + "1$"), (2.5, INDEX + "2.5$")])
+    def test_no_solve_runs(self, monkeypatch, call, p, match):
+        calls = _count_solves(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            call(p)
+        assert calls == {"brentq": 0, "_brentq_lanes": 0}
+        call(4)  # the counters see the solves of a valid p
+        assert calls["brentq"] + calls["_brentq_lanes"] >= 1
+
+    def test_index_before_depth(self):
+        # both bad: the unsupported p is named, not the depth
+        for call in (beta1, beta1_breakdown):
+            with pytest.raises(ValueError, match=CLOSED_FORMS):
+                call(5, math.nan)
+
+
 def _evaluate_by_loops(plan, Omega, t, coefficients, dens, root):
     """The plan walked in nested loops: the reference the compiled path rule must equal bit for bit."""
     a, pl = coefficients
@@ -464,7 +552,12 @@ def _rule_inputs(plan, rd):
     else:
         Omega, t = rd.Omega.tolist(), rd.t.tolist()
         root = math.sqrt(Omega[0] * Omega[rd.p])
-    return Omega, t, _coefficients(rd.c), beta._denominators(plan, Omega, rd.c), root
+    return Omega, t, _coefficients(rd.c), plan.denominators(Omega, rd.c), root
+
+
+def _denominators_by_loop(plan, Omega, c):
+    """j*c - s*Omega_j - Omega_0 written longhand: the reference the compiled denominators must equal bit for bit."""
+    return [j * c - s * Omega[j] - Omega[0] for j, s in plan.dens]
 
 
 class TestCompiledPathRule:
@@ -514,6 +607,32 @@ class TestCompiledPathRule:
         used = {node.id for node in ast.walk(returned) if isinstance(node, ast.Name)}
         assert used == {"root", *prefactors} | {name for name in used if re.fullmatch(r"[Nd]\d+", name)}
 
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_denominators_equal_the_loop(self, p):
+        plan = beta._plan(p)
+        for h in np.geomspace(0.05, 20.0, 501).tolist():
+            rd = build_resonance_data(p, h)
+            Omega = rd.Omega.tolist()
+            dens = plan.denominators(Omega, rd.c)
+            assert type(dens) is list and all(type(d) is float for d in dens)
+            assert _bits(dens) == _bits(_denominators_by_loop(plan, Omega, rd.c)), h
+        rd = _resonance_grid(p, np.linspace(0.05, 20.0, 2000))
+        dens = plan.denominators(rd.Omega, rd.c)
+        assert np.array(dens).tobytes() == np.array(_denominators_by_loop(plan, rd.Omega, rd.c)).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_denominators_are_one_expression_each(self, p):
+        # one expression per distinct (j, s), in plan order, reading c, Omega_j and Omega_0 only,
+        # with the signature written as a sign: no negation, no multiply by 1 or +-1
+        plan = beta._plan(p)
+        source = inspect.getsource(plan.denominators)
+        returned = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Return)).value
+        assert len(returned.elts) == len(plan.dens)
+        for d, (j, s) in zip(returned.elts, plan.dens):
+            assert {node.id for node in ast.walk(d) if isinstance(node, ast.Name)} == {"c", f"O{j}", "O0"}
+            assert not any(isinstance(node, ast.UnaryOp) for node in ast.walk(d))
+        assert not re.findall(r"(?<![\w.])-?1(?:\.0)? \*", source)
+
     def test_traceback_shows_the_generated_line(self):
         # d0 = 0 divides term B_{1,1}^{-} of p = 2 by zero
         with pytest.raises(ZeroDivisionError) as err:
@@ -532,10 +651,8 @@ def _engineered(h):
 class TestSingularityGuard:
     def test_engineered_denominator(self):
         Omega, t = _engineered(1.0)
-        rd = ResonanceData(p=2, h=1.0, phi_star=0.3, omega_star=1.0, Omega=Omega, t=t, residual=0.0,
-                           c=stokes_coefficients(1.0).c)
         with pytest.raises(SingularityError) as err:
-            _signed_terms(rd)
+            _signed_terms(beta._plan(2), 1.0, stokes_coefficients(1.0).c, Omega.tolist(), t.tolist())
         assert "Omega_1" in str(err.value)
 
     def test_one_singular_depth_in_a_grid(self, monkeypatch):

@@ -100,7 +100,7 @@ def test_plan_matches_oracle_to_forty_digits(p):
             Omega = [oracle._omega(j + phi, x) for j in range(p + 1)]
             t = [oracle._t(j + phi, x) for j in range(p + 1)]
             c = oracle._coefficients(x)[0]
-            dens = beta._denominators(plan, Omega, c)
+            dens = plan.denominators(Omega, c)
             terms = beta._evaluate(plan, Omega, t, _coefficients(c), dens, mp.sqrt(Omega[0] * Omega[p]))
             ref = oracle.oracle_beta1(p, h, cfg)
             assert abs(mp.fsum(terms) - ref) <= mp.mpf("1e-40") * abs(ref), (p, h)

@@ -174,21 +174,22 @@ class TestResonanceData:
 class TestChecksOnce:
     @pytest.mark.parametrize("p, h", [(2, 0.05), (3, 1.0), (4, 20.0)])
     def test_beta1_checks_its_inputs_once(self, monkeypatch, p, h):
-        from stokes_isolas import beta1
+        from stokes_isolas import beta, beta1, dispersion
 
         calls = []
 
-        def counting(name):
-            original = getattr(resonance, name)
-
+        def counting(name, original):
             def counted(*args):
                 calls.append(name)
                 return original(*args)
 
             return counted
 
-        for name in ("_check_depth", "_check_index", "_phase"):
-            monkeypatch.setattr(resonance, name, counting(name))
+        # every module that holds one of these names, so a check reached through any of them counts
+        for module in (dispersion, resonance, beta):
+            for name in ("_check_depth", "_check_index", "_phase"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         value = beta1(p, h)
         monkeypatch.undo()
         assert sorted(calls) == ["_check_depth", "_check_index", "_phase"]
@@ -221,6 +222,33 @@ class TestSeriesBranch:
                 if f.name != "p":
                     column = column[..., i]
                 assert column.tobytes() == np.asarray(getattr(one, f.name), dtype=float).tobytes(), (h, f.name)
+
+
+# the 1001-depth grid of the bit-for-bit tests, both ends included
+DENSE = np.linspace(0.05, 20.0, 1001).tolist()
+
+
+class TestRecordFreeSolve:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_equal_the_record_on_the_dense_grid(self, p):
+        for h in DENSE:
+            rd = build_resonance_data(p, h)
+            assert solve_wavenumber(p, h).hex() == rd.phi_star.hex(), h
+            assert omega_star(p, h).hex() == rd.omega_star.hex(), h
+
+    @pytest.mark.parametrize("p", [5, 6, 7, 8, 9])
+    def test_equal_the_record_beyond_four(self, p):
+        for h in (0.05, 0.3, 1.0, 3.1, 20.0):
+            rd = build_resonance_data(p, h)
+            assert solve_wavenumber(p, h).hex() == rd.phi_star.hex(), h
+            assert omega_star(p, h).hex() == rd.omega_star.hex(), h
+
+    def test_no_record_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ResonanceData was built")
+
+        monkeypatch.setattr(resonance, "ResonanceData", refuse)
+        assert solve_wavenumber(3, 1.0) > 0.0 and omega_star(3, 1.0) > 0.0
 
 
 class TestOmegaStar:

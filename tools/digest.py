@@ -10,7 +10,15 @@ np.linspace(0.05, 20, 1001), for p = 2, 3, 4 in turn:
 - ``_grid``: the signed terms, their total and the cancellation floor;
 - ``beta_scan``: each column of its rows, floor_flag as bools;
 - ``beta1_breakdown`` at every 20th depth: the same values as the first
-  two items at that depth, and floor_flag.
+  two items at that depth, and floor_flag;
+- at the same depths, the results that come without a record: ``beta1``,
+  ``solve_wavenumber``, ``omega_star``, and the beta1, y0 and mu0 of
+  ``IsolaParams.from_depth(p, h, 0.1, 1.0, 0.5)``.
+
+It imports only names that have existed since the script was written, so
+it can hash an older ``src/`` to compare with the current one:
+
+    PYTHONPATH=path/to/older/src python tools/digest.py
 
 Run from the repository root:
 
@@ -23,8 +31,9 @@ import hashlib
 
 import numpy as np
 
-from stokes_isolas.beta import _grid, beta1_breakdown, beta_scan
-from stokes_isolas.resonance import _resonance_grid
+from stokes_isolas.beta import _grid, beta1, beta1_breakdown, beta_scan
+from stokes_isolas.isola import IsolaParams
+from stokes_isolas.resonance import _resonance_grid, omega_star, solve_wavenumber
 
 RESONANCE_FIELDS = ("h", "phi_star", "omega_star", "Omega", "t", "residual", "c")
 HS = np.linspace(0.05, 20.0, 1001)
@@ -57,6 +66,9 @@ def digest() -> str:
                   _bools([r.floor_flag for r in rows])]
         for h in HS[::20].tolist():
             parts += _record(beta1_breakdown(p, h))
+            params = IsolaParams.from_depth(p, h, 0.1, 1.0, 0.5)
+            parts.append(_floats([beta1(p, h), solve_wavenumber(p, h), omega_star(p, h),
+                                  params.beta1, params.y0, params.mu0]))
         for part in parts:
             sha.update(part)
     return sha.hexdigest()
