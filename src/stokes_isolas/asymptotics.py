@@ -65,7 +65,12 @@ class AsymptoticModel:
             )
 
     def leading(self, h: float) -> float:
-        """coeff * exp(-rate*h); h may be an array of depths (libm exp per element)."""
+        """coeff * exp(-rate*h); h may be an array of depths (libm exp per element).
+
+        A non-finite or non-positive depth is refused (ValueError); for an
+        array, the first such depth is named.
+        """
+        h = _check_depths(h) if isinstance(h, np.ndarray) else _check_depth(h)
         return self.coeff * _libm(math.exp, -self.rate * h)
 
     def value(self, h: float) -> float:
@@ -115,19 +120,14 @@ def _model_for(p: int, table, what: str) -> AsymptoticModel:
         raise ValueError(f"no closed-form {what} for p={p!r}; supported: 2, 3, 4") from None
 
 
-def _depth(h):
-    """h checked as a depth: a float, or an array of floats whose first non-finite or non-positive depth is refused."""
-    return _check_depths(h) if isinstance(h, np.ndarray) else _check_depth(h)
-
-
 def leading_term(p: int, h: float) -> float:
     """Leading deep-water part of the p-th coefficient (yellow curve data); h may be an array of depths."""
-    return _model_for(p, LEADING_MODELS, "leading term").leading(_depth(h))
+    return _model_for(p, LEADING_MODELS, "leading term").leading(h)
 
 
 def wavenumber_asymptote(p: int, h: float) -> float:
     """Two-term deep-water expansion of the critical wavenumber phi(p, h); h may be an array of depths."""
-    return _model_for(p, WAVENUMBER_MODELS, "wavenumber expansion").value(_depth(h))
+    return _model_for(p, WAVENUMBER_MODELS, "wavenumber expansion").value(h)
 
 
 def _default_floor(f_val: float, lead_val: float) -> float:

@@ -106,7 +106,7 @@ def _ratio(x, phi, th, h):
 def _ratios(x, phi, th, h):
     """_ratio at every element of arrays of equal shape."""
     small = x < _SERIES_THRESHOLD
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only where the series overwrites
         ratio = phi / th
     # the series on Python floats: x ** 4 by libm's pow, as in _ratio
     ratio[small] = list(map(_ratio, *(a[small].tolist() for a in (x, phi, th, h))))

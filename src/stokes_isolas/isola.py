@@ -115,9 +115,9 @@ class IsolaParams:
 
 
 def discriminant(nu: float, params: IsolaParams) -> float:
-    """D(nu) = 4*beta1^2*eps^(2p) - T1^2*nu^2 around the band center."""
+    """D(nu) = 4*beta1^2*eps^(2p) - T1^2*nu^2 around the band center; nu must be finite (ValueError)."""
     g = params.max_growth
-    return 4.0 * g * g - (params.T1 * nu) ** 2
+    return 4.0 * g * g - (params.T1 * _check_finite(nu, "nu")) ** 2
 
 
 def band_endpoints(params: IsolaParams) -> tuple[float, float]:
@@ -131,9 +131,9 @@ def eigenvalue_pair(mu: float, params: IsolaParams) -> tuple[complex, complex]:
 
     Inside the band: y0*i +- sqrt(D)/2 (nonzero real part); outside:
     purely imaginary, y0*i +- i*sqrt(|D|); continuous across the endpoints
-    where both eigenvalues equal y0*i.
+    where both eigenvalues equal y0*i.  mu must be finite (ValueError).
     """
-    D = discriminant(mu - params.mu0, params)
+    D = discriminant(_check_finite(mu, "mu") - params.mu0, params)
     if D > 0.0:
         half = 0.5 * math.sqrt(D)
         return complex(half, params.y0), complex(-half, params.y0)

@@ -14,22 +14,22 @@ definition of the p-th resonance; it reproduces the deep-water limits
 phi* -> (p-1)^2/4 and all downstream expansions, which is the validation
 available from the source material.
 
-One depth is solved by ``brentq`` and a grid of depths by ``_brentq_lanes``:
-a scalar and a lane-wise port of scipy's ``brentq`` (Brent's method, Brent,
-*Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Both
-perform the IEEE operations scipy's C code performs, so they return the same
-phi* as scipy and as each other, and the package needs no scipy at run time.
-``_solve``, the one single-depth solve, returns plain floats and lists (c,
-phi* and the Omega_j, t_j) and builds no record; its callers check p and h
-once.  ``build_resonance_data`` wraps its result in a ``ResonanceData``;
-``solve_wavenumber``, ``omega_star`` and the beta coefficients at one depth
-read it directly.  It and the grid solve ``_resonance_grid`` share one
-residual (``_residual``) body and one tabulation, over the dispersion
-kernels' float or array triple, and both records come from one ``_record``
-body, so every grid value equals the single-depth one bit for bit.  At one
-depth and over a grid phi* is accepted when the residual read off the
-tabulation, f(phi*) = Omega_0 + Omega_p - p*c, has magnitude at most
-DEFAULT_TOL, a fixed tolerance; the record carries that residual.
+One depth is solved by ``_solve`` with ``brentq``, a grid of depths by
+``_resonance_grid`` with ``_brentq_lanes``: a scalar and a lane-wise port of
+scipy's ``brentq`` (Brent's method, Brent, *Algorithms for Minimization
+without Derivatives*, 1973, ch. 4).  Both perform the IEEE operations
+scipy's C code performs, so they return the same phi* as scipy and as each
+other, and the package needs no scipy at run time.  ``_solve`` builds no
+record: ``solve_wavenumber``, ``omega_star`` and the beta coefficients at
+one depth read its floats and lists, and ``build_resonance_data`` wraps them
+in a ``ResonanceData``.  Both solves share one residual body, one
+tabulation over the dispersion kernels' float or array triple and one
+``_record`` body, so every grid value equals the single-depth one bit for
+bit.  phi* is accepted when the residual read off the tabulation,
+f(phi*) = Omega_0 + Omega_p - p*c, is at most DEFAULT_TOL in magnitude.  The
+grid expands brackets toward 0+ only, iterates only the lanes they bracket
+and solves every lane it does not accept again at one depth, so Brent's
+edge cases have one owner, ``_solve``.
 """
 
 from __future__ import annotations
@@ -191,23 +191,17 @@ def brentq(f, xa, xb, fa, fb, xtol):
 def _brentq_lanes(f, xa, xb, fa, fb):
     """Lane-wise port of scipy's brentq (scipy/optimize/Zeros/brentq.c).
 
-    Brent's method (Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4) on every lane of the brackets [xa, xb], whose
-    residuals fa, fb are already known, with the phi* solve's xtol, rtol
-    and maxiter.  Each lane performs the IEEE operations brentq performs,
-    so it returns the same double; lanes leave the loop as they converge.
+    Brent's method on every lane of the brackets [xa, xb], whose residuals
+    fa, fb are already known, with the phi* solve's xtol, rtol and maxiter.
+    Each lane performs the IEEE operations brentq performs, so it returns
+    the same double; lanes leave the loop as they converge.
     f(x, lanes) evaluates the residual at x for the given lane indices.
 
-    Returns (root, settled).  A lane is unsettled where brentq would
-    raise: a NaN residual, no sign change, no convergence.
+    Returns the roots; a lane without fa < 0 < fb (f stays finite inside
+    such a bracket) or that does not converge is unsettled, its root NaN.
     """
-    n = xa.size
-    root = np.full(n, np.nan)
-    settled = np.zeros(n, dtype=bool)
-    nan = np.isnan(fa) | np.isnan(fb)
-    for x, at in ((xa, ~nan & (fa == 0)), (xb, ~nan & (fa != 0) & (fb == 0))):
-        root[at], settled[at] = x[at], True
-    lanes = np.flatnonzero(~nan & (fa != 0) & (fb != 0) & (np.signbit(fa) != np.signbit(fb)))
+    root = np.full(xa.size, np.nan)
+    lanes = np.flatnonzero((fa < 0) & (fb > 0))
     xpre, xcur, fpre, fcur = xa[lanes], xb[lanes], fa[lanes], fb[lanes]
     xblk = fblk = spre = scur = np.zeros(lanes.size)
     with np.errstate(all="ignore"):
@@ -223,11 +217,11 @@ def _brentq_lanes(f, xa, xb, fa, fb):
             sbis = (xblk - xcur) / 2
             done = (fcur == 0) | (np.abs(sbis) < delta)
             if done.any():  # the first iterations settle no lane: nothing to compact
-                root[lanes[done]], settled[lanes[done]] = xcur[done], True
+                root[lanes[done]] = xcur[done]
                 go = ~done
-                lanes = lanes[go]
-                xpre, xcur, xblk, fpre, fcur, fblk = xpre[go], xcur[go], xblk[go], fpre[go], fcur[go], fblk[go]
-                spre, scur, delta, sbis = spre[go], scur[go], delta[go], sbis[go]
+                lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    a[go] for a in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+                )
             if not lanes.size:
                 break
 
@@ -246,12 +240,7 @@ def _brentq_lanes(f, xa, xb, fa, fb):
             xpre, fpre = xcur, fcur
             xcur = np.where(np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0, delta, -delta))
             fcur = f(xcur, lanes)
-            ok = ~np.isnan(fcur)
-            if not ok.all():
-                lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
-                    a[ok] for a in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
-                )
-    return root, settled
+    return root
 
 
 def _equal_fields(a, b, names) -> bool:
@@ -352,34 +341,30 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
 def _resonance_grid(p: int, hs) -> ResonanceData:
     """build_resonance_data at every depth of hs at once, as one ResonanceData of arrays.
 
-    Bit-identical to calling build_resonance_data per depth.  The first
-    non-finite or non-positive depth is refused before any solve.  Lanes
-    the array solve cannot settle (no bracket, no convergence, a record
-    residual above DEFAULT_TOL) are re-solved one by one in grid order, so
-    the first failing depth raises the error a row-by-row loop would raise.
+    Bit-identical to calling build_resonance_data per depth, which re-solves
+    in grid order every lane left unsettled (no f(lo) < 0 < f(hi) after
+    expanding toward 0+ only, no convergence, a record residual above
+    DEFAULT_TOL), so the first failing depth raises its error.  The first
+    non-finite or non-positive depth is refused before any solve.
     """
     p = _check_index(p)
     h = _check_depths(np.array(hs, dtype=float))
     c = _phase(h, _ARRAYS)
     f = lambda phi, lanes: _residual(p, h[lanes], c[lanes], _ARRAYS)(phi)
 
-    # bracket expansion, lane by lane as in build_resonance_data
+    # bracket expansion toward 0+, lane by lane as in _solve
     lo, hi = (np.full(h.size, end) for end in _bracket(p))
     flo, fhi = f(lo, ...), f(hi, ...)
-    expansions = np.zeros(h.size, dtype=int)
-    for x, fx, move, outward in ((lo, flo, lambda v: v / 4.0, np.greater), (hi, fhi, lambda v: v * 2.0, np.less)):
-        lanes = np.flatnonzero(outward(fx, 0.0) & (expansions <= _MAX_EXPANSIONS))
-        while lanes.size:
-            x[lanes] = move(x[lanes])
-            expansions[lanes] += 1
-            lanes = lanes[expansions[lanes] <= _MAX_EXPANSIONS]
-            fx[lanes] = f(x[lanes], lanes)
-            lanes = lanes[outward(fx[lanes], 0.0)]
+    for _ in range(_MAX_EXPANSIONS):
+        lanes = np.flatnonzero(flo > 0.0)
+        if not lanes.size:
+            break
+        lo[lanes] /= 4.0
+        flo[lanes] = f(lo[lanes], lanes)
 
-    phi, settled = _brentq_lanes(f, lo, hi, flo, fhi)
+    phi = _brentq_lanes(f, lo, hi, flo, fhi)
     rd = _record(p, h, c, phi, *_tabulate(p, h, phi, _ARRAYS))
-    settled &= (expansions <= _MAX_EXPANSIONS) & (np.abs(rd.residual) <= DEFAULT_TOL)
-    for i in np.flatnonzero(~settled):
+    for i in np.flatnonzero(~(np.abs(rd.residual) <= DEFAULT_TOL)):  # NaN where phi* is unsettled
         lane = build_resonance_data(p, h[i])
         for name in ("phi_star", "omega_star", "Omega", "t", "residual"):
             getattr(rd, name)[..., i] = getattr(lane, name)

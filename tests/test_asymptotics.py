@@ -50,9 +50,17 @@ class TestModels:
 
 BAD_DEPTHS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e4, 10**400]
 
+# The public functions of a depth, as f(p, h): the two module functions, and
+# each model's leading and value (which calls leading) taken from its table.
+DEPTH_FUNCTIONS = [leading_term, wavenumber_asymptote] + [
+    pytest.param(lambda p, h, table=table, method=method: getattr(table[p], method)(h), id=f"{name}.{method}")
+    for name, table in (("LEADING_MODELS", LEADING_MODELS), ("WAVENUMBER_MODELS", WAVENUMBER_MODELS))
+    for method in ("leading", "value")
+]
+
 
 class TestDepthChecks:
-    @pytest.mark.parametrize("f", [leading_term, wavenumber_asymptote])
+    @pytest.mark.parametrize("f", DEPTH_FUNCTIONS)
     @pytest.mark.parametrize("bad", BAD_DEPTHS)
     def test_float_depth_refused(self, f, bad):
         # was nan, a number or OverflowError: a depth is checked as everywhere else
@@ -60,7 +68,7 @@ class TestDepthChecks:
         with pytest.raises(ValueError, match=f"^depth must be a positive finite real, got {shown}$"):
             f(2, bad)
 
-    @pytest.mark.parametrize("f", [leading_term, wavenumber_asymptote])
+    @pytest.mark.parametrize("f", DEPTH_FUNCTIONS)
     @pytest.mark.parametrize("bad", [b for b in BAD_DEPTHS if b != 10**400])
     def test_array_names_its_first_bad_depth(self, f, bad):
         with pytest.raises(ValueError, match=f"^depth must be a positive finite real, got {bad!r}$"):
@@ -71,7 +79,7 @@ class TestDepthChecks:
         with pytest.raises(ValueError, match="^no closed-form"):
             f(5, math.nan)
 
-    @pytest.mark.parametrize("f", [leading_term, wavenumber_asymptote])
+    @pytest.mark.parametrize("f", DEPTH_FUNCTIONS)
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_valid_depths_unchanged(self, f, p):
         # an array of depths gives each float's value, bit for bit; tiny and huge depths stay valid

@@ -52,6 +52,12 @@ class TestResonanceCommand:
         assert all(a < b for a, b in zip(phis, phis[1:]))
         assert phis[-1] == pytest.approx(2.25, abs=1e-5)
 
+    def test_subnormal_depth_is_quiet(self):
+        # phi/tanh(x) overflows at such a depth, only where the series overwrites it: nothing on stderr
+        code, out, err = run_cli("resonance", "--p", "2", "--h", "1e-310")
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)) == 1
+
     def test_p_below_two_is_usage_error(self):
         # the library's check alone: one error line that names the value
         expected = (2, "", "error: isola index p must be an integer >= 2, got 1\n")

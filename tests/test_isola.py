@@ -157,6 +157,18 @@ class TestDiscriminant:
             assert D < margin
 
 
+class TestNonFiniteArgument:
+    # was nan, (infj, -infj) or OverflowError: the argument is checked as IsolaParams' fields are
+    @pytest.mark.parametrize("f, name", [(discriminant, "nu"), (eigenvalue_pair, "mu")])
+    @pytest.mark.parametrize("value, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+        pytest.param(10**400, "inf", id="10**400"), pytest.param(-(10**400), "-inf", id="-10**400"),
+    ])
+    def test_refused(self, f, name, value, shown):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {shown}$"):
+            f(value, make_params())
+
+
 class TestBand:
     def test_endpoints_straddle_center(self):
         p = make_params()

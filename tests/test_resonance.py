@@ -19,6 +19,7 @@ from stokes_isolas import (
 )
 from stokes_isolas import resonance
 from stokes_isolas.dispersion import _SERIES_THRESHOLD
+from stokes_isolas.errors import SolverError
 from stokes_isolas.resonance import _resonance_grid
 
 # Reference evaluator values (50-digit bisection), rounded to double.
@@ -216,12 +217,74 @@ class TestSeriesBranch:
         series = grid.h * grid.phi_star < _SERIES_THRESHOLD
         assert 0 < series.sum() < len(hs)  # both branches are taken
         for i, h in enumerate(hs):
-            one = build_resonance_data(p, h)
-            for f in fields(one):
-                column = np.asarray(getattr(grid, f.name), dtype=float)
-                if f.name != "p":
-                    column = column[..., i]
-                assert column.tobytes() == np.asarray(getattr(one, f.name), dtype=float).tobytes(), (h, f.name)
+            assert_lane_equals(grid, i, build_resonance_data(p, h))
+
+    def test_subnormal_depths_are_quiet(self):
+        # phi/tanh(x) overflows at such depths, only in lanes the series overwrites: no warning, same bits
+        hs = [1e-310, 5e-324]
+        grid = _resonance_grid(2, hs)
+        for i, h in enumerate(hs):
+            assert_lane_equals(grid, i, build_resonance_data(2, h))
+
+
+def assert_lane_equals(grid, i, one):
+    """Column i of a grid record equals the single-depth record one, field by field, byte for byte."""
+    for f in fields(one):
+        column = np.asarray(getattr(grid, f.name), dtype=float)
+        if f.name != "p":
+            column = column[..., i]
+        assert column.tobytes() == np.asarray(getattr(one, f.name), dtype=float).tobytes(), (one.h, f.name)
+
+
+class TestLaneSolveEdgeCases:
+    """The grid iterates only lanes with f(lo) < 0 < f(hi); every other case is the single-depth solve's."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_unbracketed_lanes_are_redone_at_one_depth(self, monkeypatch, p):
+        # a start bracket below every root needs the expansion toward +inf, which only _solve performs
+        monkeypatch.setattr(resonance, "_bracket", lambda p: (1e-3, 2e-3))
+        real, redone = resonance.build_resonance_data, []
+
+        def counting(p, h):
+            redone.append(h)
+            return real(p, h)
+
+        monkeypatch.setattr(resonance, "build_resonance_data", counting)
+        hs = np.linspace(0.5, 20.0, 40).tolist()
+        grid = _resonance_grid(p, hs)
+        assert redone == hs
+        for i, h in enumerate(hs):
+            assert_lane_equals(grid, i, real(p, h))
+
+    @staticmethod
+    def _lanes():
+        # f_k(x) = x^3 + x - r_k, increasing, in the same IEEE operations over floats and over arrays
+        r = np.array([0.3, 1.7, 0.9, 5.0, 2.2, 0.5, 1.1, 3.0, 0.7, 4.0])
+        f = lambda x, lanes: x * x * x + x - r[lanes]
+        xa, xb = np.full(r.size, 0.1), np.full(r.size, 2.0)
+        fa, fb = f(xa, ...), f(xb, ...)
+        assert ((fa < 0) & (fb > 0)).all()
+        # lanes 4..9 lose their bracket: an exact-zero, a positive or a NaN lower end, a zero, negative or NaN upper end
+        fa[[4, 5, 6]] = 0.0, 0.5, math.nan
+        fb[[7, 8, 9]] = 0.0, -0.5, math.nan
+        return r.tolist(), f, xa, xb, fa, fb
+
+    def test_only_bracketed_lanes_are_iterated(self):
+        r, f, xa, xb, fa, fb = self._lanes()
+        root = resonance._brentq_lanes(f, xa, xb, fa, fb)
+        assert np.isnan(root[4:]).all()
+        for k in range(4):
+            scalar = resonance.brentq(lambda x: x * x * x + x - r[k], 0.1, 2.0, fa[k], fb[k], resonance._XTOL)
+            assert root[k].hex() == scalar.hex()
+
+    def test_unconverged_lanes_are_unsettled(self, monkeypatch):
+        # where the scalar solve raises for want of steps, the lane comes back NaN
+        monkeypatch.setattr(resonance, "_MAXITER", 3)
+        r, f, xa, xb, fa, fb = self._lanes()
+        assert np.isnan(resonance._brentq_lanes(f, xa, xb, fa, fb)).all()
+        for k in range(4):
+            with pytest.raises(SolverError, match="did not converge"):
+                resonance.brentq(lambda x: x * x * x + x - r[k], 0.1, 2.0, fa[k], fb[k], resonance._XTOL)
 
 
 # the 1001-depth grid of the bit-for-bit tests, both ends included

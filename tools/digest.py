@@ -15,6 +15,12 @@ np.linspace(0.05, 20, 1001), for p = 2, 3, 4 in turn:
   ``solve_wavenumber``, ``omega_star``, and the beta1, y0 and mu0 of
   ``IsolaParams.from_depth(p, h, 0.1, 1.0, 0.5)``.
 
+Then, for p = 2..8 in turn, at the 401 depths np.geomspace(1e-3, 1e3, 401),
+where brackets take many steps toward 0+ and deep lanes saturate tanh:
+
+- ``_resonance_grid``: its seven fields, as above;
+- ``solve_wavenumber`` at every 20th depth.
+
 It imports only names that have existed since the script was written, so
 it can hash an older ``src/`` to compare with the current one:
 
@@ -37,6 +43,7 @@ from stokes_isolas.resonance import _resonance_grid, omega_star, solve_wavenumbe
 
 RESONANCE_FIELDS = ("h", "phi_star", "omega_star", "Omega", "t", "residual", "c")
 HS = np.linspace(0.05, 20.0, 1001)
+WIDE = np.geomspace(1e-3, 1e3, 401)
 
 
 def _floats(x) -> bytes:
@@ -71,6 +78,11 @@ def digest() -> str:
                                   params.beta1, params.y0, params.mu0]))
         for part in parts:
             sha.update(part)
+    for p in range(2, 9):
+        rd = _resonance_grid(p, WIDE)
+        for name in RESONANCE_FIELDS:
+            sha.update(_floats(getattr(rd, name)))
+        sha.update(_floats([solve_wavenumber(p, h) for h in WIDE[::20].tolist()]))
     return sha.hexdigest()
 
 
