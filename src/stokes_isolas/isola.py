@@ -19,12 +19,19 @@ All remainder terms of the source expansions are truncated to zero, so
 every output is a leading-order model with error O(eps^(p+1)); the center
 ordinate y0 and band center mu0 default to the collision frequency and
 critical wavenumber (their exact positions are O(eps^2)-close).
+
+The ellipse is the unit circle (cos 2 pi k/n, sin 2 pi k/n) scaled by
+(max_growth, max_growth/E) and shifted by y0.  The circle of the last n
+asked for is held, one read-only n x 2 array, so repeated calls with one n
+skip the trigonometry; a call with another n replaces it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -41,6 +48,9 @@ __all__ = [
     "ellipse_points",
     "isola_geometry",
 ]
+
+_FINITE_FIELDS = ("h", "eps", "beta1", "T1", "y0", "mu0")
+_finite_field_values = attrgetter(*_FINITE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -63,8 +73,13 @@ class IsolaParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_index(self.p))
-        for name in ("h", "eps", "beta1", "T1", "y0", "mu0"):
-            _check_finite(getattr(self, name), name)
+        try:  # one pass over the fields; the loop below names the first bad one
+            finite = all(map(math.isfinite, _finite_field_values(self)))
+        except (TypeError, OverflowError):  # not a real, or an int beyond the double range
+            finite = False
+        if not finite:
+            for name in _FINITE_FIELDS:
+                _check_finite(getattr(self, name), name)
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h!r}")
         if not self.eps > 0:
@@ -74,7 +89,8 @@ class IsolaParams:
         if not 0.0 < self.E < 1.0:
             raise ValueError(f"E must lie in (0, 1), got {self.E!r}")
         try:  # max_growth / E >= max_growth, as E < 1
-            width, height = self.half_width, self.max_growth / self.E
+            g = self.max_growth
+            width, height = 2.0 * g / self.T1, g / self.E
         except OverflowError:  # eps**p alone leaves the float range
             width = height = math.inf
         ends = (self.mu0 - width, self.mu0 + width, self.y0 - height, self.y0 + height)
@@ -115,9 +131,24 @@ class IsolaParams:
 
 
 def discriminant(nu: float, params: IsolaParams) -> float:
-    """D(nu) = 4*beta1^2*eps^(2p) - T1^2*nu^2 around the band center; nu must be finite (ValueError)."""
+    """D(nu) = 4*beta1^2*eps^(2p) - T1^2*nu^2 around the band center.
+
+    nu must be finite, and (T1*nu)^2 must not overflow (ValueError).
+    """
+    nu = _check_finite(nu, "nu")
+    return _discriminant(nu, params, "nu", nu)
+
+
+def _discriminant(nu: float, params: IsolaParams, name: str, value: float) -> float:
+    """D(nu); the caller's argument `name` = `value` is refused when T1^2*nu^2 overflows."""
     g = params.max_growth
-    return 4.0 * g * g - (params.T1 * _check_finite(nu, "nu")) ** 2
+    try:
+        square = (params.T1 * nu) ** 2
+    except OverflowError:
+        square = math.inf
+    if square == math.inf:  # T1*nu may round to inf itself, and inf ** 2 does not raise
+        raise ValueError(f"{name} is too far from the band center: T1^2*nu^2 overflows, got {value!r}")
+    return 4.0 * g * g - square
 
 
 def band_endpoints(params: IsolaParams) -> tuple[float, float]:
@@ -131,9 +162,11 @@ def eigenvalue_pair(mu: float, params: IsolaParams) -> tuple[complex, complex]:
 
     Inside the band: y0*i +- sqrt(D)/2 (nonzero real part); outside:
     purely imaginary, y0*i +- i*sqrt(|D|); continuous across the endpoints
-    where both eigenvalues equal y0*i.  mu must be finite (ValueError).
+    where both eigenvalues equal y0*i.  mu must be finite, and
+    (T1*(mu - mu0))^2 must not overflow (ValueError).
     """
-    D = discriminant(_check_finite(mu, "mu") - params.mu0, params)
+    mu = _check_finite(mu, "mu")
+    D = _discriminant(mu - params.mu0, params, "mu", mu)
     if D > 0.0:
         half = 0.5 * math.sqrt(D)
         return complex(half, params.y0), complex(-half, params.y0)
@@ -141,21 +174,32 @@ def eigenvalue_pair(mu: float, params: IsolaParams) -> tuple[complex, complex]:
     return complex(0.0, params.y0 + root), complex(0.0, params.y0 - root)
 
 
-def ellipse_points(params: IsolaParams, n: int) -> np.ndarray:
-    """n samples (x, y) of the approximating ellipse, in sample order.
+@lru_cache(maxsize=1)
+def _unit_circle(n: int) -> np.ndarray:
+    """(cos theta_k, sin theta_k) at theta_k = 2*pi*k/n, read-only; held for the last n only."""
+    theta = 2.0 * math.pi * np.arange(n) / n
+    circle = np.empty((n, 2))
+    circle[:, 0] = np.cos(theta)
+    circle[:, 1] = np.sin(theta)
+    circle.flags.writeable = False
+    return circle
 
-    Satisfies x^2 + E^2*(y - y0)^2 = beta1^2*eps^(2p) to rounding; for even
-    n the sample set is symmetric under x -> -x.  Extreme points are
+
+def ellipse_points(params: IsolaParams, n: int) -> np.ndarray:
+    """n samples (x, y) of the approximating ellipse, in sample order, as a new array.
+
+    Sample k is (g*cos theta_k, y0 + (g/E)*sin theta_k) at
+    theta_k = 2*pi*k/n, g = max_growth: the held unit circle of this n
+    scaled column by column, then shifted by y0.  Satisfies
+    x^2 + E^2*(y - y0)^2 = beta1^2*eps^(2p) to rounding; for even n the
+    sample set is symmetric under x -> -x.  Extreme points are
     (+-max_growth, y0) and (0, y0 +- max_growth/E).
     """
     if not (n >= 8 and n % 1 == 0):  # also refuses nan and inf
         raise ValueError(f"need an integer n >= 8 samples, got {n!r}")
-    n = int(n)
     g = params.max_growth
-    theta = 2.0 * math.pi * np.arange(n) / n
-    pts = np.empty((n, 2))
-    pts[:, 0] = g * np.cos(theta)
-    pts[:, 1] = params.y0 + (g / params.E) * np.sin(theta)
+    pts = _unit_circle(int(n)) * (g, g / params.E)
+    pts[:, 1] += params.y0
     return pts
 
 
@@ -176,11 +220,12 @@ class IsolaGeometry:
 
 def isola_geometry(params: IsolaParams, n: int = 256) -> IsolaGeometry:
     """Assemble the leading-order geometry (degenerate when beta1 = 0)."""
-    mu_low, mu_high = band_endpoints(params)
+    g = params.max_growth
+    w = 2.0 * g / params.T1  # half_width
     return IsolaGeometry(
-        mu_low=mu_low,
-        mu_high=mu_high,
-        max_growth=params.max_growth,
+        mu_low=params.mu0 - w,
+        mu_high=params.mu0 + w,
+        max_growth=g,
         ellipse=ellipse_points(params, n),
         band_open=params.beta1 != 0.0,
     )

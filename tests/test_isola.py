@@ -1,6 +1,7 @@
 """Truncated isola model: discriminant signs, band scaling, ellipse identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from stokes_isolas import (
     discriminant,
     eigenvalue_pair,
     ellipse_points,
+    isola,
     isola_geometry,
     omega_star,
     solve_wavenumber,
@@ -23,6 +25,17 @@ def make_params(**over):
     base = dict(p=2, h=3.0, eps=0.1, beta1=0.014111, T1=1.3, E=0.55, y0=0.784, mu0=0.3095)
     base.update(over)
     return IsolaParams(**base)
+
+
+def longhand_ellipse(params, n):
+    # theta, cos and sin computed per call, operation for operation: the held
+    # unit circle must give these bytes
+    g = params.max_growth
+    theta = 2.0 * math.pi * np.arange(n) / n
+    pts = np.empty((n, 2))
+    pts[:, 0] = g * np.cos(theta)
+    pts[:, 1] = params.y0 + (g / params.E) * np.sin(theta)
+    return pts
 
 
 def endpoint_real_tol(params):
@@ -66,15 +79,43 @@ class TestParams:
         assert type(params.p) is int and params == make_params(p=2)
 
     @pytest.mark.parametrize("name", ["h", "eps", "beta1", "T1", "y0", "mu0"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+    @pytest.mark.parametrize("value, shown", [
+        pytest.param(math.inf, "inf", id="inf"),
+        pytest.param(-math.inf, "-inf", id="-inf"),
+        pytest.param(math.nan, "nan", id="nan"),
+        pytest.param(10**400, "inf", id="10**400"),
+        pytest.param(-(10**400), "-inf", id="-10**400"),
+    ])
+    def test_non_finite_rejected(self, name, value, shown):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {shown}$"):
             make_params(**{name: value})
         if name in ("h", "beta1"):
             # from_depth computes beta1 and refuses a bad h as the beta tables do
             return
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {shown}$"):
             IsolaParams.from_depth(2, 3.0, **{"eps": 0.05, "T1": 1.0, "E": 0.5, name: value})
+
+    def test_first_bad_field_named(self):
+        with pytest.raises(ValueError, match="^eps must be finite, got nan$"):
+            make_params(eps=math.nan, T1=10**400, mu0=math.inf)
+        with pytest.raises(ValueError, match="^T1 must be finite, got inf$"):
+            make_params(eps="0.1", T1=10**400)
+
+    @pytest.mark.parametrize("over, message", [
+        ({"h": 0.0}, "h must be positive, got 0.0"),
+        ({"eps": -0.0}, "eps must be positive, got -0.0"),
+        ({"T1": -1.0}, "T1 must be positive, got -1.0"),
+        ({"E": 1.0}, "E must lie in (0, 1), got 1.0"),
+        ({"E": math.nan}, "E must lie in (0, 1), got nan"),
+        ({"E": 10**400}, "E must lie in (0, 1), got 1" + "0" * 400),
+    ])
+    def test_range_refusal_message_pinned(self, over, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_params(**over)
+
+    def test_string_field_reaches_the_comparison(self):
+        with pytest.raises(TypeError, match="'>' not supported between instances of 'str' and 'int'"):
+            make_params(eps="0.1")
 
     def test_from_depth_defaults(self):
         params = IsolaParams.from_depth(2, 3.0, 0.05, T1=1.0, E=0.5)
@@ -167,6 +208,22 @@ class TestNonFiniteArgument:
     def test_refused(self, f, name, value, shown):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {shown}$"):
             f(value, make_params())
+
+    # (T1 * nu) ** 2 raises OverflowError past |T1 * nu| ~ 1.3e154, and near the double
+    # maximum T1 * nu itself rounds to inf, whose square does not raise
+    @pytest.mark.parametrize("f, name", [(discriminant, "nu"), (eigenvalue_pair, "mu")])
+    @pytest.mark.parametrize("value", [1e200, -1e200, 1.4e154, 1e308, -1.7e308])
+    def test_overflowing_square_refused(self, f, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} is too far from the band center: "
+                                             rf"T1\^2\*nu\^2 overflows, got {re.escape(repr(value))}$"):
+            f(value, make_params())
+
+    def test_largest_square_kept(self):
+        params = make_params()
+        nu = 1e154  # T1 * nu = 1.3e154, whose square 1.69e308 is finite
+        assert discriminant(nu, params) == 4.0 * params.max_growth**2 - (params.T1 * nu) ** 2
+        root = math.sqrt((params.T1 * (nu - params.mu0)) ** 2 - 4.0 * params.max_growth**2)
+        assert eigenvalue_pair(nu, params) == (complex(0.0, params.y0 + root), complex(0.0, params.y0 - root))
 
 
 class TestBand:
@@ -317,6 +374,48 @@ class TestEllipse:
         area = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
         exact = math.pi * p.max_growth**2 / p.E
         assert area == pytest.approx(exact, rel=0.01)
+
+    def test_alternating_n_equals_longhand(self):
+        params = make_params()
+        for n in (64, 2000, 64, 9, 9, 8.0):
+            assert ellipse_points(params, n).tobytes() == longhand_ellipse(params, int(n)).tobytes()
+            assert isola_geometry(params, n).ellipse.tobytes() == longhand_ellipse(params, int(n)).tobytes()
+
+    def test_each_call_returns_a_new_writable_array(self):
+        params = make_params()
+        first = ellipse_points(params, 64)
+        assert first.flags.writeable and first.flags.owndata
+        first[:] = math.nan
+        second = ellipse_points(params, 64)
+        assert second is not first and not np.shares_memory(first, second)
+        assert second.tobytes() == longhand_ellipse(params, 64).tobytes()
+        geo = isola_geometry(params, 64)
+        geo.ellipse[:, 1] += 1.0
+        assert isola_geometry(params, 64).ellipse.tobytes() == second.tobytes()
+
+    def test_held_circle_is_read_only_and_one_n_only(self):
+        ellipse_points(make_params(), 64)
+        circle = isola._unit_circle(64)
+        assert circle.shape == (64, 2) and not circle.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            circle[0, 0] = 2.0
+        ellipse_points(make_params(), 9)
+        info = isola._unit_circle.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+        assert isola._unit_circle(9) is isola._unit_circle(9)
+        misses = isola._unit_circle.cache_info().misses
+        assert isola._unit_circle(64) is not circle
+        assert isola._unit_circle.cache_info().misses == misses + 1
+
+    @pytest.mark.parametrize("beta", [0.0, -0.0])
+    @pytest.mark.parametrize("y0", [0.784, 0.0, -0.0])
+    def test_signed_zeros_of_a_closed_band(self, beta, y0):
+        params = make_params(beta1=beta, y0=y0)
+        pts = ellipse_points(params, 64)
+        expected = longhand_ellipse(params, 64)
+        assert pts.tobytes() == expected.tobytes()
+        assert np.all(pts[:, 0] == 0.0)
+        assert np.array_equal(np.signbit(pts[:, 0]), np.cos(2.0 * math.pi * np.arange(64) / 64) < 0)
 
     def test_x_halfwidth_equals_max_real_part(self):
         p = make_params()

@@ -13,7 +13,11 @@ np.linspace(0.05, 20, 1001), for p = 2, 3, 4 in turn:
   two items at that depth, and floor_flag;
 - at the same depths, the results that come without a record: ``beta1``,
   ``solve_wavenumber``, ``omega_star``, and the beta1, y0 and mu0 of
-  ``IsolaParams.from_depth(p, h, 0.1, 1.0, 0.5)``.
+  ``IsolaParams.from_depth(p, h, 0.1, 1.0, 0.5)``;
+- at the same depths, ``isola_geometry`` of those parameters, and of them
+  with T1 = 1.3 and E = 0.55 (not powers of two, so a reordered product or
+  quotient shows), for n = 8, 9, 64, 257 in turn: the ellipse, mu_low,
+  mu_high, max_growth and band_open as a bool.
 
 Then, for p = 2..8 in turn, at the 401 depths np.geomspace(1e-3, 1e3, 401),
 where brackets take many steps toward 0+ and deep lanes saturate tanh:
@@ -33,17 +37,19 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 
 from stokes_isolas.beta import _grid, beta1, beta1_breakdown, beta_scan
-from stokes_isolas.isola import IsolaParams
+from stokes_isolas.isola import IsolaParams, isola_geometry
 from stokes_isolas.resonance import _resonance_grid, omega_star, solve_wavenumber
 
 RESONANCE_FIELDS = ("h", "phi_star", "omega_star", "Omega", "t", "residual", "c")
 HS = np.linspace(0.05, 20.0, 1001)
 WIDE = np.geomspace(1e-3, 1e3, 401)
+ISOLA_NS = (8, 9, 64, 257)
 
 
 def _floats(x) -> bytes:
@@ -76,6 +82,11 @@ def digest() -> str:
             params = IsolaParams.from_depth(p, h, 0.1, 1.0, 0.5)
             parts.append(_floats([beta1(p, h), solve_wavenumber(p, h), omega_star(p, h),
                                   params.beta1, params.y0, params.mu0]))
+            for shape in (params, dataclasses.replace(params, T1=1.3, E=0.55)):
+                for n in ISOLA_NS:
+                    geo = isola_geometry(shape, n)
+                    parts += [_floats(geo.ellipse), _floats([geo.mu_low, geo.mu_high, geo.max_growth]),
+                              _bools(geo.band_open)]
         for part in parts:
             sha.update(part)
     for p in range(2, 9):
