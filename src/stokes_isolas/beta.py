@@ -440,14 +440,21 @@ def find_beta_zeros(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     grid = _grid(p, np.linspace(h_min, h_max, grid_n + 1))
-    hs, vals, noise = grid.h.tolist(), grid.total.tolist(), grid.floor_flag.tolist()
+    total = grid.total
+    with np.errstate(all="ignore"):  # as Python's float product: an overflow is +-inf, which keeps its sign
+        change = total[:-1] * total[1:] < 0.0
+    candidates = np.flatnonzero((total == 0.0) | np.append(change, False))
+    if not candidates.size:
+        return []
+    hs, vals, noise = grid.h.tolist(), total.tolist(), grid.floor_flag.tolist()
 
     def trusted(i):
         return 0 <= i <= grid_n and not noise[i]
 
     f = lambda h: beta1(p, h)
     zeros = []
-    for i, v in enumerate(vals):
+    for i in candidates.tolist():
+        v = vals[i]
         if v == 0.0:
             if trusted(i - 1) or trusted(i + 1):
                 zeros.append(hs[i])

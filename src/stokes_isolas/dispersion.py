@@ -17,10 +17,16 @@ the double range reads as +-inf (``_float``) and is refused like one.  The
 private kernels ``_phase`` and ``_tabulate`` skip the checks and take the
 number type's (tanh, sqrt, ratio): ``_FLOATS``, or ``_ARRAYS`` for numpy
 arrays of depths and wavenumbers, which performs the same IEEE operations,
-so a grid gets the same doubles as one call per depth.  Over arrays libm's
-tanh is called only below 19.1, where its value is not exactly 1.0, and
-``_ulp`` takes math.ulp's values from np.spacing.  No caching, no global
-state.  Double precision throughout; Omega and t are accurate to a few ulps.
+so a grid gets the same doubles as one call per depth.  Over arrays
+``_tanh`` calls libm only where the rounding of 1 - tanh x leaves its
+double undecided: with k = (1 - tanh x) / 2^-53 from numpy's exp and
+n = rint(k), it writes 1 - n 2^-53 wherever 0.5 - |k - n| > k 2^-44
+(from x ~ 3.8 up; where exp(-2x) is subnormal k is tiny and n = 0).  The
+2^-44 margin covers numpy's error in k (2^-51.5) and libm's in 1 - tanh x
+(about 2^-51 for fdlibm's tanh, which glibc and musl use, or for a
+correctly rounded one) at least 64 times over.  ``_ulp`` takes math.ulp's
+values from np.spacing.  No caching, no global state.  Double precision
+throughout; Omega and t are accurate to a few ulps.
 """
 
 from __future__ import annotations
@@ -57,28 +63,39 @@ def _libm(fn, x):
     return fn(x)
 
 
-# From here up libm's tanh is exactly 1.0.  For x >= 19.1 the true value
-# has 1 - tanh(x) = 2 / (e^(2x) + 1) < 2 e^(-38.2) ~ 5.1e-17, below 2^-54 ~
-# 5.55e-17, half an ulp under 1.0, so tanh(x) rounds to 1.0.  So does
-# fdlibm's s_tanh.c, which glibc uses: it returns 1 - 2 / (expm1(2x) + 2)
-# below 22 (1 - tiny from 22 up, and 1.0 at +inf), and its small term
-# carries only a few ulps of relative error.  Bisecting glibc's math.tanh
-# finds its first 1.0 at 19.0615474653985.
-_TANH_ONE = 19.1
-
-
 def _tanh(x: np.ndarray) -> np.ndarray:
-    """libm's tanh of each element of an array.
+    """libm's tanh of each element of an array, bit for bit.
 
     np.tanh is not bit-equal to math.tanh (it differs in the last bit for
-    about a fifth of uniform samples of [0, 20]), so the elements go through
-    libm like ``_libm``, but only where x < 19.1 (NaN included); elsewhere
-    libm would return exactly 1.0, which is written without a call.  Deep
-    grids put many of their arguments h * (j + phi*) there.
+    about a fifth of uniform samples of [0, 20]), but from x ~ 3.8 up the
+    rounding of 1 - tanh x fixes the double libm returns.  Doubles in
+    [0.5, 1) are 2^-53 apart, so there libm's tanh is 1 - n 2^-53 with n
+    the integer nearest to k = (1 - tanh x) / 2^-53 = 2^54 e / (1 + e),
+    e = exp(-2x), unless k lies within a hair of a tie.  The rule: compute
+    k in numpy, take n = rint(k), and write 1 - n 2^-53 wherever
+    0.5 - |k - n| > k 2^-44.  Where the test can be close (k >= 1/4) each
+    of its steps is exact; below, n = 0 and it passes by far.  1 - n 2^-53
+    is exact too, since the test fails wherever k >= 2^43.  Where e is
+    subnormal (x > ~354) k is tiny and n = 0, far from a tie; from
+    x ~ 19.06 up n = 0 gives libm's 1.0.  The other elements (x below
+    ~3.8, negatives, +-0, NaN, -inf and near-ties) go through libm like
+    ``_libm``.
+
+    The rule rests on a premise: for x >= 1 libm returns the rounding of
+    1 - y', with y' within about 2^-51 relative of 1 - tanh x.  fdlibm's
+    1 - 2 / (expm1(2x) + 2), which glibc and musl use, meets it, and so
+    does any correctly rounded tanh.  numpy's k is within 2^-51.5 relative
+    of the true value (against mpmath, x < 350).  The margin k 2^-44 is at
+    least 64 times the sum of the two errors (under 2^-50 k), so where the
+    test passes libm's k lies on n's side of every tie.
     """
-    th = np.ones(x.shape)
-    below = ~(x >= _TANH_ONE)
-    th[below] = _libm(math.tanh, x[below])
+    with np.errstate(over="ignore", invalid="ignore"):  # very negative x: k is inf or NaN, and undecided
+        e = np.exp(-2.0 * x)
+        k = 2.0**54 * e / (1.0 + e)
+    n = np.rint(k)
+    undecided = ~(0.5 - np.abs(k - n) > k * 2.0**-44)
+    th = 1.0 - n * 2.0**-53
+    th[undecided] = _libm(math.tanh, x[undecided])
     return th
 
 

@@ -212,6 +212,25 @@ class TestValues:
             assert beta1(p, 0.1) < beta1(p, 0.2) < 0.0
 
 
+def _zeros_by_loop(p, h_min, h_max, grid_n, tol):
+    """find_beta_zeros's grid pass as one loop over every grid value: the reference for its candidate scan."""
+    grid = _grid(p, np.linspace(h_min, h_max, grid_n + 1))
+    hs, vals, noise = grid.h.tolist(), grid.total.tolist(), grid.floor_flag.tolist()
+
+    def trusted(i):
+        return 0 <= i <= grid_n and not noise[i]
+
+    f = lambda h: beta.beta1(p, h)
+    zeros = []
+    for i, v in enumerate(vals):
+        if v == 0.0:
+            if trusted(i - 1) or trusted(i + 1):
+                zeros.append(hs[i])
+        elif i < grid_n and v * vals[i + 1] < 0.0 and (trusted(i) or trusted(i + 1)):
+            zeros.append(beta.brentq(f, hs[i], hs[i + 1], v, vals[i + 1], tol))
+    return zeros
+
+
 class TestZeros:
     def test_p2_single_zero(self):
         zeros = find_beta_zeros(2, 0.5, 5.0, 2000, 1e-8)
@@ -254,6 +273,38 @@ class TestZeros:
         # exact zeros between floor-level neighbours are noise, not roots
         monkeypatch.setattr(beta, "_grid_terms", lambda rd: np.array([np.ones(rd.h.size), -np.ones(rd.h.size)]))
         assert find_beta_zeros(2, 1.0, 2.0, 100) == []
+
+    @pytest.mark.parametrize(
+        "placed",
+        [
+            {0: 0.0, 1: 2.0, 100: -0.0, 99: 2.0},  # exact zeros at both ends of the grid
+            {10: 0.0, 11: 0.0, 20: 0.0, 21: 0.0, 19: 1e-15, 22: 1e-15},  # adjacent zeros, trusted or flagged around
+            {30: 1e-15, 31: -1.0, 40: 1e-15, 41: -1e-15, 42: -1e-15, 43: 1e-15},  # sign changes by flagged values
+            {50: 1e-200, 51: -1e-200, 52: -1e200, 53: 1e200, 54: 1e200},  # a product that underflows, overflows
+            {60: math.nan, 61: -1.0, 62: math.nan, 63: 0.0, 64: 1.0, 70: -1.0, 71: 0.0, 72: math.nan},  # NaNs
+            {},  # no candidate at all
+        ],
+        ids=["ends", "adjacent", "flagged", "under-overflow", "nan", "none"],
+    )
+    def test_candidate_scan_matches_loop(self, monkeypatch, placed):
+        # crafted totals on a 101-point grid: 1.0 but where placed, and flagged where |value| is 1e-15, under
+        # the floor of a pair of terms +-1.0 that cancel; each Brent refinement is recorded with its bracket
+        vals = np.ones(101)
+        vals[list(placed)] = list(placed.values())
+        scale = np.where(np.abs(vals) == 1e-15, 1.0, 0.0)
+        monkeypatch.setattr(beta, "_grid_terms", lambda rd: np.array([vals, scale, -scale]))
+        monkeypatch.setattr(beta, "brentq", lambda f, a, b, fa, fb, tol: ("brentq", a, b, fa, fb, tol))
+        grid = _grid(2, np.linspace(1.0, 2.0, 101))
+        assert grid.total.tobytes() == (vals + 0.0).tobytes()  # -0.0 sums to 0.0
+        assert grid.floor_flag.tolist() == ((scale == 1.0) | (vals == 0.0)).tolist()
+        expected = _zeros_by_loop(2, 1.0, 2.0, 100, 1e-9)
+        assert find_beta_zeros(2, 1.0, 2.0, 100, 1e-9) == expected
+        assert bool(expected) == (placed != {})
+
+    def test_candidate_scan_matches_loop_on_real_curves(self, monkeypatch):
+        monkeypatch.setattr(beta, "brentq", lambda f, a, b, fa, fb, tol: ("brentq", a, b, fa, fb, tol))
+        for args in ((2, 0.5, 5.0, 2000, 1e-8), (4, 0.3, 3.0, 700, 1e-10), (3, 5.0, 20.0, 1000, 1e-8)):
+            assert find_beta_zeros(*args) == _zeros_by_loop(*args)
 
     def test_refinement_reuses_grid_values(self, monkeypatch):
         evaluated = []

@@ -17,7 +17,7 @@ from stokes_isolas import (
     phase_speed,
     t_ratio,
 )
-from stokes_isolas.dispersion import _FLOATS, _TANH_ONE, _libm, _tanh, _ulp
+from stokes_isolas.dispersion import _FLOATS, _libm, _tanh, _ulp
 from stokes_isolas.resonance import build_resonance_data
 
 # High-precision reference evaluations (>= 50 digits), rounded to double.
@@ -165,8 +165,24 @@ class TestEigenvalueBranch:
         assert eigenvalue_branch(2.0, 1, 0.1, 1.0) == eigenvalue_branch(2, 1, 0.1, 1.0)
 
 
+# Arguments where 1 - rint(k) 2^-53, k = (1 - tanh x) / 2^-53 from numpy, is not libm's tanh: k lies within a
+# hair of a tie, where only _tanh's margin sends x to libm.  All but the first two come from the 19 that
+# default_rng(0).uniform(4.0, 19.1, 10**6) holds.
+NEAR_TIES = [6.6607419124648555, 4.000209762934944, 4.421292989801063, 5.4291950339896635, 5.996696724563351,
+             4.0162189651435405, 5.691161986024246, 6.865402264604485]
+
+
+def _undecided(x):
+    """Where _tanh's rule leaves x to libm: k is not within 0.5 - k 2^-44 of its nearest integer n."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(-2.0 * x)
+        k = 2.0**54 * e / (1.0 + e)
+    n = np.rint(k)
+    return ~(0.5 - np.abs(k - n) > k * 2.0**-44)
+
+
 class TestTanhKernel:
-    """_tanh: libm's tanh, called on arrays only where it is not already 1.0."""
+    """_tanh: libm's tanh, called on arrays only where the rounding of 1 - tanh x leaves it undecided."""
 
     @pytest.mark.parametrize(
         "x",
@@ -174,26 +190,53 @@ class TestTanhKernel:
             np.linspace(-3.0, 21.9, 257),
             np.linspace(0.0, 60.0, 257),
             np.geomspace(22.0, 1e300, 257),
-            np.array([22.0, np.nextafter(22.0, 0.0), np.inf, np.nan, -np.inf, -22.0, -30.0, -0.0, 0.0, 1e-300]),
+            np.array([22.0, np.nextafter(22.0, 0.0), np.inf, np.nan, -np.inf, -22.0, -30.0, -0.0, 0.0, 1e-300,
+                      -400.0, -1e308, 1e308, 5e-324, -5e-324]),
             np.array([]),
+            np.random.default_rng(21).uniform(3.5, 19.1, 1_000_000),
+            np.random.default_rng(22).uniform(-50.0, 50.0, 100_000),
+            np.array(NEAR_TIES + [19.0615474653985, *np.nextafter(19.0615474653985, [0.0, np.inf])]),
         ],
-        ids=["none-saturated", "some-saturated", "all-saturated", "edges", "empty"],
+        ids=["none-saturated", "some-saturated", "all-saturated", "edges", "empty", "near-one", "symmetric",
+             "near-ties"],
     )
     def test_arrays_equal_libm_bit_for_bit(self, x):
         th = _tanh(x)
         assert th.dtype == np.float64 and th.shape == x.shape
         assert th.tobytes() == _libm(math.tanh, x).tobytes()
 
-    def test_libm_is_called_only_below_tanh_one(self, monkeypatch):
+    def test_premise_against_mpmath(self):
+        # numpy's k is within 2^-48 relative of the true (1 - tanh x) / 2^-53, and where the rule decides,
+        # libm's 1 - tanh x is within half a step (2^-54) plus 2^-50 y of the true y = 1 - tanh x
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(23)
+        x = np.concatenate([rng.uniform(3.0, 20.0, 3000), rng.uniform(3.0, 350.0, 1000)])
+        e = np.exp(-2.0 * x)
+        k = 2.0**54 * e / (1.0 + e)
+        decided = ~_undecided(x)
+        assert decided.sum() > 3000
+        with mpmath.workdps(60):
+            for xi, ki, rule in zip(x.tolist(), k.tolist(), decided.tolist()):
+                y = 2 / (mpmath.exp(2 * mpmath.mpf(xi)) + 1)
+                assert abs(ki - y * 2**53) <= 2.0**-48 * y * 2**53, xi
+                if rule:
+                    assert abs(1 - mpmath.mpf(math.tanh(xi)) - y) <= 2.0**-54 + 2.0**-50 * y, xi
+
+    def test_libm_is_called_exactly_where_undecided(self, monkeypatch):
         calls = []
         libm_tanh = math.tanh
         monkeypatch.setattr(math, "tanh", lambda v: calls.append(v) or libm_tanh(v))
-        below = np.nextafter(_TANH_ONE, 0.0)
-        x = np.array([0.5, _TANH_ONE, below, 22.0, np.inf, np.nan, 40.0, -40.0])
+        x = np.array([0.5, 3.0, 3.9, 5.0, 6.6607419124648555, 10.0, 19.0615474653985, 19.1, 22.0, 400.0, 1e308,
+                      np.inf, np.nan, -40.0, -1e308, -np.inf, 0.0, -0.0, 5e-324, 4.000209762934944])
         _tanh(x)
-        assert _TANH_ONE == 19.1
-        assert len(calls) == 4 and calls[:2] == [0.5, below]
-        assert math.isnan(calls[2]) and calls[3] == -40.0
+        expected = [0.5, 3.0, 3.9, 6.6607419124648555, 19.0615474653985, np.nan, -40.0, -1e308, -np.inf, 0.0, -0.0,
+                    5e-324, 4.000209762934944]
+        assert np.array(calls).tobytes() == np.array(expected).tobytes()
+        # and on a seeded set: one call per undecided element, in order
+        calls.clear()
+        x = np.random.default_rng(24).uniform(-5.0, 25.0, 100_000)
+        _tanh(x)
+        assert calls == x[_undecided(x)].tolist()
 
     def test_floats_stay_libm(self):
         # floats get math.tanh's own values: from the float kernels, and in the single-depth solve's record
@@ -207,12 +250,12 @@ class TestTanhKernel:
             assert rd.Omega.tolist() == [math.sqrt(x * math.tanh(h * x)) for x in q]
 
     def test_libm_saturates_from_tanh_one(self):
-        # the premise of _tanh: libm's tanh is exactly 1.0 on [19.1, inf]
-        xs = np.geomspace(_TANH_ONE, 1e308, 100_001).tolist()
+        # libm's tanh is exactly 1.0 on [19.1, inf], as _tanh's rule gives there
+        xs = np.geomspace(19.1, 1e308, 100_001).tolist()
         assert (xs[0], xs[-1]) == (19.1, 1e308)
         # densely where 1 - tanh(x) is closest to half an ulp under 1.0, and each end's neighbours
-        dense = np.linspace(_TANH_ONE, 22.0, 1_000_001).tolist()
-        ends = [np.nextafter(x, d).item() for x in (_TANH_ONE, 22.0) for d in (0.0, math.inf)]
+        dense = np.linspace(19.1, 22.0, 1_000_001).tolist()
+        ends = [np.nextafter(x, d).item() for x in (19.1, 22.0) for d in (0.0, math.inf)]
         assert all(math.tanh(x) == 1.0 for x in xs + dense + ends)
         assert math.tanh(math.inf) == 1.0
 

@@ -25,6 +25,13 @@ where brackets take many steps toward 0+ and deep lanes saturate tanh:
 - ``_resonance_grid``: its seven fields, as above;
 - ``solve_wavenumber`` at every 20th depth.
 
+Then ``dispersion._tanh``, the array tanh, over a fixed argument set:
+seeded uniform points of [-50, 60], arguments where k = (1 - tanh x) / 2^-53
+lies within a hair of a tie, libm's first 1.0 (19.0615474653985) and its
+neighbours, np.geomspace(22, 1e308), +-0, subnormals, +-inf and NaN.  Last,
+``find_beta_zeros`` on fixed intervals, among them the whole scan range
+for p = 2, 3, 4 on a 7919-interval grid.
+
 It imports only names that have existed since the script was written, so
 it can hash an older ``src/`` to compare with the current one:
 
@@ -42,7 +49,8 @@ import hashlib
 
 import numpy as np
 
-from stokes_isolas.beta import _grid, beta1, beta1_breakdown, beta_scan
+from stokes_isolas.beta import _grid, beta1, beta1_breakdown, beta_scan, find_beta_zeros
+from stokes_isolas.dispersion import _tanh
 from stokes_isolas.isola import IsolaParams, isola_geometry
 from stokes_isolas.resonance import _resonance_grid, omega_star, solve_wavenumber
 
@@ -50,6 +58,16 @@ RESONANCE_FIELDS = ("h", "phi_star", "omega_star", "Omega", "t", "residual", "c"
 HS = np.linspace(0.05, 20.0, 1001)
 WIDE = np.geomspace(1e-3, 1e3, 401)
 ISOLA_NS = (8, 9, 64, 257)
+NEAR_TIES = (6.6607419124648555, 4.000209762934944, 4.421292989801063, 5.4291950339896635, 5.996696724563351)
+TANH_ARGS = np.concatenate([
+    np.random.default_rng(2026).uniform(-50.0, 60.0, 200_000),
+    NEAR_TIES,
+    np.nextafter(19.0615474653985, [0.0, 19.0615474653985, np.inf]),
+    np.geomspace(22.0, 1e308, 1001),
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, np.inf, -np.inf, np.nan],
+])
+ZERO_INTERVALS = [(2, 0.5, 5.0, 2000), (3, 0.5, 2.0, 500, 1e-10), (4, 0.3, 3.0, 4000)]
+ZERO_INTERVALS += [(p, 0.05, 20.0, 7919) for p in (2, 3, 4)]
 
 
 def _floats(x) -> bytes:
@@ -94,6 +112,9 @@ def digest() -> str:
         for name in RESONANCE_FIELDS:
             sha.update(_floats(getattr(rd, name)))
         sha.update(_floats([solve_wavenumber(p, h) for h in WIDE[::20].tolist()]))
+    sha.update(_floats(_tanh(TANH_ARGS)))
+    for args in ZERO_INTERVALS:
+        sha.update(_floats(find_beta_zeros(*args)))
     return sha.hexdigest()
 
 
