@@ -49,7 +49,10 @@ rows' slots a column at a time), the grid pass of ``find_beta_zeros`` and
 the CLI tables read it.  The evaluator performs the same IEEE operations
 in the same order either way, and the grid's phi* solve is a lane-wise
 port of the single-depth Brent solve, so every grid value equals the
-single-depth value bit for bit.
+single-depth value bit for bit.  A grid of fewer than
+``resonance._LANES_FROM`` depths, where the fixed cost of numpy's passes
+outweighs their gain, is solved and summed depth by depth by the same
+single-depth functions.
 
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
@@ -76,7 +79,7 @@ from .asymptotics import leading_term
 from .dispersion import _check_depth, _ulp
 from .errors import SingularityError
 from .resonance import (
-    ResonanceData, _check_index, _equal_fields, _record, _resonance_grid, _scan_depths, _solve, brentq,
+    ResonanceData, _LANES_FROM, _check_index, _equal_fields, _record, _resonance_grid, _scan_depths, _solve, brentq,
 )
 from .stokes_coefficients import _coefficients
 
@@ -309,19 +312,25 @@ def _signed_terms(plan: _Plan, h: float, c: float, Omega: list[float], t: list[f
 def _grid_terms(rd: ResonanceData) -> np.ndarray:
     """Signed terms over a ResonanceData of arrays: one row per term, one column per depth.
 
-    Columns the array pass cannot vouch for (a near-vanishing denominator,
-    a non-finite term) are redone by _signed_terms in grid order, which
-    raises the error a row-by-row loop would raise first.
+    Fewer than _LANES_FROM columns are taken by _signed_terms one at a
+    time, in grid order.  Over more, columns the array pass cannot vouch
+    for (a near-vanishing denominator, a non-finite term) are redone by
+    _signed_terms in grid order.  Either way the error a column-by-column
+    loop would raise first is raised.
     """
     plan = _plan(rd.p)
-    dens = plan.denominators(rd.Omega, rd.c)
-    with np.errstate(all="ignore"):
-        root = np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
-        terms = np.array(_evaluate(plan, rd.Omega, rd.t, _coefficients(rd.c), dens, root))
-    redo = ~np.isfinite(terms).all(axis=0)
-    for d in dens:
-        redo |= np.abs(d) < DENOMINATOR_GUARD
-    for i in np.flatnonzero(redo):
+    if rd.h.size < _LANES_FROM:
+        terms, redo = np.empty((len(plan.terms), rd.h.size)), range(rd.h.size)
+    else:
+        dens = plan.denominators(rd.Omega, rd.c)
+        with np.errstate(all="ignore"):
+            root = np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
+            terms = np.array(_evaluate(plan, rd.Omega, rd.t, _coefficients(rd.c), dens, root))
+        redo = ~np.isfinite(terms).all(axis=0)
+        for d in dens:
+            redo |= np.abs(d) < DENOMINATOR_GUARD
+        redo = np.flatnonzero(redo)
+    for i in redo:
         Omega, t = rd.Omega[:, i].tolist(), rd.t[:, i].tolist()
         terms[:, i] = _signed_terms(plan, float(rd.h[i]), float(rd.c[i]), Omega, t)
     return terms

@@ -223,8 +223,8 @@ def cmd_selftest(args, parser):
     rows = []
     for p, h, oracle_value, digits in load_fixtures(args.fixtures or DEFAULT_FIXTURES):
         bd = beta1_breakdown(p, h)
-        diff = abs(bd.total - oracle_value)
-        rows.append((p, h, bd.total, oracle_value, diff, bd.cancellation_floor, diff <= bd.cancellation_floor))
+        diff, floor = abs(bd.total - oracle_value), bd.cancellation_floor
+        rows.append((p, h, bd.total, oracle_value, diff, floor, diff <= floor))
     _emit(args.format, "selftest", ("p", "h", "value", "oracle", "abs_diff", "floor", "ok"), rows)
     failures = sum(not row[-1] for row in rows)
     if failures:

@@ -25,11 +25,14 @@ one depth read its floats and lists, and ``build_resonance_data`` wraps them
 in a ``ResonanceData``.  Both solves share one residual body, one
 tabulation over the dispersion kernels' float or array triple and one
 ``_record`` body, so every grid value equals the single-depth one bit for
-bit.  phi* is accepted when the residual read off the tabulation,
-f(phi*) = Omega_0 + Omega_p - p*c, is at most DEFAULT_TOL in magnitude.  The
-grid expands brackets toward 0+ only, iterates only the lanes they bracket
-and solves every lane it does not accept again at one depth, so Brent's
-edge cases have one owner, ``_solve``.
+bit.  A lane pass costs about 1 ms however few lanes it has, so a grid of
+fewer than ``_LANES_FROM`` depths is solved by ``_solve`` at each depth
+instead, into the lane pass's arrays.  phi* is accepted when the residual
+read off the tabulation, f(phi*) = Omega_0 + Omega_p - p*c, is at most
+DEFAULT_TOL in magnitude.  The lane pass expands brackets toward 0+ only,
+iterates only the lanes they bracket and solves every lane it does not
+accept again at one depth, so Brent's edge cases have one owner,
+``_solve``.
 """
 
 from __future__ import annotations
@@ -62,6 +65,24 @@ _MAX_EXPANSIONS = 200
 _XTOL = 1e-15
 _RTOL = 4 * float(np.finfo(float).eps)
 _MAXITER = 100
+
+# A grid of fewer depths than this is solved by _solve depth by depth (_resonance_grid), and its
+# terms are taken by beta._signed_terms column by column (beta._grid_terms): a lane pass costs
+# about 1 ms however few lanes it has, one depth about 20 us.  Set where the two cross over, by the
+# median of 9 timings of _resonance_grid + _grid_terms in ms, lanes / depth by depth, on seeded
+# depths in [0.05, 20] (one core of a shared 2-core Intel Xeon, Python 3.11, numpy 2.4):
+#
+#     depths   p = 2         p = 3         p = 4
+#          1   1.44 / 0.05   1.44 / 0.05   0.81 / 0.03
+#          8   1.72 / 0.25   1.18 / 0.27   0.90 / 0.17
+#         32   1.80 / 0.96   1.59 / 0.80   1.21 / 0.68
+#         64   1.88 / 1.71   2.23 / 1.79   1.11 / 1.26
+#        128   1.24 / 2.08   2.15 / 3.73   1.33 / 2.38
+#        256   2.91 / 7.85   1.35 / 4.15   1.67 / 5.60
+#
+# Over n = 1..256 the whole grid crosses over at 58-69 depths, the solve alone at 85-89 and the
+# terms alone at 21-28.  Either way every double is the same.
+_LANES_FROM = 64
 
 _SCAN_H_RANGE = (0.05, 20.0)  # the documented depth range of the beta tables and of the isola model
 
@@ -339,31 +360,42 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
 
 
 def _resonance_grid(p: int, hs) -> ResonanceData:
-    """build_resonance_data at every depth of hs at once, as one ResonanceData of arrays.
+    """build_resonance_data at every depth of hs, as one ResonanceData of arrays.
 
-    Bit-identical to calling build_resonance_data per depth, which re-solves
-    in grid order every lane left unsettled (no f(lo) < 0 < f(hi) after
-    expanding toward 0+ only, no convergence, a record residual above
-    DEFAULT_TOL), so the first failing depth raises its error.  The first
-    non-finite or non-positive depth is refused before any solve.
+    The first non-finite or non-positive depth is refused before any solve.
+    Fewer than _LANES_FROM depths are solved by _solve one at a time, in
+    grid order.  More are solved over lanes at once, bit-identical to
+    calling build_resonance_data per depth, which re-solves in grid order
+    every lane left unsettled (no f(lo) < 0 < f(hi) after expanding toward
+    0+ only, no convergence, a record residual above DEFAULT_TOL).  Either
+    way the first failing depth raises _solve's error.
     """
     p = _check_index(p)
     h = _check_depths(np.array(hs, dtype=float))
+    if h.size < _LANES_FROM:
+        c, phi = np.empty(h.size), np.empty(h.size)
+        Omega, t = np.empty((p + 1, h.size)), np.empty((p + 1, h.size))
+        for i, depth in enumerate(h.tolist()):
+            c[i], phi[i], Omega[:, i], t[:, i] = _solve(p, depth)
+        return _record(p, h, c, phi, Omega, t)
+
     c = _phase(h, _ARRAYS)
     f = lambda phi, lanes: _residual(p, h[lanes], c[lanes], _ARRAYS)(phi)
 
-    # bracket expansion toward 0+, lane by lane as in _solve
-    lo, hi = (np.full(h.size, end) for end in _bracket(p))
-    flo, fhi = f(lo, ...), f(hi, ...)
-    for _ in range(_MAX_EXPANSIONS):
-        lanes = np.flatnonzero(flo > 0.0)
-        if not lanes.size:
-            break
-        lo[lanes] /= 4.0
-        flo[lanes] = f(lo[lanes], lanes)
+    # h * phi overflows to inf in deep lanes, as it does on floats
+    with np.errstate(over="ignore"):
+        # bracket expansion toward 0+, lane by lane as in _solve
+        lo, hi = (np.full(h.size, end) for end in _bracket(p))
+        flo, fhi = f(lo, ...), f(hi, ...)
+        for _ in range(_MAX_EXPANSIONS):
+            lanes = np.flatnonzero(flo > 0.0)
+            if not lanes.size:
+                break
+            lo[lanes] /= 4.0
+            flo[lanes] = f(lo[lanes], lanes)
 
-    phi = _brentq_lanes(f, lo, hi, flo, fhi)
-    rd = _record(p, h, c, phi, *_tabulate(p, h, phi, _ARRAYS))
+        phi = _brentq_lanes(f, lo, hi, flo, fhi)
+        rd = _record(p, h, c, phi, *_tabulate(p, h, phi, _ARRAYS))
     for i in np.flatnonzero(~(np.abs(rd.residual) <= DEFAULT_TOL)):  # NaN where phi* is unsettled
         lane = build_resonance_data(p, h[i])
         for name in ("phi_star", "omega_star", "Omega", "t", "residual"):

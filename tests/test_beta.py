@@ -33,6 +33,7 @@ from stokes_isolas import beta, resonance
 from stokes_isolas.beta import _grid, _grid_terms, _signed_terms
 from stokes_isolas.resonance import _resonance_grid, build_resonance_data, solve_wavenumber
 from stokes_isolas.stokes_coefficients import _coefficients
+from test_resonance import assert_lane_equals, grid_sizes, lanes_forced, padded
 
 # Zeros of the coefficient curves refined by the 50-digit reference
 # evaluator (coarser 7-digit reference values round these).
@@ -699,6 +700,29 @@ def _engineered(h):
     return np.array([sc.c + 0.5, 0.5, 1.5]), np.array([1.0, 1.2, 1.4])
 
 
+class TestGridSize:
+    """Below _LANES_FROM depths the terms are taken column by column, from it over lanes, to the same bytes."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_both_paths_equal_the_single_depth_record(self, monkeypatch, p):
+        rng = np.random.default_rng(p)
+        for size in grid_sizes():
+            hs = rng.uniform(0.05, 20.0, size)
+            grid = _grid(p, hs)
+            lanes = lanes_forced(monkeypatch, lambda: _grid(p, hs))
+            rows = len(beta_term_ids(p))
+            for name, shape in (("signed", (rows, size)), ("total", (size,)), ("cancellation_floor", (size,))):
+                a, b = getattr(grid, name), getattr(lanes, name)
+                assert a.shape == b.shape == shape and a.dtype == b.dtype == np.float64, (size, name)
+                assert a.tobytes() == b.tobytes(), (size, name)
+            assert grid.rd == lanes.rd
+            for i, h in enumerate(hs.tolist()):
+                one = beta1_breakdown(p, h)
+                assert grid.signed[:, i].tobytes() == np.array(one.signed).tobytes(), h
+                assert grid.total[i].hex() == one.total.hex(), h
+                assert_lane_equals(grid.rd, i, one.rd)
+
+
 class TestSingularityGuard:
     def test_engineered_denominator(self):
         Omega, t = _engineered(1.0)
@@ -707,16 +731,27 @@ class TestSingularityGuard:
         assert "Omega_1" in str(err.value)
 
     def test_one_singular_depth_in_a_grid(self, monkeypatch):
-        hs = [1.0, 2.0, 3.0]
-        real = _resonance_grid(2, hs)
-        Omega, t = _engineered(2.0)
-        real.Omega[:, 1], real.t[:, 1] = Omega, t
-        with pytest.raises(SingularityError) as err:
-            _grid_terms(real)
-        assert "Omega_1" in str(err.value) and "h=2.0" in str(err.value)
-        monkeypatch.setattr(beta, "_resonance_grid", lambda p, hs: real)
-        with pytest.raises(SingularityError, match="Omega_1"):
-            beta_scan(2, hs)
+        # depth by depth and, padded with ordinary depths, over lanes
+        for hs in padded([1.0, 2.0, 3.0]):
+            real = _resonance_grid(2, hs)
+            Omega, t = _engineered(2.0)
+            real.Omega[:, 1], real.t[:, 1] = Omega, t
+            with pytest.raises(SingularityError) as err:
+                _grid_terms(real)
+            assert "Omega_1" in str(err.value) and "h=2.0" in str(err.value)
+            with monkeypatch.context() as m:
+                m.setattr(beta, "_resonance_grid", lambda p, hs: real)
+                with pytest.raises(SingularityError, match="Omega_1"):
+                    beta_scan(2, hs)
+
+    def test_first_of_two_singular_depths_is_named(self):
+        # the columns are taken in grid order on both sides of _LANES_FROM
+        for hs in padded([1.0, 2.0, 3.0]):
+            real = _resonance_grid(2, hs)
+            for i in (1, 2):
+                real.Omega[:, i], real.t[:, i] = _engineered(hs[i])
+            with pytest.raises(SingularityError, match=r"h=2\.0\)"):
+                _grid_terms(real)
 
     @pytest.mark.parametrize(
         "call, error, match",
@@ -728,8 +763,9 @@ class TestSingularityGuard:
              r"^scan grid must lie within \(0.05, 20.0\), got h=1e-40$"),
             (lambda: find_beta_zeros(2, 1e-200, 1e-100, 100), SingularityError, "underflows to 0.0"),
             (lambda: beta._grid(2, [1.0, 1e-200]), SingularityError, "underflows to 0.0"),
+            (lambda: beta._grid(2, padded([1.0, 1e-200])[1]), SingularityError, "underflows to 0.0"),
         ],
-        ids=["beta1", "breakdown", "from_depth", "zeros", "grid"],
+        ids=["beta1", "breakdown", "from_depth", "zeros", "grid", "lane-grid"],
     )
     def test_underflowing_depths(self, call, error, match):
         # Below h ~ 2.7e-33 a Stokes-coefficient denominator underflows to 0.0:

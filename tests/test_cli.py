@@ -392,6 +392,20 @@ class TestSelftest:
         assert all(r["ok"] == "true" for r in rows)
         assert "within the cancellation floor" in err
 
+    def test_reads_the_floor_once_per_row(self, monkeypatch):
+        from stokes_isolas.beta import BetaBreakdown
+
+        real, reads = BetaBreakdown.cancellation_floor, []
+
+        def counting(bd):
+            reads.append(bd.h)
+            return real.fget(bd)
+
+        monkeypatch.setattr(BetaBreakdown, "cancellation_floor", property(counting))
+        code, out, _ = run_cli("selftest")
+        assert code == 0
+        assert reads == [float(r["h"]) for r in parse_csv(out)]
+
     def test_numerical_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("# corrupted record\n2\t1.0\t-0.25\t50\n")

@@ -1,6 +1,7 @@
 """Critical wavenumber solver and resonance data: pinned values + invariants."""
 
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from stokes_isolas import (
     t_ratio,
     wavenumber_asymptote,
 )
-from stokes_isolas import resonance
+from stokes_isolas import beta, resonance
 from stokes_isolas.dispersion import _SERIES_THRESHOLD
 from stokes_isolas.errors import SolverError
 from stokes_isolas.resonance import _resonance_grid
@@ -220,11 +221,19 @@ class TestSeriesBranch:
             assert_lane_equals(grid, i, build_resonance_data(p, h))
 
     def test_subnormal_depths_are_quiet(self):
-        # phi/tanh(x) overflows at such depths, only in lanes the series overwrites: no warning, same bits
-        hs = [1e-310, 5e-324]
-        grid = _resonance_grid(2, hs)
-        for i, h in enumerate(hs):
-            assert_lane_equals(grid, i, build_resonance_data(2, h))
+        # phi/tanh(x) overflows at such depths, only in lanes the series overwrites: no warning, same bits,
+        # depth by depth and, padded with ordinary depths, over lanes
+        for hs in padded([1e-310, 5e-324]):
+            grid = _resonance_grid(2, hs)
+            for i, h in enumerate(hs):
+                assert_lane_equals(grid, i, build_resonance_data(2, h))
+
+
+def padded(hs):
+    """hs as it is, below _LANES_FROM depths, and followed by ordinary depths up to _LANES_FROM of them."""
+    pad = np.linspace(1.0, 20.0, max(resonance._LANES_FROM - len(hs), 0)).tolist()
+    assert len(hs) < resonance._LANES_FROM <= len(hs) + len(pad)
+    return [hs, hs + pad]
 
 
 def assert_lane_equals(grid, i, one):
@@ -250,7 +259,7 @@ class TestLaneSolveEdgeCases:
             return real(p, h)
 
         monkeypatch.setattr(resonance, "build_resonance_data", counting)
-        hs = np.linspace(0.5, 20.0, 40).tolist()
+        hs = np.linspace(0.5, 20.0, resonance._LANES_FROM + 40).tolist()  # a lane grid
         grid = _resonance_grid(p, hs)
         assert redone == hs
         for i, h in enumerate(hs):
@@ -285,6 +294,88 @@ class TestLaneSolveEdgeCases:
         for k in range(4):
             with pytest.raises(SolverError, match="did not converge"):
                 resonance.brentq(lambda x: x * x * x + x - r[k], 0.1, 2.0, fa[k], fb[k], resonance._XTOL)
+
+
+GRID_FIELDS = ("h", "phi_star", "omega_star", "Omega", "t", "residual", "c")
+
+
+def lanes_forced(monkeypatch, call):
+    """call() with every grid, whatever its size, taken by the lane path."""
+    with monkeypatch.context() as m:
+        m.setattr(resonance, "_LANES_FROM", 0)
+        m.setattr(beta, "_LANES_FROM", 0)
+        return call()
+
+
+def grid_sizes():
+    """The grid sizes at both ends and on both sides of _LANES_FROM."""
+    n = resonance._LANES_FROM
+    return sorted({0, 1, 2, n - 1, n, n + 1})
+
+
+class TestGridSize:
+    """Below _LANES_FROM depths a grid is solved depth by depth, from it over lanes, to the same bytes."""
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_both_paths_equal_the_single_depth_record(self, monkeypatch, p):
+        rng = np.random.default_rng(p)
+        for n in grid_sizes():
+            hs = rng.uniform(0.05, 20.0, n)
+            grid = _resonance_grid(p, hs)
+            lanes = lanes_forced(monkeypatch, lambda: _resonance_grid(p, hs))
+            for name in GRID_FIELDS:
+                a, b = getattr(grid, name), getattr(lanes, name)
+                assert a.shape == b.shape == ((p + 1, n) if name in ("Omega", "t") else (n,)), (n, name)
+                assert a.dtype == b.dtype == np.float64, (n, name)
+                assert a.tobytes() == b.tobytes(), (n, name)
+            assert grid.p == lanes.p == p
+            for i, h in enumerate(hs.tolist()):
+                assert_lane_equals(grid, i, build_resonance_data(p, h))
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 7])
+    def test_lane_solve_runs_only_from_lanes_from(self, monkeypatch, p):
+        real, calls = resonance._brentq_lanes, []
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return real(*args)
+
+        def refuse(*args):
+            raise AssertionError("a lane solve below _LANES_FROM depths")
+
+        n = resonance._LANES_FROM
+        monkeypatch.setattr(resonance, "_brentq_lanes", refuse)
+        for size in range(n):
+            _resonance_grid(p, np.linspace(0.05, 20.0, size))
+        monkeypatch.setattr(resonance, "_brentq_lanes", counting)
+        for size in (n, n + 1, 2 * n):
+            _resonance_grid(p, np.linspace(0.05, 20.0, size))
+        assert calls == [n, n + 1, 2 * n]
+
+    def test_the_first_failing_depth_raises(self, monkeypatch):
+        # every lane is unsettled, so the lane pass too solves each depth again at one depth, in grid order
+        monkeypatch.setattr(resonance, "_bracket", lambda p: (1e-3, 2e-3))
+        real = resonance._solve
+
+        def failing(p, h):
+            if h in (2.0, 3.0):
+                raise SolverError(f"h={h}")
+            return real(p, h)
+
+        monkeypatch.setattr(resonance, "_solve", failing)
+        for hs in padded([1.0, 2.0, 3.0]):
+            with pytest.raises(SolverError, match=r"^h=2\.0$"):
+                _resonance_grid(2, hs)
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_overflowing_lanes_are_quiet(self, p):
+        # h * phi overflows to inf in every lane, as it does on floats; geomspace up to finfo.max warns by itself
+        hs = np.geomspace(1e300, 1.7e308, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = _resonance_grid(p, hs)
+            for i, h in enumerate(hs.tolist()):
+                assert_lane_equals(grid, i, build_resonance_data(p, h))
 
 
 # the 1001-depth grid of the bit-for-bit tests, both ends included

@@ -25,6 +25,13 @@ where brackets take many steps toward 0+ and deep lanes saturate tanh:
 - ``_resonance_grid``: its seven fields, as above;
 - ``solve_wavenumber`` at every 20th depth.
 
+Then, on the first n of 130 seeded depths in [0.05, 20], for every n from
+0 to 130, so that a grid is taken depth by depth and over lanes whichever
+size divides the two paths: ``_resonance_grid``'s seven fields for p = 2..8,
+and ``_grid``'s signed terms, total and cancellation floor for p = 2, 3, 4.
+Then ``_resonance_grid`` for p = 2..8 at np.geomspace(1e300, 1.7e308, 200),
+where h * phi overflows in every lane.
+
 Then ``dispersion._tanh``, the array tanh, over a fixed argument set:
 seeded uniform points of [-50, 60], arguments where k = (1 - tanh x) / 2^-53
 lies within a hair of a tie, libm's first 1.0 (19.0615474653985) and its
@@ -66,6 +73,8 @@ TANH_ARGS = np.concatenate([
     np.geomspace(22.0, 1e308, 1001),
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, np.inf, -np.inf, np.nan],
 ])
+SIZED = np.random.default_rng(130).uniform(0.05, 20.0, 130)
+HUGE = np.geomspace(1e300, 1.7e308, 200)
 ZERO_INTERVALS = [(2, 0.5, 5.0, 2000), (3, 0.5, 2.0, 500, 1e-10), (4, 0.3, 3.0, 4000)]
 ZERO_INTERVALS += [(p, 0.05, 20.0, 7919) for p in (2, 3, 4)]
 
@@ -112,6 +121,19 @@ def digest() -> str:
         for name in RESONANCE_FIELDS:
             sha.update(_floats(getattr(rd, name)))
         sha.update(_floats([solve_wavenumber(p, h) for h in WIDE[::20].tolist()]))
+    for n in range(SIZED.size + 1):
+        for p in range(2, 9):
+            rd = _resonance_grid(p, SIZED[:n])
+            for name in RESONANCE_FIELDS:
+                sha.update(_floats(getattr(rd, name)))
+        for p in (2, 3, 4):
+            g = _grid(p, SIZED[:n])
+            for part in (g.signed, g.total, g.cancellation_floor):
+                sha.update(_floats(part))
+    for p in range(2, 9):
+        rd = _resonance_grid(p, HUGE)
+        for name in RESONANCE_FIELDS:
+            sha.update(_floats(getattr(rd, name)))
     sha.update(_floats(_tanh(TANH_ARGS)))
     for args in ZERO_INTERVALS:
         sha.update(_floats(find_beta_zeros(*args)))
