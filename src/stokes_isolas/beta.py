@@ -33,11 +33,11 @@ j*c -+ Omega_j - Omega_0, with -s*Omega_j written as a sign.  Its rule
 a_l + p_l * (+-t_m +- t_n), with the t-weights written as signs, each
 distinct prefactor root * Omega_j ... as one local, and each term as one
 expression, x or -(x).  Dropping the multiplies by +-1 changes no double.
-One evaluator (``_evaluate``) runs the rule.  It is a rational function of
-c, Omega_j, t_j and root = sqrt(Omega_0 * Omega_p), which its caller
-supplies: only + - * / and float constants touch them, so it runs on
-Python floats at a single depth, on numpy arrays over a grid of depths and
-on mpmath numbers (the 40-digit audit in the tests).
+The rule is a rational function of c, Omega_j, t_j and
+root = sqrt(Omega_0 * Omega_p), which its caller supplies: only + - * /
+and float constants touch them, so it runs on Python floats at a single
+depth, on numpy arrays over a grid of depths and on mpmath numbers (the
+40-digit audit in the tests).
 
 At one depth (``_point``) p is refused before the depth and both before
 the one single-depth solve (``resonance._solve``), whose plain floats and
@@ -46,13 +46,13 @@ build no record.  For doubles the record is ``BetaBreakdown``: the signed
 terms and their total, floats at one depth (``beta1_breakdown``) or one
 column per depth over a grid (``_grid``).  ``beta_scan`` (which fills its
 rows' slots a column at a time), the grid pass of ``find_beta_zeros`` and
-the CLI tables read it.  The evaluator performs the same IEEE operations
-in the same order either way, and the grid's phi* solve is a lane-wise
-port of the single-depth Brent solve, so every grid value equals the
-single-depth value bit for bit.  A grid of fewer than
-``resonance._LANES_FROM`` depths, where the fixed cost of numpy's passes
-outweighs their gain, is solved and summed depth by depth by the same
-single-depth functions.
+the CLI tables read it.  The rule performs the same IEEE operations in
+the same order either way, and the grid's phi* solve is a lane-wise port
+of the single-depth Brent solve, so every grid value equals the
+single-depth value bit for bit.  Each grid layer is one array pass and
+one loop of its single-depth function, and skips the array pass below
+its own size, where numpy's fixed costs outweigh the gain: the phi* solve
+below ``resonance._LANES_FROM`` depths, the terms below ``_ARRAY_TERMS_FROM``.
 
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
@@ -60,7 +60,7 @@ assembly uses compensated summation (``neumaier_sum``), and the record's
 ``cancellation_floor`` gives the resolution limit, 8 ulps of the largest
 term, below which a computed total is numerically meaningless.  Each has
 one body that runs on floats at one depth and on numpy rows over a grid,
-like ``_evaluate``; the floor's ulps are math.ulp's at one depth and
+like the rule; the floor's ulps are math.ulp's at one depth and
 np.spacing's, the same doubles, over a grid (``dispersion._ulp``).
 """
 
@@ -79,7 +79,7 @@ from .asymptotics import leading_term
 from .dispersion import _check_depth, _ulp
 from .errors import SingularityError
 from .resonance import (
-    ResonanceData, _LANES_FROM, _check_index, _equal_fields, _record, _resonance_grid, _scan_depths, _solve, brentq,
+    ResonanceData, _check_index, _equal_fields, _record, _resonance_grid, _scan_depths, _solve, brentq,
 )
 from .stokes_coefficients import _coefficients
 
@@ -99,6 +99,18 @@ __all__ = [
 # range [0.05, 20]; anything smaller than this is outside that range and
 # refused rather than silently amplified.
 DENOMINATOR_GUARD = 1e-10
+
+# Fewer columns than this take their terms by _signed_terms one by one, more by one array pass
+# (_grid_terms), which costs about 0.2 ms however few columns it has, one column 7-11 us.  Median of
+# 9 timings of _grid_terms alone in ms, arrays / column by column, on resonance._LANES_FROM's host:
+#
+#        p      n = 1        16          24          32          64         256
+#        2    0.15/0.01   0.08/0.07   0.18/0.18   0.10/0.14   0.20/0.45   0.35/1.75
+#        3    0.26/0.02   0.16/0.11   0.26/0.24   0.14/0.18   0.13/0.34   0.21/1.55
+#        4    0.25/0.02   0.37/0.17   0.24/0.22   0.25/0.28   0.25/0.57   0.47/2.85
+#
+# Over n = 1..256 the arrays win at most of the sizes from 19-23 columns on (by p), at all from 28-36.
+_ARRAY_TERMS_FROM = 24
 
 
 def neumaier_sum(values):
@@ -272,19 +284,6 @@ def _plan(p: int) -> _Plan:
     return _Plan(p, tuple(hops), tuple(dens), tuple(terms), groups)
 
 
-def _evaluate(plan: _Plan, Omega, t, coefficients, dens, root) -> list:
-    """Signed terms in beta_term_ids order, a rational function of the inputs.
-
-    Omega[j], t[j], the Stokes coefficients, the denominators and root =
-    sqrt(Omega_0 * Omega_p) are of one number type: the plan's compiled
-    rule (``_Plan.rule``) touches them only with + - * / and float
-    constants.  Floats at one depth and rows of arrays over a grid get the
-    same IEEE operations in the same order, so a grid column equals the
-    single-depth result bit for bit; mpmath numbers also work.
-    """
-    return plan.rule(Omega, t, coefficients, dens, root)
-
-
 def _signed_terms(plan: _Plan, h: float, c: float, Omega: list[float], t: list[float]) -> list[float]:
     """Every term of the plan.p-th coefficient at depth h with its sign, in beta_term_ids order.
 
@@ -306,26 +305,26 @@ def _signed_terms(plan: _Plan, h: float, c: float, Omega: list[float], t: list[f
             denominator_label=f"{j}*c_h {sign} Omega_{j} - Omega_0",
             value=dens[k],
         )
-    return _evaluate(plan, Omega, t, coefficients, dens, math.sqrt(Omega[0] * Omega[plan.p]))
+    return plan.rule(Omega, t, coefficients, dens, math.sqrt(Omega[0] * Omega[plan.p]))
 
 
 def _grid_terms(rd: ResonanceData) -> np.ndarray:
     """Signed terms over a ResonanceData of arrays: one row per term, one column per depth.
 
-    Fewer than _LANES_FROM columns are taken by _signed_terms one at a
-    time, in grid order.  Over more, columns the array pass cannot vouch
-    for (a near-vanishing denominator, a non-finite term) are redone by
-    _signed_terms in grid order.  Either way the error a column-by-column
-    loop would raise first is raised.
+    From _ARRAY_TERMS_FROM columns up one array pass takes them all.  Then
+    _signed_terms takes again, in grid order, each column the array pass
+    cannot vouch for (a near-vanishing denominator, a non-finite term),
+    which below _ARRAY_TERMS_FROM is every column, and raises the error a
+    column-by-column loop would raise first.
     """
     plan = _plan(rd.p)
-    if rd.h.size < _LANES_FROM:
+    if rd.h.size < _ARRAY_TERMS_FROM:
         terms, redo = np.empty((len(plan.terms), rd.h.size)), range(rd.h.size)
     else:
         dens = plan.denominators(rd.Omega, rd.c)
         with np.errstate(all="ignore"):
             root = np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
-            terms = np.array(_evaluate(plan, rd.Omega, rd.t, _coefficients(rd.c), dens, root))
+            terms = np.array(plan.rule(rd.Omega, rd.t, _coefficients(rd.c), dens, root))
         redo = ~np.isfinite(terms).all(axis=0)
         for d in dens:
             redo |= np.abs(d) < DENOMINATOR_GUARD

@@ -25,14 +25,13 @@ one depth read its floats and lists, and ``build_resonance_data`` wraps them
 in a ``ResonanceData``.  Both solves share one residual body, one
 tabulation over the dispersion kernels' float or array triple and one
 ``_record`` body, so every grid value equals the single-depth one bit for
-bit.  A lane pass costs about 1 ms however few lanes it has, so a grid of
-fewer than ``_LANES_FROM`` depths is solved by ``_solve`` at each depth
-instead, into the lane pass's arrays.  phi* is accepted when the residual
-read off the tabulation, f(phi*) = Omega_0 + Omega_p - p*c, is at most
-DEFAULT_TOL in magnitude.  The lane pass expands brackets toward 0+ only,
-iterates only the lanes they bracket and solves every lane it does not
-accept again at one depth, so Brent's edge cases have one owner,
-``_solve``.
+bit.  phi* is accepted when the residual read off the tabulation,
+f(phi*) = Omega_0 + Omega_p - p*c, is within ``_tolerance(p*c)``.  A grid
+is one lane pass, from ``_LANES_FROM`` depths up (it costs about 1.5 ms
+however few lanes it has), then one loop of ``_solve`` over every depth
+the lane pass did not accept, in grid order.  The lane pass expands
+brackets toward 0+ only and iterates only the lanes they bracket, so
+Brent's edge cases have one owner, ``_solve``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dispersion import _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _float, _phase, _tabulate
+from .dispersion import _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _float, _phase, _tabulate, _ulp
 from .errors import SolverError
 
 __all__ = [
@@ -53,7 +52,9 @@ __all__ = [
     "omega_star",
 ]
 
-# Largest |f(phi*)| the solve accepts, at one depth and over a grid.
+# Largest |f(phi*)| the solve accepts while p*c < 256, so for every p <= 128 (c <= 1).  From p*c = 512
+# one ulp of p*c exceeds it; _tolerance accepts up to 3.5 ulps of p*c.  f(phi*) is an exact difference,
+# a multiple of half an ulp of p*c, and at most 3 ulps over p = 2..10^5 at 400 depths in [0.05, 20].
 DEFAULT_TOL = 1e-13
 
 # Geometric bracket expansion: each step divides the lower end by 4 or
@@ -66,23 +67,21 @@ _XTOL = 1e-15
 _RTOL = 4 * float(np.finfo(float).eps)
 _MAXITER = 100
 
-# A grid of fewer depths than this is solved by _solve depth by depth (_resonance_grid), and its
-# terms are taken by beta._signed_terms column by column (beta._grid_terms): a lane pass costs
-# about 1 ms however few lanes it has, one depth about 20 us.  Set where the two cross over, by the
-# median of 9 timings of _resonance_grid + _grid_terms in ms, lanes / depth by depth, on seeded
-# depths in [0.05, 20] (one core of a shared 2-core Intel Xeon, Python 3.11, numpy 2.4):
+# Fewer depths than this are solved by _solve one by one, more by one lane pass (_resonance_grid),
+# which costs about 1.5 ms however few lanes it has, one depth 20-25 us.  Median of 9 timings of
+# _resonance_grid alone in ms, lanes / depth by depth, on seeded depths in [0.05, 20] (one core of a
+# shared 2-core Intel Xeon, Python 3.11, numpy 2.4); either way every double is the same:
 #
-#     depths   p = 2         p = 3         p = 4
-#          1   1.44 / 0.05   1.44 / 0.05   0.81 / 0.03
-#          8   1.72 / 0.25   1.18 / 0.27   0.90 / 0.17
-#         32   1.80 / 0.96   1.59 / 0.80   1.21 / 0.68
-#         64   1.88 / 1.71   2.23 / 1.79   1.11 / 1.26
-#        128   1.24 / 2.08   2.15 / 3.73   1.33 / 2.38
-#        256   2.91 / 7.85   1.35 / 4.15   1.67 / 5.60
+#     depths      p = 2        3         4         5         6         7         8
+#          1   1.53/0.07 1.36/0.06 1.51/0.06 1.16/0.06 1.46/0.07 1.70/0.08 1.41/0.08
+#         32   1.85/0.85 1.94/0.78 1.63/0.72 1.73/0.68 1.25/0.56 2.03/0.84 2.06/0.74
+#         64   1.87/1.61 2.06/1.53 1.67/1.38 1.81/1.26 1.10/0.81 2.12/1.65 2.28/1.40
+#         96   2.04/2.45 2.04/2.28 1.78/2.06 2.02/2.00 1.92/2.06 2.55/2.40 2.63/2.12
+#        128   2.25/3.25 2.27/2.89 2.33/2.81 2.21/2.88 2.19/2.00 2.31/2.73 1.33/1.51
+#        256   2.66/6.46 2.43/5.91 2.59/4.84 2.71/5.23 2.99/5.56 3.23/5.68 2.73/5.34
 #
-# Over n = 1..256 the whole grid crosses over at 58-69 depths, the solve alone at 85-89 and the
-# terms alone at 21-28.  Either way every double is the same.
-_LANES_FROM = 64
+# Over n = 1..256 the lanes win at most of the sizes from 76-111 depths on (by p), at all from 91-172.
+_LANES_FROM = 96
 
 _SCAN_H_RANGE = (0.05, 20.0)  # the documented depth range of the beta tables and of the isola model
 
@@ -299,6 +298,11 @@ class ResonanceData:
         return _equal_fields(self, other, [f.name for f in fields(self)])
 
 
+def _tolerance(pc):
+    """The largest |f(phi*)| accepted where p*c = pc, a float or an array (see DEFAULT_TOL)."""
+    return np.maximum(DEFAULT_TOL, 3.5 * _ulp(pc))
+
+
 def _record(p: int, h, c, phi, Omega, t) -> ResonanceData:
     """The record at phi* = phi from its tabulated Omega_j, t_j: omega* and the residual f(phi*) read off them."""
     return ResonanceData(p, h, phi, c * phi + Omega[0], np.array(Omega), np.array(t), Omega[0] + Omega[p] - p * c, c)
@@ -312,14 +316,14 @@ def _solve(p: int, h: float) -> tuple[float, float, list[float], list[float]]:
     limit (p-1)^2/4, expands it geometrically toward 0+ or +infinity until
     the residual changes sign, then refines with Brent's method.  The root
     is accepted when the residual read off the tabulation (the record's),
-    f(phi*) = Omega_0 + Omega_p - p*c, has magnitude at most DEFAULT_TOL.
+    f(phi*) = Omega_0 + Omega_p - p*c, has magnitude at most _tolerance(p*c).
 
     Raises
     ------
     SolverError
         If no sign change is found after the documented maximum number of
         expansions (pathological depths far outside [1e-3, 1e3]), or if
-        the residual at the root exceeds DEFAULT_TOL.
+        the residual at the root exceeds _tolerance(p*c), which it names.
     """
     c = _phase(h, _FLOATS)
     f = _residual(p, h, c, _FLOATS)
@@ -344,8 +348,8 @@ def _solve(p: int, h: float) -> tuple[float, float, list[float], list[float]]:
     phi = brentq(f, lo, hi, flo, fhi, _XTOL)
     Omega, t = _tabulate(p, h, phi, _FLOATS)
     residual = Omega[0] + Omega[p] - p * c
-    if abs(residual) > DEFAULT_TOL:
-        raise SolverError(f"residual {residual:.3e} above tol {DEFAULT_TOL:.3e} at phi={phi!r}", bracket=(lo, hi))
+    if abs(residual) > DEFAULT_TOL and abs(residual) > (tol := _tolerance(p * c)):
+        raise SolverError(f"residual {residual:.3e} above tol {tol:.3e} at phi={phi!r}", bracket=(lo, hi))
     return c, phi, Omega, t
 
 
@@ -363,44 +367,40 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
     """build_resonance_data at every depth of hs, as one ResonanceData of arrays.
 
     The first non-finite or non-positive depth is refused before any solve.
-    Fewer than _LANES_FROM depths are solved by _solve one at a time, in
-    grid order.  More are solved over lanes at once, bit-identical to
-    calling build_resonance_data per depth, which re-solves in grid order
-    every lane left unsettled (no f(lo) < 0 < f(hi) after expanding toward
-    0+ only, no convergence, a record residual above DEFAULT_TOL).  Either
-    way the first failing depth raises _solve's error.
+    From _LANES_FROM depths up one lane pass solves them all, bit for bit as
+    _solve would.  Then _solve solves, in grid order, every depth the lane
+    pass did not accept (no f(lo) < 0 < f(hi) after expanding toward 0+
+    only, no convergence, a residual above _tolerance), every depth of a
+    smaller grid, and the first failing depth raises its error.
     """
     p = _check_index(p)
     h = _check_depths(np.array(hs, dtype=float))
     if h.size < _LANES_FROM:
         c, phi = np.empty(h.size), np.empty(h.size)
         Omega, t = np.empty((p + 1, h.size)), np.empty((p + 1, h.size))
-        for i, depth in enumerate(h.tolist()):
-            c[i], phi[i], Omega[:, i], t[:, i] = _solve(p, depth)
-        return _record(p, h, c, phi, Omega, t)
+        redo = range(h.size)
+    else:
+        c = _phase(h, _ARRAYS)
+        f = lambda phi, lanes: _residual(p, h[lanes], c[lanes], _ARRAYS)(phi)
 
-    c = _phase(h, _ARRAYS)
-    f = lambda phi, lanes: _residual(p, h[lanes], c[lanes], _ARRAYS)(phi)
+        # h * phi overflows to inf in deep lanes, as it does on floats
+        with np.errstate(over="ignore"):
+            # bracket expansion toward 0+, lane by lane as in _solve
+            lo, hi = (np.full(h.size, end) for end in _bracket(p))
+            flo, fhi = f(lo, ...), f(hi, ...)
+            for _ in range(_MAX_EXPANSIONS):
+                lanes = np.flatnonzero(flo > 0.0)
+                if not lanes.size:
+                    break
+                lo[lanes] /= 4.0
+                flo[lanes] = f(lo[lanes], lanes)
 
-    # h * phi overflows to inf in deep lanes, as it does on floats
-    with np.errstate(over="ignore"):
-        # bracket expansion toward 0+, lane by lane as in _solve
-        lo, hi = (np.full(h.size, end) for end in _bracket(p))
-        flo, fhi = f(lo, ...), f(hi, ...)
-        for _ in range(_MAX_EXPANSIONS):
-            lanes = np.flatnonzero(flo > 0.0)
-            if not lanes.size:
-                break
-            lo[lanes] /= 4.0
-            flo[lanes] = f(lo[lanes], lanes)
-
-        phi = _brentq_lanes(f, lo, hi, flo, fhi)
-        rd = _record(p, h, c, phi, *_tabulate(p, h, phi, _ARRAYS))
-    for i in np.flatnonzero(~(np.abs(rd.residual) <= DEFAULT_TOL)):  # NaN where phi* is unsettled
-        lane = build_resonance_data(p, h[i])
-        for name in ("phi_star", "omega_star", "Omega", "t", "residual"):
-            getattr(rd, name)[..., i] = getattr(lane, name)
-    return rd
+            phi = _brentq_lanes(f, lo, hi, flo, fhi)
+            Omega, t = map(np.array, _tabulate(p, h, phi, _ARRAYS))
+        redo = np.flatnonzero(~(np.abs(Omega[0] + Omega[p] - p * c) <= _tolerance(p * c)))  # NaN where unsettled
+    for i in redo:
+        c[i], phi[i], Omega[:, i], t[:, i] = _solve(p, float(h[i]))
+    return _record(p, h, c, phi, Omega, t)
 
 
 def solve_wavenumber(p: int, h: float) -> float:

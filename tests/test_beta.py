@@ -598,7 +598,7 @@ def _evaluate_by_loops(plan, Omega, t, coefficients, dens, root):
 
 
 def _rule_inputs(plan, rd):
-    """_evaluate's arguments after plan, from a record at one depth (floats) or over a grid (arrays)."""
+    """The compiled rule's arguments, from a record at one depth (floats) or over a grid (arrays)."""
     if np.ndim(rd.h):
         Omega, t, root = rd.Omega, rd.t, np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
     else:
@@ -620,13 +620,13 @@ class TestCompiledPathRule:
         assert (hs[0], hs[-1]) == (0.05, 20.0)
         for h in hs:
             args = _rule_inputs(plan, build_resonance_data(p, h))
-            assert _bits(beta._evaluate(plan, *args)) == _bits(_evaluate_by_loops(plan, *args)), h
+            assert _bits(plan.rule(*args)) == _bits(_evaluate_by_loops(plan, *args)), h
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_arrays_equal_the_loops(self, p):
         plan = beta._plan(p)
         args = _rule_inputs(plan, _resonance_grid(p, np.linspace(0.05, 20.0, 2000)))
-        rule, loops = beta._evaluate(plan, *args), _evaluate_by_loops(plan, *args)
+        rule, loops = plan.rule(*args), _evaluate_by_loops(plan, *args)
         assert all(type(v) is np.ndarray and v.shape == (2000,) for v in rule)
         assert np.array(rule).tobytes() == np.array(loops).tobytes()
 
@@ -701,7 +701,7 @@ def _engineered(h):
 
 
 class TestGridSize:
-    """Below _LANES_FROM depths the terms are taken column by column, from it over lanes, to the same bytes."""
+    """Below _ARRAY_TERMS_FROM columns the terms are taken column by column, from it over arrays, to the same bytes."""
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_both_paths_equal_the_single_depth_record(self, monkeypatch, p):
@@ -721,6 +721,26 @@ class TestGridSize:
                 assert grid.signed[:, i].tobytes() == np.array(one.signed).tobytes(), h
                 assert grid.total[i].hex() == one.total.hex(), h
                 assert_lane_equals(grid.rd, i, one.rd)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_array_pass_runs_only_from_its_threshold(self, monkeypatch, p):
+        # the rule runs on arrays in the array pass only; _signed_terms hands it lists
+        plan = beta._plan(p)
+        real, passes = plan.rule, []
+
+        def counting(Omega, *args):
+            if isinstance(Omega, np.ndarray):
+                passes.append(Omega.shape[1])
+            return real(Omega, *args)
+
+        monkeypatch.setitem(plan.__dict__, "rule", counting)
+        n = beta._ARRAY_TERMS_FROM
+        for size in range(n):
+            _grid_terms(_resonance_grid(p, np.linspace(0.05, 20.0, size)))
+        assert passes == []
+        for size in (n, n + 1, 2 * n):
+            _grid_terms(_resonance_grid(p, np.linspace(0.05, 20.0, size)))
+        assert passes == [n, n + 1, 2 * n]
 
 
 class TestSingularityGuard:
@@ -745,7 +765,7 @@ class TestSingularityGuard:
                     beta_scan(2, hs)
 
     def test_first_of_two_singular_depths_is_named(self):
-        # the columns are taken in grid order on both sides of _LANES_FROM
+        # the columns are taken in grid order on both sides of _ARRAY_TERMS_FROM
         for hs in padded([1.0, 2.0, 3.0]):
             real = _resonance_grid(2, hs)
             for i in (1, 2):

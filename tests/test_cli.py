@@ -58,6 +58,15 @@ class TestResonanceCommand:
         assert (code, err) == (0, "")
         assert len(parse_csv(out)) == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_large_index_table(self, fmt):
+        # from p*c = 512 one ulp of p*c exceeds DEFAULT_TOL; the roots there are accepted all the same
+        code, out, err = run_cli("resonance", "--p", "1000", "--h-min", "0.05", "--h-max", "20", "--n", "200",
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        rows = parse_csv(out) if fmt == "csv" else json.loads(out)
+        assert len(rows) == 200
+
     def test_p_below_two_is_usage_error(self):
         # the library's check alone: one error line that names the value
         expected = (2, "", "error: isola index p must be an integer >= 2, got 1\n")

@@ -84,8 +84,8 @@ def test_deep_water_ratio_fixture(fixtures):
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_plan_matches_oracle_to_forty_digits(p):
-    # beta._evaluate is a rational function of its inputs, so fed 60-digit
-    # oracle values it audits the compiled path rule and the Stokes
+    # the compiled path rule is a rational function of its inputs, so fed
+    # 60-digit oracle values it audits itself and the Stokes
     # coefficients against the longhand terms far below the double floor,
     # also in deep water (h = 14..20), where doubles cannot resolve beta1
     mp = pytest.importorskip("mpmath")
@@ -101,7 +101,7 @@ def test_plan_matches_oracle_to_forty_digits(p):
             t = [oracle._t(j + phi, x) for j in range(p + 1)]
             c = oracle._coefficients(x)[0]
             dens = plan.denominators(Omega, c)
-            terms = beta._evaluate(plan, Omega, t, _coefficients(c), dens, mp.sqrt(Omega[0] * Omega[p]))
+            terms = plan.rule(Omega, t, _coefficients(c), dens, mp.sqrt(Omega[0] * Omega[p]))
             ref = oracle.oracle_beta1(p, h, cfg)
             assert abs(mp.fsum(terms) - ref) <= mp.mpf("1e-40") * abs(ref), (p, h)
 

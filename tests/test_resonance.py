@@ -252,18 +252,19 @@ class TestLaneSolveEdgeCases:
     def test_unbracketed_lanes_are_redone_at_one_depth(self, monkeypatch, p):
         # a start bracket below every root needs the expansion toward +inf, which only _solve performs
         monkeypatch.setattr(resonance, "_bracket", lambda p: (1e-3, 2e-3))
-        real, redone = resonance.build_resonance_data, []
+        real, redone = resonance._solve, []
 
         def counting(p, h):
             redone.append(h)
             return real(p, h)
 
-        monkeypatch.setattr(resonance, "build_resonance_data", counting)
+        monkeypatch.setattr(resonance, "_solve", counting)
         hs = np.linspace(0.5, 20.0, resonance._LANES_FROM + 40).tolist()  # a lane grid
         grid = _resonance_grid(p, hs)
         assert redone == hs
+        monkeypatch.setattr(resonance, "_solve", real)
         for i, h in enumerate(hs):
-            assert_lane_equals(grid, i, real(p, h))
+            assert_lane_equals(grid, i, build_resonance_data(p, h))
 
     @staticmethod
     def _lanes():
@@ -300,17 +301,19 @@ GRID_FIELDS = ("h", "phi_star", "omega_star", "Omega", "t", "residual", "c")
 
 
 def lanes_forced(monkeypatch, call):
-    """call() with every grid, whatever its size, taken by the lane path."""
+    """call() with every grid, whatever its size, taken by the lane solve and the terms' array pass."""
     with monkeypatch.context() as m:
         m.setattr(resonance, "_LANES_FROM", 0)
-        m.setattr(beta, "_LANES_FROM", 0)
+        m.setattr(beta, "_ARRAY_TERMS_FROM", 0)
         return call()
 
 
 def grid_sizes():
-    """The grid sizes at both ends and on both sides of _LANES_FROM."""
-    n = resonance._LANES_FROM
-    return sorted({0, 1, 2, n - 1, n, n + 1})
+    """The grid sizes at both ends and on both sides of the solve's and the terms' thresholds."""
+    sizes = {0, 1, 2}
+    for n in (resonance._LANES_FROM, beta._ARRAY_TERMS_FROM):
+        sizes |= {n - 1, n, n + 1}
+    return sorted(sizes)
 
 
 class TestGridSize:
@@ -376,6 +379,85 @@ class TestGridSize:
             grid = _resonance_grid(p, hs)
             for i, h in enumerate(hs.tolist()):
                 assert_lane_equals(grid, i, build_resonance_data(p, h))
+
+    @pytest.mark.parametrize("p", [2, 4, 7])
+    def test_one_record_per_grid_written_before_it_is_built(self, monkeypatch, p):
+        # _record builds the grid's record once, and nothing writes into it after: its arrays are made read-only
+        real, records = resonance._record, []
+
+        def frozen(*args):
+            rd = real(*args)
+            for name in GRID_FIELDS:
+                getattr(rd, name).flags.writeable = False
+            records.append(rd)
+            return rd
+
+        monkeypatch.setattr(resonance, "_record", frozen)
+        sizes = grid_sizes() + [2 * resonance._LANES_FROM]
+        for unsettled in (False, True):
+            if unsettled:  # every lane is solved again at one depth after the lane pass
+                monkeypatch.setattr(resonance, "_bracket", lambda p: (1e-3, 2e-3))
+            for n in sizes:
+                records.clear()
+                grid = _resonance_grid(p, np.linspace(0.5, 20.0, n))
+                assert len(records) == 1 and records[0] is grid, (unsettled, n)
+
+
+class TestLargeIndex:
+    """From p*c = 512 one ulp of p*c exceeds DEFAULT_TOL: the solve accepts a residual of a few ulps of p*c."""
+
+    @pytest.mark.parametrize("p, h", [(1000, 0.28665488591301863), (700, 0.6084870042821937),
+                                      (2000, 0.07395266393894624)])
+    def test_pinned_roots_are_within_one_ulp_of_the_oracle(self, p, h):
+        # roots a fixed DEFAULT_TOL refuses, with residuals of one ulp of p*c, against the oracle rounded to double
+        pytest.importorskip("mpmath")
+        from stokes_isolas.oracle import OracleConfig, oracle_phi
+
+        phi = solve_wavenumber(p, h)
+        assert abs(phi - float(oracle_phi(p, h, OracleConfig()))) <= math.ulp(phi), (p, h)
+        assert abs(build_resonance_data(p, h).residual) > resonance.DEFAULT_TOL
+
+    @pytest.mark.parametrize("p", [700, 1000, 2000, 10000])
+    def test_grid_accepts_what_one_depth_accepts(self, monkeypatch, p):
+        # the lane pass applies the single-depth rule: it accepts every lane, and each equals the record
+        hs = np.geomspace(0.05, 20.0, 200)
+        real, redone = resonance._solve, []
+        monkeypatch.setattr(resonance, "_solve", lambda p, h: redone.append(h) or real(p, h))
+        grid = _resonance_grid(p, hs)
+        assert redone == []
+        monkeypatch.undo()
+        for i, h in enumerate(hs.tolist()):
+            assert_lane_equals(grid, i, build_resonance_data(p, h))
+
+    def test_default_tol_up_to_p_128(self):
+        # c < 1, or c = 1 from h ~ 19.06 up, so p*c <= 128 and the rule is |f| <= DEFAULT_TOL
+        hs = np.concatenate([np.geomspace(0.05, 20.0, 400), [19.1, 20.0]])
+        c = resonance._phase(hs, resonance._ARRAYS)
+        assert c[-1] == 1.0
+        for p in range(2, 129):
+            assert (resonance._tolerance(p * c) == resonance.DEFAULT_TOL).all(), p
+            assert resonance._tolerance(p * c[-1]) == resonance.DEFAULT_TOL, p
+        assert resonance._tolerance(math.nextafter(256.0, 0.0)) == resonance.DEFAULT_TOL
+
+    def test_ulps_from_256(self):
+        pcs = [256.0, 511.0, 512.0, 528.3, 1e4, 1e5]
+        for pc in pcs:
+            assert resonance._tolerance(pc) == 3.5 * math.ulp(pc) > resonance.DEFAULT_TOL, pc
+        assert resonance._tolerance(np.array(pcs)).tolist() == [resonance._tolerance(pc) for pc in pcs]
+
+    def test_ulps_are_computed_only_above_default_tol(self, monkeypatch):
+        def refuse(pc):
+            raise AssertionError("the ulp bound was computed")
+
+        monkeypatch.setattr(resonance, "_tolerance", refuse)
+        for p in range(2, 9):
+            for h in (0.05, 0.3, 1.0, 3.1, 20.0):
+                solve_wavenumber(p, h)
+
+    def test_refusal_names_the_tolerance_applied(self, monkeypatch):
+        monkeypatch.setattr(resonance, "_tolerance", lambda pc: 1e-300)
+        with pytest.raises(SolverError, match=r"^residual -1\.137e-13 above tol 1\.000e-300 at phi=69264\.16410469996$"):
+            solve_wavenumber(1000, 0.28665488591301863)
 
 
 # the 1001-depth grid of the bit-for-bit tests, both ends included
