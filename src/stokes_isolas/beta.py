@@ -491,11 +491,11 @@ class ScanRow:
 _SCAN_ROW_SETTERS = [getattr(ScanRow, f.name).__set__ for f in fields(ScanRow)]
 
 
-def _scan_columns(p: int, hs) -> list[list]:
-    """The columns of beta_scan(p, hs) as lists, in the order of ScanRow's fields."""
+def _scan_columns(p: int, hs) -> tuple[np.ndarray, ...]:
+    """The columns of beta_scan(p, hs) as arrays, in the order of ScanRow's fields."""
     g = _grid(p, _scan_depths(hs))
     lead = leading_term(p, g.h)  # nonzero on the scan range, so ratio is a plain quotient
-    return [column.tolist() for column in (g.h, g.total, lead, g.total / lead, g.floor_flag)]
+    return g.h, g.total, lead, g.total / lead, g.floor_flag
 
 
 def beta_scan(p: int, hs) -> list[ScanRow]:
@@ -511,7 +511,7 @@ def beta_scan(p: int, hs) -> list[ScanRow]:
     five fields one row at a time through object.__setattr__: each field's
     slot descriptor fills that field's column of rows in one map.
     """
-    columns = _scan_columns(p, hs)
+    columns = [column.tolist() for column in _scan_columns(p, hs)]
     rows = list(map(object.__new__, repeat(ScanRow, len(columns[0]))))
     for set_field, column in zip(_SCAN_ROW_SETTERS, columns):
         deque(map(set_field, rows, column), maxlen=0)

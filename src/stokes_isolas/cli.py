@@ -9,8 +9,9 @@ isola       band metadata plus sampled isola ellipse
 selftest    compare against the stored arbitrary-precision fixtures
 
 Conventions: each subcommand hands one emitter (``_emit``) its field names,
-in the order of the schema's ``required`` list, and its rows.  Data rows go
-to stdout, diagnostics to stderr; every float is printed in shortest
+in the order of the schema's ``required`` list, and one column per field:
+the grid record's arrays as they are, lists elsewhere.  Data rows go to
+stdout, diagnostics to stderr; every float is printed in shortest
 round-trip form; exit code 0 on success, 1 when the reader closes stdout
 early, 2 on usage errors (non-finite inputs, grids too big to allocate), 3
 on numerical failures.  CSV uses a header row and '.' decimals (isola band
@@ -18,10 +19,13 @@ metadata appears as leading '#' comments); JSON is an array of
 schema-tagged objects validating against ``schemas/output.schema.json``.
 
 The argument parser is built once per process and reused unchanged.  The
-emitter writes a table in blocks of rows: it turns each column of a block
-into text in one pass (``float.__repr__`` over a float column, each
-distinct value once otherwise) and fills a per-table row template.  The
-bytes are those of ``json.dump(records, indent=2)`` and of ``csv.writer``.
+emitter writes a table in blocks of rows and builds no row of values: it
+turns each column of a block into text, spelling each distinct value of an
+array once (a float64 array told apart on its bit pattern, so -0.0 and 0.0
+stay distinct), a list of floats in one ``float.__repr__`` pass and any
+other list each distinct value once, and fills a per-table row template
+with the texts.  The bytes are those of ``json.dump(records, indent=2)``
+and of ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -34,13 +38,12 @@ import math
 import os
 import re
 import sys
-from itertools import cycle, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import wavenumber_asymptote
-from .beta import ScanRow, _grid, _scan_columns, beta1, beta1_breakdown, find_beta_zeros
+from .beta import ScanRow, _grid, _scan_columns, beta1, beta1_breakdown, beta_term_ids, find_beta_zeros
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
 from .resonance import _resonance_grid, _scan_depths
@@ -73,12 +76,23 @@ def _csv_cell(value) -> str:
 
 
 def _column(values, cell) -> list[str]:
-    """Text of one column: one float.__repr__ pass over floats, else each distinct value once.
+    """Text of one column of a block: each distinct value spelled once where equal values print alike.
 
-    cell(value) spells one value; it is called for each distinct value of a
-    column of one _ONE_TEXT type, for each value of a mixed column, and for
-    non-finite floats.
+    An array is spelled as its tolist() would be, each distinct value once: a
+    float64 array is told apart on its bit pattern, so -0.0 and 0.0 stay
+    distinct, any other array on its values.  A list of floats takes one
+    float.__repr__ pass, a list of one _ONE_TEXT type each distinct value
+    once.  cell(value) spells one value; it is called for each distinct value
+    of such a column, for each value of a mixed list, and for non-finite floats.
     """
+    if isinstance(values, np.ndarray):
+        floats = values.dtype == np.float64
+        keys = values.view(np.int64) if floats else values
+        distinct, at = np.unique(keys, return_inverse=True)
+        if distinct.size == keys.size:  # nothing repeats: spell the column in its own order
+            return _column(values.tolist(), cell)
+        text = _column((distinct.view(np.float64) if floats else distinct).tolist(), cell)
+        return np.array(text, dtype=object)[at].tolist()
     try:
         text = list(map(float.__repr__, values))
     except TypeError:  # not a float column
@@ -92,9 +106,9 @@ def _column(values, cell) -> list[str]:
     return text
 
 
-def _lines(fill, block, cell) -> list[str]:
+def _lines(fill, columns, cell) -> list[str]:
     """The rows of a block as text: each column in one pass, then fill() per row of cells."""
-    return list(map(fill, zip(*[_column(c, cell) for c in zip(*block)])))
+    return list(map(fill, zip(*[_column(c, cell) for c in columns])))
 
 
 def _json_template(schema: str, fields) -> str:
@@ -104,19 +118,20 @@ def _json_template(schema: str, fields) -> str:
     return "  {\n" + ",\n".join((head, *slots)) + "\n  }"
 
 
-def _emit(fmt: str, schema: str, fields: tuple, rows, band=None):
-    """Write one table to stdout: rows of values in the order of fields.
+def _emit(fmt: str, schema: str, fields: tuple, columns, band=None):
+    """Write one table to stdout: one column of values per field, in the order of fields.
 
-    CSV is a header row and one line per row; JSON is an array with one
-    object per row, tagged with schema.  band, the isola band as a pair
-    (fields, values), comes first: an ``isola_band`` object in JSON, and
-    '# name = value' lines in CSV.  Rows are taken _BLOCK at a time, so the
-    text held at once does not grow with the table.
+    A column is a list, or an array written as its tolist() would be; all
+    have one length.  CSV is a header row and one line per row; JSON is an
+    array with one object per row, tagged with schema.  band, the isola band
+    as a pair (fields, values), comes first: an ``isola_band`` object in
+    JSON, and '# name = value' lines in CSV.  The columns are spelled _BLOCK
+    rows at a time, so the text held at once does not grow with the table.
     """
-    out, rows = sys.stdout, iter(rows)
-    blocks = iter(lambda: list(islice(rows, _BLOCK)), [])  # lists of rows until rows run out
+    out, size = sys.stdout, len(columns[0])
+    blocks = ([c[i:i + _BLOCK] for c in columns] for i in range(0, size, _BLOCK))
     if fmt == "json":
-        tables = [(_json_template("isola_band", band[0]), [[band[1]]])] if band else []
+        tables = [(_json_template("isola_band", band[0]), [[[v] for v in band[1]]])] if band else []
         tables.append((_json_template(schema, fields), blocks))
         sep = "[\n"
         for template, table in tables:
@@ -158,10 +173,9 @@ def _add_grid_flags(sub, default_n=7):
 def cmd_resonance(args, parser):
     hs = _h_grid(args, parser)
     rd = _resonance_grid(args.p, hs)
-    asym = wavenumber_asymptote(args.p, rd.h).tolist() if args.p in (2, 3, 4) else repeat(None)
-    columns = (rd.h.tolist(), rd.phi_star.tolist(), rd.omega_star.tolist(), rd.residual.tolist(), asym)
-    fields = ("p", "h", "phi", "omega_star", "residual", "phi_asymptote")
-    _emit(args.format, "resonance", fields, zip(repeat(rd.p), *columns))
+    asym = wavenumber_asymptote(args.p, rd.h) if args.p in (2, 3, 4) else [None] * rd.h.size
+    columns = (np.full(rd.h.size, rd.p), rd.h, rd.phi_star, rd.omega_star, rd.residual, asym)
+    _emit(args.format, "resonance", ("p", "h", "phi", "omega_star", "residual", "phi_asymptote"), columns)
     return 0
 
 
@@ -169,32 +183,29 @@ def cmd_beta(args, parser):
     hs = _h_grid(args, parser)
     if not (args.breakdown or args.groups):
         fields = tuple(f.name for f in dataclasses.fields(ScanRow))
-        _emit(args.format, "scan", fields, zip(*_scan_columns(args.p, hs)))
+        _emit(args.format, "scan", fields, _scan_columns(args.p, hs))
         return 0
 
     grid = _grid(args.p, _scan_depths(hs))
     if args.breakdown:
-        terms = grid.terms
-        rows = zip(
-            repeat(grid.p),
-            np.repeat(grid.h, len(terms)).tolist(),
-            cycle([tid.label for tid in terms]),
-            cycle([tid.group for tid in terms]),
-            cycle([tid.sign for tid in terms]),
-            np.array(list(terms.values())).T.ravel().tolist(),
-        )
-        _emit(args.format, "beta_term", ("p", "h", "term", "group", "sign", "value"), rows)
+        ids = beta_term_ids(grid.p)
+        signs = np.array([tid.sign for tid in ids])
+        schema = "beta_term"
+        labels = {"term": [tid.label for tid in ids], "group": [tid.group for tid in ids], "sign": signs}
+        values = grid.signed * signs[:, None]  # each term unsigned again: exact, as a product by +-1
     else:
         sums = {"b0": grid.b0, **grid.group_sums}
-        values = np.array(list(sums.values())).T.ravel().tolist()
-        rows = zip(repeat(grid.p), np.repeat(grid.h, len(sums)).tolist(), cycle(sums), values)
-        _emit(args.format, "beta_group", ("p", "h", "group", "value"), rows)
+        schema, labels, values = "beta_group", {"group": list(sums)}, np.array(list(sums.values()))
+    k, n = len(values), grid.h.size  # k rows a depth, each depth's rows in turn
+    columns = (np.full(k * n, grid.p), np.repeat(grid.h, k), *(np.tile(v, n) for v in labels.values()))
+    _emit(args.format, schema, ("p", "h", *labels, "value"), (*columns, values.T.ravel()))
     return 0
 
 
 def cmd_zeros(args, parser):
     zeros = find_beta_zeros(args.p, args.h_min, args.h_max, args.n, args.tol)
-    _emit(args.format, "zero", ("p", "h_star", "residual"), [(args.p, z, beta1(args.p, z)) for z in zeros])
+    columns = ([args.p] * len(zeros), zeros, [beta1(args.p, z) for z in zeros])
+    _emit(args.format, "zero", ("p", "h_star", "residual"), columns)
     return 0
 
 
@@ -213,24 +224,25 @@ def cmd_isola(args, parser):
         (params.p, params.h, params.eps, params.beta1, params.T1, params.E, params.y0, params.mu0,
          geo.mu_low, geo.mu_high, geo.max_growth, geo.band_open),
     )
-    _emit(args.format, "isola_point", ("x", "y"), geo.ellipse.tolist(), band)
+    _emit(args.format, "isola_point", ("x", "y"), geo.ellipse.T, band)
     return 0
 
 
 def cmd_selftest(args, parser):
     from .fixtures import DEFAULT_FIXTURES, load_fixtures
 
-    rows = []
-    for p, h, oracle_value, digits in load_fixtures(args.fixtures or DEFAULT_FIXTURES):
-        bd = beta1_breakdown(p, h)
-        diff, floor = abs(bd.total - oracle_value), bd.cancellation_floor
-        rows.append((p, h, bd.total, oracle_value, diff, floor, diff <= floor))
-    _emit(args.format, "selftest", ("p", "h", "value", "oracle", "abs_diff", "floor", "ok"), rows)
-    failures = sum(not row[-1] for row in rows)
+    p, h, oracle, _ = zip(*load_fixtures(args.fixtures or DEFAULT_FIXTURES))
+    bds = list(map(beta1_breakdown, p, h))
+    value, floor = [bd.total for bd in bds], [bd.cancellation_floor for bd in bds]
+    diff = [abs(v - o) for v, o in zip(value, oracle)]
+    ok = [d <= f for d, f in zip(diff, floor)]
+    columns = (p, h, value, oracle, diff, floor, ok)
+    _emit(args.format, "selftest", ("p", "h", "value", "oracle", "abs_diff", "floor", "ok"), columns)
+    failures = ok.count(False)
     if failures:
         print(f"selftest: {failures} point(s) beyond the cancellation floor", file=sys.stderr)
         return NUMERICAL_EXIT
-    print(f"selftest: {len(rows)} points within the cancellation floor", file=sys.stderr)
+    print(f"selftest: {len(ok)} points within the cancellation floor", file=sys.stderr)
     return 0
 
 

@@ -61,40 +61,85 @@ KINDS = [
     TEXT,
 ]
 MIXED = st.one_of(KINDS)
-# A column holds values of one kind, as every table of the CLI does, or of any kind.
-COLUMN = st.sampled_from([*KINDS, MIXED])
+# A list column holds values of one kind, as every list column of the CLI does, or of any kind;
+# an array column is a float64, int64, bool or str array, written as its tolist() is.
+LISTS = [(kind, None) for kind in (*KINDS, MIXED)]
+ARRAYS = [(FLOATS, np.float64), (st.integers(-2, 2) | st.integers(-(2**63), 2**63 - 1), np.int64),
+          (st.booleans(), bool), (TEXT, str)]
 NAMES = st.lists(TEXT.filter(lambda k: k != "schema"), min_size=1, max_size=5, unique=True)
+
+
+def as_rows(columns):
+    """The rows the reference writes for columns: an array's values as its tolist() gives them."""
+    return list(zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns]))
 
 
 @st.composite
 def tables(draw):
     fields = tuple(draw(NAMES))
-    columns = [draw(COLUMN) for _ in fields]
-    rows = draw(st.lists(st.tuples(*columns), max_size=12))
+    size = draw(st.integers(0, 12))
+    columns = []
+    for _ in fields:
+        kind, dtype = draw(st.sampled_from([*LISTS, *ARRAYS]))
+        pool = draw(st.lists(kind, min_size=1, max_size=3))  # values that may repeat down the column
+        values = draw(st.lists(st.sampled_from(pool) | kind, min_size=size, max_size=size))
+        columns.append(values if dtype is None else np.array(values, dtype=dtype))
     band = None
     if draw(st.booleans()):
         names = draw(NAMES)
         band = (tuple(names), tuple(draw(MIXED) for _ in names))
-    return draw(TEXT), fields, rows, band
+    return draw(TEXT), fields, columns, band
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=tables(), fmt=st.sampled_from(["csv", "json"]), block=st.integers(1, 4))
-@example(table=("scan", ("h",), [], None), fmt="json", block=1)
-@example(table=("scan", ("h",), [(None,), ("",)], None), fmt="csv", block=1)
-@example(table=("x", ("",), [("",)], ((), ())), fmt="csv", block=2)
-@example(table=("t", ("v",), [(1,), (True,), (0,), (False,)], None), fmt="json", block=8)
+@example(table=("scan", ("h",), [[]], None), fmt="json", block=1)
+@example(table=("scan", ("h",), [np.array([])], None), fmt="csv", block=1)
+@example(table=("scan", ("h",), [[None, ""]], None), fmt="csv", block=1)
+@example(table=("x", ("",), [[""]], ((), ())), fmt="csv", block=2)
+@example(table=("t", ("v",), [[1, True, 0, False]], None), fmt="json", block=8)
 @example(
-    table=("beta_term", ("term", "v"), [("B_{2,{1,2}}^{-,+}", -0.0), ('a"b\nc', math.nan)], (("p", "s"), (2, "x,y"))),
+    table=("beta_term", ("term", "v"), [["B_{2,{1,2}}^{-,+}", 'a"b\nc'], [-0.0, math.nan]], (("p", "s"), (2, "x,y"))),
     fmt="csv",
     block=1,
 )
+@example(
+    table=("t", ("x", "s", "b"), [np.array([0.0, -0.0, math.nan, -math.inf, 0.0, -0.0, math.inf]),
+                                  np.array(['a"b', "a,b", "a\nb", 'a"b', "", "", "x"]),
+                                  np.array([True, False, True, True, False, False, True])], None),
+    fmt="json",
+    block=4,
+)
 def test_emit_writes_the_reference_bytes(table, fmt, block):
-    schema, fields, rows, band = table
+    schema, fields, columns, band = table
     with mock.patch.object(cli, "_BLOCK", block):  # small blocks, so tables span several
-        assert written(cli._emit, fmt, schema, fields, iter(rows), band) == written(
-            reference_emit, fmt, schema, fields, rows, band
+        assert written(cli._emit, fmt, schema, fields, columns, band) == written(
+            reference_emit, fmt, schema, fields, as_rows(columns), band
         )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_float_column_spells_each_distinct_double_once(fmt):
+    k = 5
+    values = np.random.default_rng(5).permutation(np.repeat(np.linspace(0.1, 0.5, k), 7))
+    column, spelled = cli._column, []
+
+    def spy(values, cell):  # the lists _column spells: an array's distinct values, in one list
+        if isinstance(values, list):
+            spelled.append(values)
+        return column(values, cell)
+
+    with mock.patch.object(cli, "_column", spy):
+        out = written(cli._emit, fmt, "t", ("x",), [values])
+    assert spelled == [sorted(set(values.tolist()))]
+    assert out == written(reference_emit, fmt, "t", ("x",), as_rows([values]))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_signed_zeros_print_apart_in_one_block(fmt):
+    out = written(cli._emit, fmt, "t", ("x",), [np.array([0.0, -0.0, -0.0, 0.0])])
+    cells = out.split()[1:] if fmt == "csv" else [r["x"] for r in json.loads(out)]
+    assert [math.copysign(1.0, float(c)) for c in cells] == [1.0, -1.0, -1.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -106,7 +151,7 @@ def test_json_refuses_what_json_refuses(value, column):
     with pytest.raises(TypeError):
         written(reference_emit, "json", "t", ("x",), rows)
     with pytest.raises(TypeError, match="not JSON serializable"):
-        written(cli._emit, "json", "t", ("x",), rows)
+        written(cli._emit, "json", "t", ("x",), [[*column, value]])
 
 
 def run(argv):

@@ -1,4 +1,4 @@
-"""One SHA-256 over the doubles the grid and single-depth paths return.
+"""One SHA-256 over the doubles the grid and single-depth paths return, and the CLI's tables.
 
 A change that claims to keep every output bit can be checked by running
 this script before and after it: the two digests must be equal.  It hashes
@@ -39,6 +39,11 @@ neighbours, np.geomspace(22, 1e308), +-0, subnormals, +-inf and NaN.  Last,
 ``find_beta_zeros`` on fixed intervals, among them the whole scan range
 for p = 2, 3, 4 on a 7919-interval grid.
 
+Last of all, the stdout of ``cli.main``, in CSV and in JSON, for the
+tables in CLI_TABLES: most span several of the emitter's 1024-row blocks,
+and between them they hold repeated and constant columns, both values of
+floor_flag, a null column, the isola band, ``zeros`` and ``selftest``.
+
 It imports only names that have existed since the script was written, so
 it can hash an older ``src/`` to compare with the current one:
 
@@ -51,11 +56,14 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 
 import numpy as np
 
+from stokes_isolas import cli
 from stokes_isolas.beta import _grid, beta1, beta1_breakdown, beta_scan, find_beta_zeros
 from stokes_isolas.dispersion import _tanh
 from stokes_isolas.isola import IsolaParams, isola_geometry
@@ -77,6 +85,26 @@ SIZED = np.random.default_rng(130).uniform(0.05, 20.0, 130)
 HUGE = np.geomspace(1e300, 1.7e308, 200)
 ZERO_INTERVALS = [(2, 0.5, 5.0, 2000), (3, 0.5, 2.0, 500, 1e-10), (4, 0.3, 3.0, 4000)]
 ZERO_INTERVALS += [(p, 0.05, 20.0, 7919) for p in (2, 3, 4)]
+
+GRID = ("--h-min", "0.05", "--h-max", "20")
+CLI_TABLES = [
+    ("beta", "--p", "3", "--breakdown", *GRID, "--n", "500"),
+    ("beta", "--p", "4", "--groups", *GRID, "--n", "200"),
+    ("beta", "--p", "4", *GRID, "--n", "1100"),
+    ("resonance", "--p", "2", *GRID, "--n", "1800"),
+    ("resonance", "--p", "6", *GRID, "--n", "1100"),
+    ("isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1", "--E", "0.5", "--n", "2000"),
+    ("zeros", "--p", "4", "--h-min", "0.3", "--h-max", "3"),
+    ("selftest",),
+]
+
+
+def _stdout(argv) -> bytes:
+    """What cli.main writes to stdout for argv; its stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(list(argv))
+    return out.getvalue().encode()
 
 
 def _floats(x) -> bytes:
@@ -137,6 +165,9 @@ def digest() -> str:
     sha.update(_floats(_tanh(TANH_ARGS)))
     for args in ZERO_INTERVALS:
         sha.update(_floats(find_beta_zeros(*args)))
+    for argv in CLI_TABLES:
+        for fmt in ("csv", "json"):
+            sha.update(_stdout((*argv, "--format", fmt)))
     return sha.hexdigest()
 
 
