@@ -49,10 +49,11 @@ rows' slots a column at a time), the grid pass of ``find_beta_zeros`` and
 the CLI tables read it.  The rule performs the same IEEE operations in
 the same order either way, and the grid's phi* solve is a lane-wise port
 of the single-depth Brent solve, so every grid value equals the
-single-depth value bit for bit.  Each grid layer is one array pass and
-one loop of its single-depth function, and skips the array pass below
-its own size, where numpy's fixed costs outweigh the gain: the phi* solve
-below ``resonance._LANES_FROM`` depths, the terms below ``_ARRAY_TERMS_FROM``.
+single-depth value bit for bit.  The terms of a grid of any size are one
+array pass, then one loop of ``_signed_terms`` over the columns it cannot
+vouch for.  The phi* solve is the grid path's one size fork: below
+``resonance._LANES_FROM`` depths, where numpy's fixed costs outweigh the
+gain, it skips its lane pass and solves depth by depth.
 
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
@@ -76,7 +77,7 @@ from itertools import combinations, product, repeat
 import numpy as np
 
 from .asymptotics import leading_term
-from .dispersion import _check_depth, _ulp
+from .dispersion import _FLOATS, _check_depth, _tabulate, _ulp
 from .errors import SingularityError
 from .resonance import (
     ResonanceData, _check_index, _equal_fields, _record, _resonance_grid, _scan_depths, _solve, brentq,
@@ -99,18 +100,6 @@ __all__ = [
 # range [0.05, 20]; anything smaller than this is outside that range and
 # refused rather than silently amplified.
 DENOMINATOR_GUARD = 1e-10
-
-# Fewer columns than this take their terms by _signed_terms one by one, more by one array pass
-# (_grid_terms), which costs about 0.2 ms however few columns it has, one column 7-11 us.  Median of
-# 9 timings of _grid_terms alone in ms, arrays / column by column, on resonance._LANES_FROM's host:
-#
-#        p      n = 1        16          24          32          64         256
-#        2    0.15/0.01   0.08/0.07   0.18/0.18   0.10/0.14   0.20/0.45   0.35/1.75
-#        3    0.26/0.02   0.16/0.11   0.26/0.24   0.14/0.18   0.13/0.34   0.21/1.55
-#        4    0.25/0.02   0.37/0.17   0.24/0.22   0.25/0.28   0.25/0.57   0.47/2.85
-#
-# Over n = 1..256 the arrays win at most of the sizes from 19-23 columns on (by p), at all from 28-36.
-_ARRAY_TERMS_FROM = 24
 
 
 def neumaier_sum(values):
@@ -311,25 +300,20 @@ def _signed_terms(plan: _Plan, h: float, c: float, Omega: list[float], t: list[f
 def _grid_terms(rd: ResonanceData) -> np.ndarray:
     """Signed terms over a ResonanceData of arrays: one row per term, one column per depth.
 
-    From _ARRAY_TERMS_FROM columns up one array pass takes them all.  Then
+    One array pass takes them all, however few columns the grid has.  Then
     _signed_terms takes again, in grid order, each column the array pass
-    cannot vouch for (a near-vanishing denominator, a non-finite term),
-    which below _ARRAY_TERMS_FROM is every column, and raises the error a
-    column-by-column loop would raise first.
+    cannot vouch for (a near-vanishing denominator, a non-finite term), and
+    raises the error a column-by-column loop would raise first.
     """
     plan = _plan(rd.p)
-    if rd.h.size < _ARRAY_TERMS_FROM:
-        terms, redo = np.empty((len(plan.terms), rd.h.size)), range(rd.h.size)
-    else:
-        dens = plan.denominators(rd.Omega, rd.c)
-        with np.errstate(all="ignore"):
-            root = np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
-            terms = np.array(plan.rule(rd.Omega, rd.t, _coefficients(rd.c), dens, root))
-        redo = ~np.isfinite(terms).all(axis=0)
-        for d in dens:
-            redo |= np.abs(d) < DENOMINATOR_GUARD
-        redo = np.flatnonzero(redo)
-    for i in redo:
+    dens = plan.denominators(rd.Omega, rd.c)
+    with np.errstate(all="ignore"):
+        root = np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
+        terms = np.array(plan.rule(rd.Omega, rd.t, _coefficients(rd.c), dens, root))
+    redo = ~np.isfinite(terms).all(axis=0)
+    for d in dens:
+        redo |= np.abs(d) < DENOMINATOR_GUARD
+    for i in np.flatnonzero(redo):
         Omega, t = rd.Omega[:, i].tolist(), rd.t[:, i].tolist()
         terms[:, i] = _signed_terms(plan, float(rd.h[i]), float(rd.c[i]), Omega, t)
     return terms
@@ -406,7 +390,8 @@ def _point(p: int, h: float) -> tuple:
     """
     plan = _plan(_check_index(p))
     h = _check_depth(h)
-    c, phi, Omega, t = _solve(plan.p, h)
+    c, phi = _solve(plan.p, h)
+    Omega, t = _tabulate(plan.p, h, phi, _FLOATS)
     return plan.p, h, c, phi, Omega, t, _signed_terms(plan, h, c, Omega, t)
 
 
@@ -466,9 +451,9 @@ def find_beta_zeros(
         if v == 0.0:
             if trusted(i - 1) or trusted(i + 1):
                 zeros.append(hs[i])
-        elif i < grid_n and v * vals[i + 1] < 0.0 and (trusted(i) or trusted(i + 1)):
-            # the grid already holds beta1 at both ends of the bracket
-            zeros.append(brentq(f, hs[i], hs[i + 1], v, vals[i + 1], tol))
+        elif trusted(i) or trusted(i + 1):
+            # a sign change: the grid already holds beta1 at both ends of the bracket
+            zeros.append(brentq(f, hs[i], hs[i + 1], v, vals[i + 1], tol)[0])
     return zeros
 
 

@@ -19,19 +19,24 @@ One depth is solved by ``_solve`` with ``brentq``, a grid of depths by
 scipy's ``brentq`` (Brent's method, Brent, *Algorithms for Minimization
 without Derivatives*, 1973, ch. 4).  Both perform the IEEE operations
 scipy's C code performs, so they return the same phi* as scipy and as each
-other, and the package needs no scipy at run time.  ``_solve`` builds no
-record: ``solve_wavenumber``, ``omega_star`` and the beta coefficients at
-one depth read its floats and lists, and ``build_resonance_data`` wraps them
-in a ``ResonanceData``.  Both solves share one residual body, one
-tabulation over the dispersion kernels' float or array triple and one
-``_record`` body, so every grid value equals the single-depth one bit for
-bit.  phi* is accepted when the residual read off the tabulation,
-f(phi*) = Omega_0 + Omega_p - p*c, is within ``_tolerance(p*c)``.  A grid
-is one lane pass, from ``_LANES_FROM`` depths up (it costs about 1.5 ms
-however few lanes it has), then one loop of ``_solve`` over every depth
-the lane pass did not accept, in grid order.  The lane pass expands
-brackets toward 0+ only and iterates only the lanes they bracket, so
-Brent's edge cases have one owner, ``_solve``.
+other, and the package needs no scipy at run time.  ``_solve`` returns
+c and phi* only, accepted when the residual ``brentq`` returns with the
+root, f(phi*) = Omega_0 + Omega_p - p*c, is within ``_tolerance(p*c)``: it
+builds no record and tabulates nothing, so it takes O(1) memory whatever
+p.  Its callers tabulate what they read: nothing for ``solve_wavenumber``,
+j = 0 for ``omega_star``, and j = 0..p for the beta coefficients at one
+depth and for ``build_resonance_data``, which wraps them in a
+``ResonanceData``.  Both solves share one residual body, one tabulation
+over the dispersion kernels' float or array triple and one ``_record``
+body, so every grid value equals the single-depth one bit for bit, and
+the record's residual, read off the tabulation, is the double ``brentq``
+returned.  A grid is one lane pass, from ``_LANES_FROM`` depths up (it
+costs about 1.5 ms however few lanes it has), then one loop of ``_solve``
+over every depth the lane pass did not accept, in grid order.  This is
+the grid path's one size fork: the terms (``beta._grid_terms``) take one
+array pass whatever the grid's size.  The lane pass expands brackets
+toward 0+ only and iterates only the lanes they bracket, so Brent's edge
+cases have one owner, ``_solve``.
 """
 
 from __future__ import annotations
@@ -154,15 +159,18 @@ def brentq(f, xa, xb, fa, fb, xtol):
     order, so the root is the double scipy's brentq returns for the same f,
     bracket and xtol.
 
+    Returns (root, f(root)): the residual it already holds at the root (fa,
+    fb or its last evaluation), so f is not evaluated again.
+
     Raises SolverError where scipy raises: on a NaN residual, on ends of
     the same sign, and when _MAXITER steps do not converge.
     """
     if fa != fa or fb != fb:
         raise SolverError(f"NaN residual at an end of [{xa!r}, {xb!r}]", bracket=(xa, xb))
     if fa == 0:
-        return xa
+        return xa, fa
     if fb == 0:
-        return xb
+        return xb, fb
     # C's signbit(), here with 0 and NaN excluded
     if (fa < 0) == (fb < 0):
         raise SolverError(f"f({xa!r}) and f({xb!r}) have the same sign", bracket=(xa, xb))
@@ -179,7 +187,7 @@ def brentq(f, xa, xb, fa, fb, xtol):
         delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
@@ -308,15 +316,16 @@ def _record(p: int, h, c, phi, Omega, t) -> ResonanceData:
     return ResonanceData(p, h, phi, c * phi + Omega[0], np.array(Omega), np.array(t), Omega[0] + Omega[p] - p * c, c)
 
 
-def _solve(p: int, h: float) -> tuple[float, float, list[float], list[float]]:
-    """The one single-depth solve: (c, phi*, Omega_j, t_j for j = 0..p), floats and lists, no record.
+def _solve(p: int, h: float) -> tuple[float, float]:
+    """The one single-depth solve: (c, phi*) as floats, in O(1) memory whatever p; nothing is tabulated.
 
     p and h are as _check_index and _check_depth return them: every caller
     checks them first.  Starts from a bracket centered on the deep-water
     limit (p-1)^2/4, expands it geometrically toward 0+ or +infinity until
     the residual changes sign, then refines with Brent's method.  The root
-    is accepted when the residual read off the tabulation (the record's),
-    f(phi*) = Omega_0 + Omega_p - p*c, has magnitude at most _tolerance(p*c).
+    is accepted when the residual brentq returns with it has magnitude at
+    most _tolerance(p*c).  It is computed as Omega_0 + Omega_p - p*c of the
+    tabulation at phi* (the record's residual), so it is the same double.
 
     Raises
     ------
@@ -345,12 +354,10 @@ def _solve(p: int, h: float) -> tuple[float, float, list[float], list[float]]:
             raise SolverError(f"no sign change toward +inf for p={p}, h={h}", bracket=(lo, hi))
         fhi = f(hi)
 
-    phi = brentq(f, lo, hi, flo, fhi, _XTOL)
-    Omega, t = _tabulate(p, h, phi, _FLOATS)
-    residual = Omega[0] + Omega[p] - p * c
+    phi, residual = brentq(f, lo, hi, flo, fhi, _XTOL)
     if abs(residual) > DEFAULT_TOL and abs(residual) > (tol := _tolerance(p * c)):
         raise SolverError(f"residual {residual:.3e} above tol {tol:.3e} at phi={phi!r}", bracket=(lo, hi))
-    return c, phi, Omega, t
+    return c, phi
 
 
 def build_resonance_data(p: int, h: float) -> ResonanceData:
@@ -360,7 +367,8 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
     SolverError it raises; the record's residual is the f(phi*) accepted.
     """
     p, h = _check_index(p), _check_depth(h)
-    return _record(p, h, *_solve(p, h))
+    c, phi = _solve(p, h)
+    return _record(p, h, c, phi, *_tabulate(p, h, phi, _FLOATS))
 
 
 def _resonance_grid(p: int, hs) -> ResonanceData:
@@ -399,7 +407,8 @@ def _resonance_grid(p: int, hs) -> ResonanceData:
             Omega, t = map(np.array, _tabulate(p, h, phi, _ARRAYS))
         redo = np.flatnonzero(~(np.abs(Omega[0] + Omega[p] - p * c) <= _tolerance(p * c)))  # NaN where unsettled
     for i in redo:
-        c[i], phi[i], Omega[:, i], t[:, i] = _solve(p, float(h[i]))
+        c[i], phi[i] = _solve(p, float(h[i]))
+        Omega[:, i], t[:, i] = _tabulate(p, float(h[i]), float(phi[i]), _FLOATS)
     return _record(p, h, c, phi, Omega, t)
 
 
@@ -410,5 +419,7 @@ def solve_wavenumber(p: int, h: float) -> float:
 
 def omega_star(p: int, h: float) -> float:
     """Collision frequency omega*(p, h) = c*phi* + Omega(phi*, h)."""
-    c, phi, Omega, _ = _solve(_check_index(p), _check_depth(h))
-    return c * phi + Omega[0]
+    p, h = _check_index(p), _check_depth(h)
+    c, phi = _solve(p, h)
+    (Omega0,), _ = _tabulate(0, h, phi, _FLOATS)
+    return c * phi + Omega0

@@ -50,8 +50,10 @@ def stokes_coefficients(h: float) -> StokesCoefficients:
     """Evaluate all eight coefficients a_1..a_4, p_1..p_4 at depth h.
 
     Exact rational expressions in c = sqrt(tanh(h)); for h below ~0.05 the
-    values grow like large negative powers of c and eventually overflow the
-    double range near h ~ 1e-3 (the shallow regime needs dedicated
+    values grow like large negative powers of c (at h = 1e-3 the largest,
+    a4, is -2.1e29).  a4 first rounds to -inf below h ~ 1.3e-31 and p4
+    below ~3.3e-33, and from h ~ 2.7e-33 down a denominator underflows to
+    0.0 and SingularityError is raised (the shallow regime needs dedicated
     asymptotics, out of scope here).
     """
     c = phase_speed(h)

@@ -228,7 +228,7 @@ def _zeros_by_loop(p, h_min, h_max, grid_n, tol):
             if trusted(i - 1) or trusted(i + 1):
                 zeros.append(hs[i])
         elif i < grid_n and v * vals[i + 1] < 0.0 and (trusted(i) or trusted(i + 1)):
-            zeros.append(beta.brentq(f, hs[i], hs[i + 1], v, vals[i + 1], tol))
+            zeros.append(beta.brentq(f, hs[i], hs[i + 1], v, vals[i + 1], tol)[0])
     return zeros
 
 
@@ -294,7 +294,7 @@ class TestZeros:
         vals[list(placed)] = list(placed.values())
         scale = np.where(np.abs(vals) == 1e-15, 1.0, 0.0)
         monkeypatch.setattr(beta, "_grid_terms", lambda rd: np.array([vals, scale, -scale]))
-        monkeypatch.setattr(beta, "brentq", lambda f, a, b, fa, fb, tol: ("brentq", a, b, fa, fb, tol))
+        monkeypatch.setattr(beta, "brentq", lambda f, a, b, fa, fb, tol: (("brentq", a, b, fa, fb, tol), 0.0))
         grid = _grid(2, np.linspace(1.0, 2.0, 101))
         assert grid.total.tobytes() == (vals + 0.0).tobytes()  # -0.0 sums to 0.0
         assert grid.floor_flag.tolist() == ((scale == 1.0) | (vals == 0.0)).tolist()
@@ -303,7 +303,7 @@ class TestZeros:
         assert bool(expected) == (placed != {})
 
     def test_candidate_scan_matches_loop_on_real_curves(self, monkeypatch):
-        monkeypatch.setattr(beta, "brentq", lambda f, a, b, fa, fb, tol: ("brentq", a, b, fa, fb, tol))
+        monkeypatch.setattr(beta, "brentq", lambda f, a, b, fa, fb, tol: (("brentq", a, b, fa, fb, tol), 0.0))
         for args in ((2, 0.5, 5.0, 2000, 1e-8), (4, 0.3, 3.0, 700, 1e-10), (3, 5.0, 20.0, 1000, 1e-8)):
             assert find_beta_zeros(*args) == _zeros_by_loop(*args)
 
@@ -701,7 +701,7 @@ def _engineered(h):
 
 
 class TestGridSize:
-    """Below _ARRAY_TERMS_FROM columns the terms are taken column by column, from it over arrays, to the same bytes."""
+    """The terms of a grid of any size are one array pass, below _LANES_FROM depths and from it, to the same bytes."""
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_both_paths_equal_the_single_depth_record(self, monkeypatch, p):
@@ -723,8 +723,8 @@ class TestGridSize:
                 assert_lane_equals(grid.rd, i, one.rd)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_array_pass_runs_only_from_its_threshold(self, monkeypatch, p):
-        # the rule runs on arrays in the array pass only; _signed_terms hands it lists
+    def test_every_grid_takes_one_array_pass(self, monkeypatch, p):
+        # the rule runs on arrays once per grid, empty and one-depth grids included; _signed_terms hands it lists
         plan = beta._plan(p)
         real, passes = plan.rule, []
 
@@ -734,13 +734,9 @@ class TestGridSize:
             return real(Omega, *args)
 
         monkeypatch.setitem(plan.__dict__, "rule", counting)
-        n = beta._ARRAY_TERMS_FROM
-        for size in range(n):
+        for size in grid_sizes():
             _grid_terms(_resonance_grid(p, np.linspace(0.05, 20.0, size)))
-        assert passes == []
-        for size in (n, n + 1, 2 * n):
-            _grid_terms(_resonance_grid(p, np.linspace(0.05, 20.0, size)))
-        assert passes == [n, n + 1, 2 * n]
+        assert passes == grid_sizes()
 
 
 class TestSingularityGuard:
@@ -765,7 +761,7 @@ class TestSingularityGuard:
                     beta_scan(2, hs)
 
     def test_first_of_two_singular_depths_is_named(self):
-        # the columns are taken in grid order on both sides of _ARRAY_TERMS_FROM
+        # the redone columns are taken in grid order, with the depths solved one by one and over lanes
         for hs in padded([1.0, 2.0, 3.0]):
             real = _resonance_grid(2, hs)
             for i in (1, 2):

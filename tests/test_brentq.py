@@ -24,11 +24,12 @@ ZEROS = [(p, h) for p, depths in ORACLE_ZEROS.items() for h in depths]
 
 
 def _scipy_brentq(optimize):
-    """scipy's brentq behind the port's signature; checks the passed end values."""
+    """scipy's brentq behind the port's signature, with f at its root; checks the passed end values."""
 
     def solve(f, xa, xb, fa, fb, xtol):
         assert (fa, fb) == (f(xa), f(xb))
-        return optimize.brentq(f, xa, xb, xtol=xtol)
+        root = optimize.brentq(f, xa, xb, xtol=xtol)
+        return root, f(root)
 
     return solve
 
@@ -56,7 +57,7 @@ class TestScipyParity:
         (p, h0), xtol = zero, 10.0**log_xtol
         lo, hi = h0 - below, h0 + above
         f = lambda h: beta1(p, h)
-        port = brentq(f, lo, hi, f(lo), f(hi), xtol)
+        port, _ = brentq(f, lo, hi, f(lo), f(hi), xtol)
         assert port.hex() == optimize.brentq(f, lo, hi, xtol=xtol).hex()
 
     @settings(max_examples=200, deadline=None)
@@ -78,7 +79,7 @@ class TestScipyParity:
         f = lambda x: scale * ((x - root) * (flat + curvature * (x - root) ** 2) + math.copysign(1e-3, x - root))
         xa, xb, xtol = -3.0, 3.0, 10.0**log_xtol
         try:
-            port = brentq(f, xa, xb, f(xa), f(xb), xtol).hex()
+            port = brentq(f, xa, xb, f(xa), f(xb), xtol)[0].hex()
         except SolverError:
             port = "no convergence"
         try:
@@ -101,8 +102,8 @@ class TestEndValues:
 
     def test_zero_at_an_end_is_the_root(self):
         never = lambda x: pytest.fail("f evaluated")
-        assert brentq(never, 0.5, 1.0, 0.0, 1.0, 1e-12) == 0.5
-        assert brentq(never, 0.5, 1.0, -1.0, -0.0, 1e-12) == 1.0
+        assert brentq(never, 0.5, 1.0, 0.0, 1.0, 1e-12) == (0.5, 0.0)
+        assert brentq(never, 0.5, 1.0, -1.0, -0.0, 1e-12) == (1.0, -0.0)
 
 
 class TestSolverErrors:
@@ -123,7 +124,9 @@ class TestSolverErrors:
 
     def test_maxiter_reached(self, monkeypatch):
         f = lambda x: math.cos(x) - x
-        assert brentq(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12) == pytest.approx(0.7390851332151607, abs=1e-11)
+        root, residual = brentq(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+        assert root == pytest.approx(0.7390851332151607, abs=1e-11)
+        assert residual == f(root)
         monkeypatch.setattr(resonance, "_MAXITER", 3)
         with pytest.raises(SolverError, match="did not converge in 3 steps"):
             brentq(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)

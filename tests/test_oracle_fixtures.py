@@ -106,6 +106,23 @@ def test_plan_matches_oracle_to_forty_digits(p):
             assert abs(mp.fsum(terms) - ref) <= mp.mpf("1e-40") * abs(ref), (p, h)
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_signed_limits_cancel_in_deep_water(p):
+    # at h = infinity everything is in closed form: phi = (p-1)^2/4 solves sqrt(phi) + sqrt(phi + p) = p with
+    # c = 1, and Omega_j = t_j = sqrt(j + phi).  There the compiled rule divides by no vanishing denominator and
+    # its signed terms cancel exactly, the premise of evaluating beta1 as deviations from these limits
+    mp = pytest.importorskip("mpmath")
+    plan = beta._plan(p)
+    with mp.workdps(60):
+        c, phi = mp.mpf(1), mp.mpf((p - 1) ** 2) / 4
+        Omega = [mp.sqrt(j + phi) for j in range(p + 1)]
+        assert abs(Omega[0] + Omega[p] - p * c) <= mp.mpf("1e-58")
+        dens = plan.denominators(Omega, c)
+        assert min(map(abs, dens)) > 0.5
+        terms = plan.rule(Omega, Omega, _coefficients(c), dens, mp.sqrt(Omega[0] * Omega[p]))
+        assert abs(mp.fsum(terms)) <= mp.mpf("1e-55") * max(map(abs, terms)), p
+
+
 def test_kernels_run_on_mpmath_numbers():
     # the phi* residual and the Omega_j/t_j tabulation are written once against a
     # (tanh, sqrt, ratio) triple: given mpmath's tanh and sqrt at the oracle's

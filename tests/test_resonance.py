@@ -1,6 +1,7 @@
 """Critical wavenumber solver and resonance data: pinned values + invariants."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -18,7 +19,7 @@ from stokes_isolas import (
     t_ratio,
     wavenumber_asymptote,
 )
-from stokes_isolas import beta, resonance
+from stokes_isolas import resonance
 from stokes_isolas.dispersion import _SERIES_THRESHOLD
 from stokes_isolas.errors import SolverError
 from stokes_isolas.resonance import _resonance_grid
@@ -284,7 +285,7 @@ class TestLaneSolveEdgeCases:
         root = resonance._brentq_lanes(f, xa, xb, fa, fb)
         assert np.isnan(root[4:]).all()
         for k in range(4):
-            scalar = resonance.brentq(lambda x: x * x * x + x - r[k], 0.1, 2.0, fa[k], fb[k], resonance._XTOL)
+            scalar, _ = resonance.brentq(lambda x: x * x * x + x - r[k], 0.1, 2.0, fa[k], fb[k], resonance._XTOL)
             assert root[k].hex() == scalar.hex()
 
     def test_unconverged_lanes_are_unsettled(self, monkeypatch):
@@ -301,19 +302,16 @@ GRID_FIELDS = ("h", "phi_star", "omega_star", "Omega", "t", "residual", "c")
 
 
 def lanes_forced(monkeypatch, call):
-    """call() with every grid, whatever its size, taken by the lane solve and the terms' array pass."""
+    """call() with every grid, whatever its size, taken by the lane solve."""
     with monkeypatch.context() as m:
         m.setattr(resonance, "_LANES_FROM", 0)
-        m.setattr(beta, "_ARRAY_TERMS_FROM", 0)
         return call()
 
 
 def grid_sizes():
-    """The grid sizes at both ends and on both sides of the solve's and the terms' thresholds."""
-    sizes = {0, 1, 2}
-    for n in (resonance._LANES_FROM, beta._ARRAY_TERMS_FROM):
-        sizes |= {n - 1, n, n + 1}
-    return sorted(sizes)
+    """The grid sizes at both ends and on both sides of the solve's threshold, _LANES_FROM."""
+    n = resonance._LANES_FROM
+    return [0, 1, 2, n - 1, n, n + 1]
 
 
 class TestGridSize:
@@ -428,6 +426,33 @@ class TestLargeIndex:
         monkeypatch.undo()
         for i, h in enumerate(hs.tolist()):
             assert_lane_equals(grid, i, build_resonance_data(p, h))
+
+    @pytest.mark.parametrize("call, value", [(solve_wavenumber, "0x1.62a4dc1e6a27cp+37"),
+                                             (omega_star, "0x1.357f11201d089p+37")])
+    def test_one_depth_tabulates_nothing_it_does_not_read(self, call, value):
+        # one float out, O(1) memory: Omega_j and t_j for j = 0..p would take tens of MiB at p = 10^6
+        call(10**6, 1.0)
+        tracemalloc.start()
+        try:
+            got = call(10**6, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == value
+        assert peak < 2**20
+
+    def test_brentq_returns_the_records_residual(self, monkeypatch):
+        # the solve accepts phi* by the residual brentq holds at it: the double the record reads off its tabulation
+        rng = np.random.default_rng(26)
+        cases = list(zip(rng.integers(2, 9, 300).tolist(), np.geomspace(1e-3, 1e3, 300).tolist()))
+        cases += [(p, h) for p in (100, 1000, 2000) for h in rng.uniform(0.05, 20.0, 10).tolist()]
+        real, held = resonance.brentq, []
+        monkeypatch.setattr(resonance, "brentq", lambda *args: held.append(real(*args)) or held[-1])
+        for p, h in cases:
+            held.clear()
+            rd = build_resonance_data(p, h)
+            [(root, residual)] = held
+            assert root.hex() == rd.phi_star.hex() and residual.hex() == rd.residual.hex(), (p, h)
 
     def test_default_tol_up_to_p_128(self):
         # c < 1, or c = 1 from h ~ 19.06 up, so p*c <= 128 and the rule is |f| <= DEFAULT_TOL
