@@ -46,7 +46,7 @@ from .asymptotics import wavenumber_asymptote
 from .beta import ScanRow, _grid, _scan_columns, beta1, beta1_breakdown, beta_term_ids, find_beta_zeros
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
-from .resonance import _resonance_grid, _scan_depths
+from .resonance import _collision_grid, _scan_depths
 
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "output.schema.json"
 
@@ -172,9 +172,9 @@ def _add_grid_flags(sub, default_n=7):
 
 def cmd_resonance(args, parser):
     hs = _h_grid(args, parser)
-    rd = _resonance_grid(args.p, hs)
-    asym = wavenumber_asymptote(args.p, rd.h) if args.p in (2, 3, 4) else [None] * rd.h.size
-    columns = (np.full(rd.h.size, rd.p), rd.h, rd.phi_star, rd.omega_star, rd.residual, asym)
+    h, phi, omega, residual = _collision_grid(args.p, hs)
+    asym = wavenumber_asymptote(args.p, h) if args.p in (2, 3, 4) else [None] * h.size
+    columns = (np.full(h.size, args.p), h, phi, omega, residual, asym)
     _emit(args.format, "resonance", ("p", "h", "phi", "omega_star", "residual", "phi_asymptote"), columns)
     return 0
 

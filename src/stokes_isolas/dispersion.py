@@ -79,7 +79,9 @@ def _tanh(x: np.ndarray) -> np.ndarray:
     subnormal (x > ~354) k is tiny and n = 0, far from a tie; from
     x ~ 19.06 up n = 0 gives libm's 1.0.  The other elements (x below
     ~3.8, negatives, +-0, NaN, -inf and near-ties) go through libm like
-    ``_libm``.
+    ``_libm``: they are found once by index (np.flatnonzero, so x may have
+    any shape), gathered with ``take`` and written back with ``put``, and
+    an array without them calls no libm at all.
 
     The rule rests on a premise: for x >= 1 libm returns the rounding of
     1 - y', with y' within about 2^-51 relative of 1 - tanh x.  fdlibm's
@@ -93,9 +95,10 @@ def _tanh(x: np.ndarray) -> np.ndarray:
         e = np.exp(-2.0 * x)
         k = 2.0**54 * e / (1.0 + e)
     n = np.rint(k)
-    undecided = ~(0.5 - np.abs(k - n) > k * 2.0**-44)
+    undecided = np.flatnonzero(~(0.5 - np.abs(k - n) > k * 2.0**-44))
     th = 1.0 - n * 2.0**-53
-    th[undecided] = _libm(math.tanh, x[undecided])
+    if undecided.size:
+        th.put(undecided, _libm(math.tanh, x.take(undecided)))
     return th
 
 
@@ -121,12 +124,13 @@ def _ratio(x, phi, th, h):
 
 
 def _ratios(x, phi, th, h):
-    """_ratio at every element of arrays of equal shape."""
-    small = x < _SERIES_THRESHOLD
+    """_ratio at every element of arrays x, phi and th of one shape, with h an array that broadcasts to it."""
+    small = np.flatnonzero(x < _SERIES_THRESHOLD)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only where the series overwrites
         ratio = phi / th
-    # the series on Python floats: x ** 4 by libm's pow, as in _ratio
-    ratio[small] = list(map(_ratio, *(a[small].tolist() for a in (x, phi, th, h))))
+    if small.size:  # the series on Python floats: x ** 4 by libm's pow, as in _ratio
+        h = np.broadcast_to(h, x.shape)
+        ratio.put(small, list(map(_ratio, *(a.take(small).tolist() for a in (x, phi, th, h)))))
     return ratio
 
 
@@ -141,7 +145,14 @@ def _phase(h, kernels):
 
 
 def _tabulate(n: int, h, phi, kernels):
-    """The lists Omega_j and t_j at j + phi for j = 0..n and phi >= 0, unchecked; each pair from one tanh."""
+    """The lists Omega_j and t_j at j + phi for j = 0..n and phi >= 0, unchecked; each pair from one tanh.
+
+    Over arrays phi may hold rows of wavenumbers, each row a lane per depth
+    of h: with n = 0 the loop's one step tabulates every element in one
+    pass, one call of ``_tanh`` for all (the grid passes row j = j + phi*
+    of every harmonic).  The body is the one floats take, so each element
+    is the double that a call on floats returns.
+    """
     tanh, sqrt, ratio = kernels
     Omega, t = [], []
     for j in range(n + 1):

@@ -15,38 +15,50 @@ phi* -> (p-1)^2/4 and all downstream expansions, which is the validation
 available from the source material.
 
 One depth is solved by ``_solve`` with ``brentq``, a grid of depths by
-``_resonance_grid`` with ``_brentq_lanes``: a scalar and a lane-wise port of
+``_solve_grid`` with ``_brentq_lanes``: a scalar and a lane-wise port of
 scipy's ``brentq`` (Brent's method, Brent, *Algorithms for Minimization
 without Derivatives*, 1973, ch. 4).  Both perform the IEEE operations
 scipy's C code performs, so they return the same phi* as scipy and as each
-other, and the package needs no scipy at run time.  ``_solve`` returns
-c and phi* only, accepted when the residual ``brentq`` returns with the
-root, f(phi*) = Omega_0 + Omega_p - p*c, is within ``_tolerance(p*c)``: it
-builds no record and tabulates nothing, so it takes O(1) memory whatever
-p.  Its callers tabulate what they read: nothing for ``solve_wavenumber``,
-j = 0 for ``omega_star``, and j = 0..p for the beta coefficients at one
-depth and for ``build_resonance_data``, which wraps them in a
-``ResonanceData``.  Both solves share one residual body, one tabulation
-over the dispersion kernels' float or array triple and one ``_record``
-body, so every grid value equals the single-depth one bit for bit, and
-the record's residual, read off the tabulation, is the double ``brentq``
-returned.  A grid is one lane pass, from ``_LANES_FROM`` depths up (it
-costs about 1.5 ms however few lanes it has), then one loop of ``_solve``
-over every depth the lane pass did not accept, in grid order.  This is
-the grid path's one size fork: the terms (``beta._grid_terms``) take one
-array pass whatever the grid's size.  The lane pass expands brackets
-toward 0+ only and iterates only the lanes they bracket, so Brent's edge
-cases have one owner, ``_solve``.
+other, and the package needs no scipy at run time.  Both return with each
+root the residual they hold there, f(phi*) = Omega_0 + Omega_p - p*c, and
+both accept a root when it is within ``_tolerance(p*c)``; they build no
+record and tabulate nothing, so the solve takes O(1) memory a depth
+whatever p.  Callers tabulate what they read: nothing for
+``solve_wavenumber``, j = 0 for ``omega_star``, j = 0..p for the beta
+coefficients at one depth, for ``build_resonance_data``, which wraps them
+in a ``ResonanceData``, and for ``_resonance_grid``, its grid form, and
+j = 0 and p for ``_collision_grid``, the columns of a ``resonance`` table.
+The residual's body and the tabulation are each the same operations on
+floats and on arrays, and one ``_record`` body reads omega* and the
+residual off the tabulation, so every grid value equals the single-depth
+one bit for bit, and the residual read off the tabulation is the double
+the solve returned.
+
+Over arrays each set of wavenumbers is one pass of the exact array tanh
+(``dispersion._tanh``): both ends of every bracket at once, then both
+wavenumbers phi and phi + p of each lane step (``_residuals``), then all
+p+1 harmonics of every depth (``_tabulate`` over rows).  Each lane carries
+its depth and p*c, so no step gathers them.  A grid is one lane pass,
+from ``_LANES_FROM`` depths up (it costs about 1.5 ms however few lanes
+it has), then one loop of ``_solve`` over every depth the lane pass did
+not accept, in grid order.  This is the grid path's one size fork: the
+terms (``beta._grid_terms``) and the tabulation take one array pass
+whatever the grid's size.  The lane pass expands brackets toward 0+ only
+and iterates only the lanes they bracket, so Brent's edge cases have one
+owner, ``_solve``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
-from .dispersion import _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _float, _phase, _tabulate, _ulp
+from .dispersion import (
+    _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _float, _phase, _tabulate, _tanh, _ulp,
+)
 from .errors import SolverError
 
 __all__ = [
@@ -72,7 +84,7 @@ _XTOL = 1e-15
 _RTOL = 4 * float(np.finfo(float).eps)
 _MAXITER = 100
 
-# Fewer depths than this are solved by _solve one by one, more by one lane pass (_resonance_grid),
+# Fewer depths than this are solved by _solve one by one, more by one lane pass (_solve_grid),
 # which costs about 1.5 ms however few lanes it has, one depth 20-25 us.  Median of 9 timings of
 # _resonance_grid alone in ms, lanes / depth by depth, on seeded depths in [0.05, 20] (one core of a
 # shared 2-core Intel Xeon, Python 3.11, numpy 2.4); either way every double is the same:
@@ -216,59 +228,84 @@ def brentq(f, xa, xb, fa, fb, xtol):
     raise SolverError(f"Brent's method did not converge in {_MAXITER} steps", bracket=(xcur, xblk))
 
 
-def _brentq_lanes(f, xa, xb, fa, fb):
+def _brentq_lanes(f, args, xa, xb, fa, fb):
     """Lane-wise port of scipy's brentq (scipy/optimize/Zeros/brentq.c).
 
     Brent's method on every lane of the brackets [xa, xb], whose residuals
     fa, fb are already known, with the phi* solve's xtol, rtol and maxiter.
     Each lane performs the IEEE operations brentq performs, so it returns
-    the same double; lanes leave the loop as they converge.
-    f(x, lanes) evaluates the residual at x for the given lane indices.
+    the same double; lanes leave the loop as they converge.  args holds
+    arrays of the lanes' constants (the phi* solve's depths h and p*c),
+    which each lane carries with it: f(x, *args) evaluates the residual of
+    the lanes still iterating, at x.  When lanes converge, one index array
+    compacts every lane array with ``take``.  A step computes only the
+    branches some lane takes: no swap when no lane swaps, no select when
+    every lane takes the short step, and only the interpolation or only
+    the extrapolation when every lane takes it.
 
-    Returns the roots; a lane without fa < 0 < fb (f stays finite inside
-    such a bracket) or that does not converge is unsettled, its root NaN.
+    Returns (root, f(root)) as arrays: the residual each lane holds at its
+    root, as brentq returns it.  A lane without fa < 0 < fb (f stays finite
+    inside such a bracket) or that does not converge is unsettled, both NaN.
     """
-    root = np.full(xa.size, np.nan)
+    root, froot = np.full(xa.size, np.nan), np.full(xa.size, np.nan)
     lanes = np.flatnonzero((fa < 0) & (fb > 0))
-    xpre, xcur, fpre, fcur = xa[lanes], xb[lanes], fa[lanes], fb[lanes]
-    xblk = fblk = spre = scur = np.zeros(lanes.size)
+    if not lanes.size:
+        return root, froot
+    xpre, xcur, fpre, fcur, *args = (a.take(lanes) for a in (xa, xb, fa, fb, *args))
+    xblk, fblk = xpre, fpre  # the first step's flip: fpre < 0 < fcur in every lane
+    spre = scur = xcur - xpre
     with np.errstate(all="ignore"):
         for _ in range(_MAXITER):
-            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
             swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            if swap.any():  # most steps swap in no lane
+                xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+                fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
 
             delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
-            done = (fcur == 0) | (np.abs(sbis) < delta)
-            if done.any():  # the first iterations settle no lane: nothing to compact
-                root[lanes[done]] = xcur[done]
-                go = ~done
-                lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                    a[go] for a in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            asbis = np.abs(sbis)
+            done = (fcur == 0) | (asbis < delta)
+            settle = np.flatnonzero(done)
+            if settle.size:  # the first iterations settle no lane: nothing to compact
+                lane = lanes.take(settle)
+                root.put(lane, xcur.take(settle))
+                froot.put(lane, fcur.take(settle))
+                if settle.size == lanes.size:
+                    break
+                keep = np.flatnonzero(~done)
+                lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, asbis, *args = (
+                    a.take(keep) for a in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, asbis, *args)
                 )
-            if not lanes.size:
-                break
-
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(
-                xpre == xblk,
-                -fcur * (xcur - xpre) / (fcur - fpre),  # interpolate
-                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),  # extrapolate
-            )
-            bound = 3 * np.abs(sbis) - delta
-            limit = np.where(np.abs(spre) < bound, np.abs(spre), bound)  # C's MIN()
-            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < limit)
-            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            aspre = np.abs(spre)
+            nfcur = -fcur
+            # interpolate where xpre == xblk, else extrapolate; often every lane does the same
+            interpolate = xpre == xblk
+            if interpolate.all():
+                stry = nfcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = nfcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                if interpolate.any():
+                    stry = np.where(interpolate, nfcur * (xcur - xpre) / (fcur - fpre), stry)
+            bound = 3 * asbis - delta
+            limit = np.where(aspre < bound, aspre, bound)  # C's MIN()
+            short = (aspre > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < limit)
+            if short.all():  # most steps take the short step in every lane
+                spre, scur = scur, stry
+            else:
+                spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
 
             xpre, fpre = xcur, fcur
-            xcur = np.where(np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0, delta, -delta))
-            fcur = f(xcur, lanes)
-    return root
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur, *args)
+            # the next step's flip: fpre != 0 in every lane still iterating, and a lane with fcur == 0
+            # settles at (xcur, fcur) on the next step whatever its flip
+            flip = np.signbit(fpre) != np.signbit(fcur)
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            step = xcur - xpre
+            spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+    return root, froot
 
 
 def _equal_fields(a, b, names) -> bool:
@@ -311,9 +348,15 @@ def _tolerance(pc):
     return np.maximum(DEFAULT_TOL, 3.5 * _ulp(pc))
 
 
+def _collision(p: int, c, phi, Omega0, Omegap):
+    """omega* = c*phi + Omega_0 and the residual f(phi) = Omega_0 + Omega_p - p*c, from Omega_j at j + phi."""
+    return c * phi + Omega0, Omega0 + Omegap - p * c
+
+
 def _record(p: int, h, c, phi, Omega, t) -> ResonanceData:
     """The record at phi* = phi from its tabulated Omega_j, t_j: omega* and the residual f(phi*) read off them."""
-    return ResonanceData(p, h, phi, c * phi + Omega[0], np.array(Omega), np.array(t), Omega[0] + Omega[p] - p * c, c)
+    omega, residual = _collision(p, c, phi, Omega[0], Omega[p])
+    return ResonanceData(p, h, phi, omega, np.array(Omega), np.array(t), residual, c)
 
 
 def _solve(p: int, h: float) -> tuple[float, float]:
@@ -371,45 +414,84 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
     return _record(p, h, c, phi, *_tabulate(p, h, phi, _FLOATS))
 
 
-def _resonance_grid(p: int, hs) -> ResonanceData:
-    """build_resonance_data at every depth of hs, as one ResonanceData of arrays.
+def _residuals(p: int, phi, h, pc):
+    """f(phi) in lanes of depths h with p*c = pc, arrays, unchecked: both wavenumbers from one exact-tanh pass.
 
-    The first non-finite or non-positive depth is refused before any solve.
-    From _LANES_FROM depths up one lane pass solves them all, bit for bit as
-    _solve would.  Then _solve solves, in grid order, every depth the lane
-    pass did not accept (no f(lo) < 0 < f(hi) after expanding toward 0+
-    only, no convergence, a residual above _tolerance), every depth of a
-    smaller grid, and the first failing depth raises its error.
+    phi may stack several arrays of lanes (both ends of every bracket), one
+    residual each.  Every element performs the operations of ``_residual``
+    on floats.
+    """
+    q = np.empty((2, *phi.shape))
+    q[0] = phi
+    np.add(phi, p, out=q[1])
+    Omega = np.sqrt(q * _tanh(h * q))
+    return Omega[0] + Omega[1] - pc
+
+
+def _solve_grid(p: int, hs) -> tuple:
+    """_solve at every depth of hs, bit for bit: (p, h, c, phi*), the last three arrays; nothing is tabulated.
+
+    p is checked, then the first non-finite or non-positive depth is
+    refused before any solve.  From _LANES_FROM depths up one lane pass
+    solves them all, each lane accepted when the residual ``_brentq_lanes``
+    returns with its root is within _tolerance(p*c), as _solve accepts.
+    Then _solve solves, in grid order, every depth the lane pass did not
+    accept (no f(lo) < 0 < f(hi) after expanding toward 0+ only, no
+    convergence, a residual above _tolerance), every depth of a smaller
+    grid, and the first failing depth raises its error.
     """
     p = _check_index(p)
     h = _check_depths(np.array(hs, dtype=float))
     if h.size < _LANES_FROM:
-        c, phi = np.empty(h.size), np.empty(h.size)
-        Omega, t = np.empty((p + 1, h.size)), np.empty((p + 1, h.size))
-        redo = range(h.size)
+        c, phi, redo = np.empty(h.size), np.empty(h.size), range(h.size)
     else:
         c = _phase(h, _ARRAYS)
-        f = lambda phi, lanes: _residual(p, h[lanes], c[lanes], _ARRAYS)(phi)
-
+        pc = p * c
         # h * phi overflows to inf in deep lanes, as it does on floats
         with np.errstate(over="ignore"):
             # bracket expansion toward 0+, lane by lane as in _solve
-            lo, hi = (np.full(h.size, end) for end in _bracket(p))
-            flo, fhi = f(lo, ...), f(hi, ...)
+            ends = np.empty((2, h.size))
+            ends[0], ends[1] = _bracket(p)
+            lo, hi = ends
+            flo, fhi = _residuals(p, ends, h, pc)
             for _ in range(_MAX_EXPANSIONS):
                 lanes = np.flatnonzero(flo > 0.0)
                 if not lanes.size:
                     break
                 lo[lanes] /= 4.0
-                flo[lanes] = f(lo[lanes], lanes)
+                flo[lanes] = _residuals(p, lo[lanes], h[lanes], pc[lanes])
 
-            phi = _brentq_lanes(f, lo, hi, flo, fhi)
-            Omega, t = map(np.array, _tabulate(p, h, phi, _ARRAYS))
-        redo = np.flatnonzero(~(np.abs(Omega[0] + Omega[p] - p * c) <= _tolerance(p * c)))  # NaN where unsettled
+            phi, f = _brentq_lanes(partial(_residuals, p), (h, pc), lo, hi, flo, fhi)
+        redo = np.flatnonzero(~(np.abs(f) <= _tolerance(pc)))  # NaN where unsettled
     for i in redo:
         c[i], phi[i] = _solve(p, float(h[i]))
-        Omega[:, i], t[:, i] = _tabulate(p, float(h[i]), float(phi[i]), _FLOATS)
+    return p, h, c, phi
+
+
+def _resonance_grid(p: int, hs) -> ResonanceData:
+    """build_resonance_data at every depth of hs, as one ResonanceData of arrays.
+
+    ``_solve_grid`` checks and solves, then every harmonic of every depth is
+    tabulated in one array pass.
+    """
+    p, h, c, phi = _solve_grid(p, hs)
+    with np.errstate(over="ignore"):  # h * q overflows to inf in deep lanes, as it does on floats
+        (Omega,), (t,) = _tabulate(0, h, np.arange(p + 1)[:, None] + phi, _ARRAYS)
     return _record(p, h, c, phi, Omega, t)
+
+
+def _collision_grid(p: int, hs) -> tuple[np.ndarray, ...]:
+    """h, phi*, omega* and the residual at every depth of hs, each the double of _resonance_grid's record.
+
+    The resonance table's columns in O(n) memory and time whatever p: only
+    Omega_0 and Omega_p are tabulated, the latter at phi* + p, which is
+    p + phi*, its wavenumber in the full tabulation.  Checks and errors are
+    _resonance_grid's.
+    """
+    p, h, c, phi = _solve_grid(p, hs)
+    with np.errstate(over="ignore"):
+        (Omega,), _ = _tabulate(0, h, np.stack((phi, phi + p)), _ARRAYS)
+    return (h, phi, *_collision(p, c, phi, Omega[0], Omega[1]))
 
 
 def solve_wavenumber(p: int, h: float) -> float:

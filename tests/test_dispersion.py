@@ -17,7 +17,7 @@ from stokes_isolas import (
     phase_speed,
     t_ratio,
 )
-from stokes_isolas.dispersion import _FLOATS, _libm, _tanh, _ulp
+from stokes_isolas.dispersion import _ARRAYS, _FLOATS, _SERIES_THRESHOLD, _libm, _tabulate, _tanh, _ulp
 from stokes_isolas.resonance import build_resonance_data
 
 # High-precision reference evaluations (>= 50 digits), rounded to double.
@@ -205,6 +205,33 @@ class TestTanhKernel:
         assert th.dtype == np.float64 and th.shape == x.shape
         assert th.tobytes() == _libm(math.tanh, x).tobytes()
 
+    @pytest.mark.parametrize(
+        "x, undecided",
+        [
+            (np.array([]), 0),
+            (np.linspace(4.51, 400.0, 513), 0),  # every rounding decided: libm is not called
+            (np.linspace(-3.0, 3.7, 513), 513),  # every element below ~3.8: all to libm
+            (np.linspace(-3.0, 30.0, 513), 115),
+            (np.array([10.0, -400.0, 12.0]), 1),  # the rule would write NaN at -400
+            (np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, np.inf, -np.inf, np.nan,
+                       *NEAR_TIES[:5], *np.nextafter(19.0615474653985, [0.0, 19.0615474653985, np.inf])]), 16),
+        ],
+        ids=["empty", "all-decided", "all-undecided", "mixed", "one-undecided", "digest-edges"],
+    )
+    def test_each_element_is_math_tanh(self, x, undecided):
+        # element by element against math.tanh itself, whichever way each element goes
+        assert _undecided(x).sum() == undecided
+        th = _tanh(x)
+        assert th.shape == x.shape
+        assert [v.hex() for v in th.tolist()] == [math.tanh(v).hex() for v in x.tolist()]
+
+    def test_a_2d_array_is_math_tanh_element_by_element(self):
+        x = np.random.default_rng(25).uniform(-5.0, 25.0, (7, 301))
+        x[3, :8] = NEAR_TIES
+        th = _tanh(x)
+        assert th.shape == x.shape and 0 < _undecided(x).sum() < x.size
+        assert [v.hex() for v in th.ravel().tolist()] == [math.tanh(v).hex() for v in x.ravel().tolist()]
+
     def test_premise_against_mpmath(self):
         # numpy's k is within 2^-48 relative of the true (1 - tanh x) / 2^-53, and where the rule decides,
         # libm's 1 - tanh x is within half a step (2^-54) plus 2^-50 y of the true y = 1 - tanh x
@@ -258,6 +285,35 @@ class TestTanhKernel:
         ends = [np.nextafter(x, d).item() for x in (19.1, 22.0) for d in (0.0, math.inf)]
         assert all(math.tanh(x) == 1.0 for x in xs + dense + ends)
         assert math.tanh(math.inf) == 1.0
+
+
+class TestOnePassTabulation:
+    """_tabulate over rows of wavenumbers: every harmonic of every depth in one pass, the floats' doubles."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_rows_equal_floats_at_each_depth(self, n):
+        rng = np.random.default_rng(n)
+        h = np.concatenate([rng.uniform(0.05, 20.0, 40), [1e-300, 1e-9, 3e-5, 19.1, 1e300]])
+        phi = np.concatenate([rng.uniform(0.0, 10.0, 40), [0.0, 2e-6, 1.0, 2.25, 3.5]])
+        # h * phi < _SERIES_THRESHOLD at the small depths and wavenumbers: the series branch, row 0 and up
+        assert ((h * phi < _SERIES_THRESHOLD) & (h > 0.0)).sum() >= 3
+        rows = np.arange(n + 1)[:, None] + phi
+        with np.errstate(over="ignore"):
+            (Omega,), (t,) = _tabulate(0, h, rows, _ARRAYS)
+        assert Omega.shape == t.shape == (n + 1, h.size)
+        for i, (hi, phii) in enumerate(zip(h.tolist(), phi.tolist())):
+            Omega_i, t_i = _tabulate(n, hi, phii, _FLOATS)
+            assert Omega[:, i].tobytes() == np.array(Omega_i).tobytes(), (n, hi, phii)
+            assert t[:, i].tobytes() == np.array(t_i).tobytes(), (n, hi, phii)
+
+    def test_one_tanh_call(self, monkeypatch):
+        import stokes_isolas.dispersion as dispersion
+
+        calls = []
+        kernels = (lambda x: calls.append(x.shape) or dispersion._tanh(x), *_ARRAYS[1:])
+        h, phi = np.linspace(0.5, 5.0, 50), np.linspace(0.1, 3.0, 50)
+        _tabulate(0, h, np.arange(5)[:, None] + phi, kernels)
+        assert calls == [(5, 50)]
 
 
 class TestUlpKernel:

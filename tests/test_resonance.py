@@ -1,5 +1,7 @@
 """Critical wavenumber solver and resonance data: pinned values + invariants."""
 
+import contextlib
+import io
 import math
 import tracemalloc
 import warnings
@@ -20,6 +22,7 @@ from stokes_isolas import (
     wavenumber_asymptote,
 )
 from stokes_isolas import resonance
+from stokes_isolas.cli import main
 from stokes_isolas.dispersion import _SERIES_THRESHOLD
 from stokes_isolas.errors import SolverError
 from stokes_isolas.resonance import _resonance_grid
@@ -271,9 +274,9 @@ class TestLaneSolveEdgeCases:
     def _lanes():
         # f_k(x) = x^3 + x - r_k, increasing, in the same IEEE operations over floats and over arrays
         r = np.array([0.3, 1.7, 0.9, 5.0, 2.2, 0.5, 1.1, 3.0, 0.7, 4.0])
-        f = lambda x, lanes: x * x * x + x - r[lanes]
+        f = lambda x, r: x * x * x + x - r  # each lane carries its r
         xa, xb = np.full(r.size, 0.1), np.full(r.size, 2.0)
-        fa, fb = f(xa, ...), f(xb, ...)
+        fa, fb = f(xa, r), f(xb, r)
         assert ((fa < 0) & (fb > 0)).all()
         # lanes 4..9 lose their bracket: an exact-zero, a positive or a NaN lower end, a zero, negative or NaN upper end
         fa[[4, 5, 6]] = 0.0, 0.5, math.nan
@@ -282,17 +285,43 @@ class TestLaneSolveEdgeCases:
 
     def test_only_bracketed_lanes_are_iterated(self):
         r, f, xa, xb, fa, fb = self._lanes()
-        root = resonance._brentq_lanes(f, xa, xb, fa, fb)
+        root, _ = resonance._brentq_lanes(f, (np.array(r),), xa, xb, fa, fb)
         assert np.isnan(root[4:]).all()
         for k in range(4):
             scalar, _ = resonance.brentq(lambda x: x * x * x + x - r[k], 0.1, 2.0, fa[k], fb[k], resonance._XTOL)
             assert root[k].hex() == scalar.hex()
 
+    def test_residuals_are_brentqs(self):
+        # each settled lane returns the residual brentq returns with the same root; unsettled lanes return NaN
+        r, f, xa, xb, fa, fb = self._lanes()
+        root, residual = resonance._brentq_lanes(f, (np.array(r),), xa, xb, fa, fb)
+        assert np.isnan(residual[4:]).all()
+        for k in range(4):
+            scalar = resonance.brentq(lambda x: x * x * x + x - r[k], 0.1, 2.0, fa[k], fb[k], resonance._XTOL)
+            assert (root[k].hex(), residual[k].hex()) == (scalar[0].hex(), scalar[1].hex())
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_phi_residuals_are_brentqs(self, monkeypatch, p):
+        # on the phi* residual every lane of a grid returns the (root, f(root)) brentq returns at its depth
+        hs = np.random.default_rng(p).uniform(0.05, 20.0, 200)
+        real_lanes, real_brentq, lanes, held = resonance._brentq_lanes, resonance.brentq, [], []
+        monkeypatch.setattr(resonance, "_brentq_lanes", lambda *args: lanes.append(real_lanes(*args)) or lanes[-1])
+        monkeypatch.setattr(resonance, "brentq", lambda *args: held.append(real_brentq(*args)) or held[-1])
+        resonance._solve_grid(p, hs)
+        [(root, residual)] = lanes
+        assert held == []
+        for i, h in enumerate(hs.tolist()):
+            held.clear()
+            resonance._solve(p, h)
+            [(scalar_root, scalar_residual)] = held
+            assert (root[i].hex(), residual[i].hex()) == (scalar_root.hex(), scalar_residual.hex()), h
+
     def test_unconverged_lanes_are_unsettled(self, monkeypatch):
         # where the scalar solve raises for want of steps, the lane comes back NaN
         monkeypatch.setattr(resonance, "_MAXITER", 3)
         r, f, xa, xb, fa, fb = self._lanes()
-        assert np.isnan(resonance._brentq_lanes(f, xa, xb, fa, fb)).all()
+        root, _ = resonance._brentq_lanes(f, (np.array(r),), xa, xb, fa, fb)
+        assert np.isnan(root).all()
         for k in range(4):
             with pytest.raises(SolverError, match="did not converge"):
                 resonance.brentq(lambda x: x * x * x + x - r[k], 0.1, 2.0, fa[k], fb[k], resonance._XTOL)
@@ -453,6 +482,34 @@ class TestLargeIndex:
             rd = build_resonance_data(p, h)
             [(root, residual)] = held
             assert root.hex() == rd.phi_star.hex() and residual.hex() == rd.residual.hex(), (p, h)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 1000])
+    def test_table_columns_are_the_records(self, p):
+        # the resonance table's h, phi*, omega* and residual, from Omega_0 and Omega_p alone, are the record's doubles
+        for hs in ([1.5], np.linspace(0.05, 20.0, 40), np.geomspace(1e-3, 1e3, 300), np.geomspace(1e300, 1.7e308, 120)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                columns = resonance._collision_grid(p, hs)
+                rd = _resonance_grid(p, hs)
+            for name, column in zip(("h", "phi_star", "omega_star", "residual"), columns):
+                assert column.tobytes() == getattr(rd, name).tobytes(), (p, len(hs), name)
+
+    def test_large_p_table_takes_little_memory(self):
+        # a resonance table tabulates Omega_0 and Omega_p only: Omega_j and t_j for every j would take 32 MB here
+        argv = ["resonance", "--p", "10000", "--h-min", "0.05", "--h-max", "20", "--n", "200"]
+        for fmt in ("csv", "json"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                main([*argv, "--format", fmt])
+            out = io.StringIO()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(out):
+                    assert main([*argv, "--format", fmt]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, fmt
+            assert out.getvalue().count("10000") >= 200, fmt
 
     def test_default_tol_up_to_p_128(self):
         # c < 1, or c = 1 from h ~ 19.06 up, so p*c <= 128 and the rule is |f| <= DEFAULT_TOL

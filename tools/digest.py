@@ -42,7 +42,8 @@ for p = 2, 3, 4 on a 7919-interval grid.
 Last of all, the stdout of ``cli.main``, in CSV and in JSON, for the
 tables in CLI_TABLES: most span several of the emitter's 1024-row blocks,
 and between them they hold repeated and constant columns, both values of
-floor_flag, a null column, the isola band, ``zeros`` and ``selftest``.
+floor_flag, a null column, a resonance table at p = 1000, the isola band,
+``zeros`` and ``selftest``.
 
 It imports only names that have existed since the script was written, so
 it can hash an older ``src/`` to compare with the current one:
@@ -93,6 +94,7 @@ CLI_TABLES = [
     ("beta", "--p", "4", *GRID, "--n", "1100"),
     ("resonance", "--p", "2", *GRID, "--n", "1800"),
     ("resonance", "--p", "6", *GRID, "--n", "1100"),
+    ("resonance", "--p", "1000", *GRID, "--n", "300"),
     ("isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1", "--E", "0.5", "--n", "2000"),
     ("zeros", "--p", "4", "--h-min", "0.3", "--h-max", "3"),
     ("selftest",),
