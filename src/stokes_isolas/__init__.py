@@ -7,92 +7,19 @@ full term breakdowns, critical-depth location, deep-water asymptotics with
 rate verification, and the leading-order isola geometry.
 """
 
-from .asymptotics import (
-    DEEP_WATER_GROUPS,
-    LEADING_MODELS,
-    WAVENUMBER_MODELS,
-    AsymptoticModel,
-    fit_remainder_rate,
-    leading_term,
-    wavenumber_asymptote,
-)
-from .beta import (
-    BetaBreakdown,
-    BetaTermId,
-    ScanRow,
-    beta1,
-    beta1_breakdown,
-    beta_scan,
-    beta_term_ids,
-    find_beta_zeros,
-    neumaier_sum,
-)
-from .dispersion import eigenvalue_branch, omega_disp, phase_speed, t_ratio
-from .errors import (
-    DegenerateFitError,
-    OracleError,
-    SingularityError,
-    SolverError,
-    StokesIsolasError,
-)
-from .isola import (
-    IsolaGeometry,
-    IsolaParams,
-    band_endpoints,
-    discriminant,
-    eigenvalue_pair,
-    ellipse_points,
-    isola_geometry,
-)
-from .resonance import (
-    ResonanceData,
-    build_resonance_data,
-    omega_star,
-    resonance_residual,
-    solve_wavenumber,
-)
-from .stokes_coefficients import StokesCoefficients, stokes_coefficients
+# The public API is each module's __all__, exported as it stands: a name leaves the API by leaving its list.
+from . import asymptotics, beta, dispersion, errors, isola, resonance, stokes_coefficients
+
+# Read before the star imports: the last of them rebinds stokes_coefficients from the module to the function.
+__all__ = [name for module in (asymptotics, beta, dispersion, errors, isola, resonance, stokes_coefficients)
+           for name in module.__all__]
+
+from .asymptotics import *
+from .beta import *
+from .dispersion import *
+from .errors import *
+from .isola import *
+from .resonance import *
+from .stokes_coefficients import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AsymptoticModel",
-    "BetaBreakdown",
-    "BetaTermId",
-    "DEEP_WATER_GROUPS",
-    "DegenerateFitError",
-    "IsolaGeometry",
-    "IsolaParams",
-    "LEADING_MODELS",
-    "OracleError",
-    "ResonanceData",
-    "ScanRow",
-    "SingularityError",
-    "SolverError",
-    "StokesCoefficients",
-    "StokesIsolasError",
-    "WAVENUMBER_MODELS",
-    "band_endpoints",
-    "beta1",
-    "beta1_breakdown",
-    "beta_scan",
-    "beta_term_ids",
-    "build_resonance_data",
-    "discriminant",
-    "eigenvalue_branch",
-    "eigenvalue_pair",
-    "ellipse_points",
-    "find_beta_zeros",
-    "fit_remainder_rate",
-    "isola_geometry",
-    "leading_term",
-    "neumaier_sum",
-    "omega_disp",
-    "omega_star",
-    "phase_speed",
-    "resonance_residual",
-    "solve_wavenumber",
-    "stokes_coefficients",
-    "t_ratio",
-    "wavenumber_asymptote",
-]

@@ -381,29 +381,31 @@ def _grid(p: int, hs) -> BetaBreakdown:
 
 
 def _point(p: int, h: float) -> tuple:
-    """(p, h, c, phi*, Omega_j, t_j, signed terms) at one depth, as ints, floats and lists: no record.
+    """(p, h, c, phi*, Omega_j, t_j, signed terms, total) at one depth, as ints, floats and lists: no record.
 
     p is refused first, then h, both before the one single-depth solve
     (``resonance._solve``): a p that is not an integer >= 2 by _check_index,
     then one outside {2, 3, 4} by the plan.  The first six entries are
-    _record's arguments.
+    _record's arguments.  The total is the one sum of the terms at one
+    depth, as _grid's is over a grid.
     """
     plan = _plan(_check_index(p))
     h = _check_depth(h)
     c, phi = _solve(plan.p, h)
     Omega, t = _tabulate(plan.p, h, phi, _FLOATS)
-    return plan.p, h, c, phi, Omega, t, _signed_terms(plan, h, c, Omega, t)
+    signed = _signed_terms(plan, h, c, Omega, t)
+    return plan.p, h, c, phi, Omega, t, signed, neumaier_sum(signed)
 
 
 def beta1(p: int, h: float) -> float:
     """Signed compensated sum of all terms of the p-th coefficient at depth h."""
-    return neumaier_sum(_point(p, h)[-1])
+    return _point(p, h)[-1]
 
 
 def beta1_breakdown(p: int, h: float) -> BetaBreakdown:
     """Like :func:`beta1` but exposing every term and the group sums."""
-    *solved, signed = _point(p, h)
-    return BetaBreakdown(_record(*solved), signed, neumaier_sum(signed))
+    *solved, signed, total = _point(p, h)
+    return BetaBreakdown(_record(*solved), signed, total)
 
 
 def find_beta_zeros(

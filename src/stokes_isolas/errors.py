@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["StokesIsolasError", "SolverError", "SingularityError", "DegenerateFitError", "OracleError"]
+
 
 class StokesIsolasError(Exception):
     """Base class for all numerical failures raised by this package."""

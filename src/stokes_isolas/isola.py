@@ -35,7 +35,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .beta import _point, neumaier_sum
+from .beta import _point
 from .dispersion import _check_finite
 from .resonance import _check_index, _scan_depth
 
@@ -107,12 +107,12 @@ class IsolaParams:
         as by the beta tables, then p as by beta1, both before the solve.
         """
         _scan_depth(h)
-        _, _, c, phi, Omega, _, signed = _point(p, h)
+        _, _, c, phi, Omega, _, _, total = _point(p, h)
         return cls(
             p=p,
             h=h,
             eps=eps,
-            beta1=neumaier_sum(signed),
+            beta1=total,
             T1=T1,
             E=E,
             y0=c * phi + Omega[0] if y0 is None else y0,

@@ -39,7 +39,7 @@ Over arrays each set of wavenumbers is one pass of the exact array tanh
 wavenumbers phi and phi + p of each lane step (``_residuals``), then all
 p+1 harmonics of every depth (``_tabulate`` over rows).  Each lane carries
 its depth and p*c, so no step gathers them.  A grid is one lane pass,
-from ``_LANES_FROM`` depths up (it costs about 1.5 ms however few lanes
+from ``_LANES_FROM`` depths up (it costs about 1 ms however few lanes
 it has), then one loop of ``_solve`` over every depth the lane pass did
 not accept, in grid order.  This is the grid path's one size fork: the
 terms (``beta._grid_terms``) and the tabulation take one array pass
@@ -85,19 +85,21 @@ _RTOL = 4 * float(np.finfo(float).eps)
 _MAXITER = 100
 
 # Fewer depths than this are solved by _solve one by one, more by one lane pass (_solve_grid),
-# which costs about 1.5 ms however few lanes it has, one depth 20-25 us.  Median of 9 timings of
-# _resonance_grid alone in ms, lanes / depth by depth, on seeded depths in [0.05, 20] (one core of a
-# shared 2-core Intel Xeon, Python 3.11, numpy 2.4); either way every double is the same:
+# which costs about 0.7-1.2 ms however few lanes it has, one depth about 20 us.  Median of 9 timings of
+# _solve_grid alone in ms, lanes / depth by depth, the two alternating, on seeded depths in [0.05, 20]
+# (one core of a shared 2-core Intel Xeon, Python 3.11, numpy 2.4); either way every double is the same:
 #
 #     depths      p = 2        3         4         5         6         7         8
-#          1   1.53/0.07 1.36/0.06 1.51/0.06 1.16/0.06 1.46/0.07 1.70/0.08 1.41/0.08
-#         32   1.85/0.85 1.94/0.78 1.63/0.72 1.73/0.68 1.25/0.56 2.03/0.84 2.06/0.74
-#         64   1.87/1.61 2.06/1.53 1.67/1.38 1.81/1.26 1.10/0.81 2.12/1.65 2.28/1.40
-#         96   2.04/2.45 2.04/2.28 1.78/2.06 2.02/2.00 1.92/2.06 2.55/2.40 2.63/2.12
-#        128   2.25/3.25 2.27/2.89 2.33/2.81 2.21/2.88 2.19/2.00 2.31/2.73 1.33/1.51
-#        256   2.66/6.46 2.43/5.91 2.59/4.84 2.71/5.23 2.99/5.56 3.23/5.68 2.73/5.34
+#          1   1.18/0.06 0.87/0.05 0.73/0.04 0.75/0.04 0.74/0.04 0.84/0.05 0.86/0.05
+#          8   1.25/0.18 1.15/0.18 0.87/0.16 0.86/0.15 0.68/0.14 0.82/0.15 1.05/0.15
+#         32   1.34/0.71 1.16/0.63 1.22/0.59 1.16/0.51 1.30/0.55 1.34/0.54 1.38/0.50
+#         64   1.59/1.38 1.35/1.23 1.46/1.11 1.31/1.03 1.45/1.06 1.45/1.06 1.56/0.97
+#         96   1.46/2.01 1.40/1.79 1.26/1.65 1.41/1.55 1.19/1.52 1.34/1.57 1.44/1.47
+#        128   1.66/2.65 1.59/2.38 1.55/2.22 1.37/2.04 1.35/2.14 1.49/2.06 1.55/1.93
+#        256   2.13/5.28 1.62/4.59 1.78/4.23 1.84/4.36 1.81/4.48 1.84/4.45 1.89/4.14
 #
-# Over n = 1..256 the lanes win at most of the sizes from 76-111 depths on (by p), at all from 91-172.
+# Over n = 1..256 (median of 5 pairs, two scans) the fork that misplaces the fewest sizes lies at 69-133
+# depths by p (116 and 133 for p = 4), and the lanes win at every size from 79-180 on.
 _LANES_FROM = 96
 
 _SCAN_H_RANGE = (0.05, 20.0)  # the documented depth range of the beta tables and of the isola model
