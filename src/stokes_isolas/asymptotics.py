@@ -28,9 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dispersion import _check_depth, _check_depths, _libm
+from .dispersion import _check_depth, _check_depths, _libm, np
 from .errors import DegenerateFitError
 
 __all__ = [
@@ -70,7 +68,7 @@ class AsymptoticModel:
         A non-finite or non-positive depth is refused (ValueError); for an
         array, the first such depth is named.
         """
-        h = _check_depths(h) if isinstance(h, np.ndarray) else _check_depth(h)
+        h = _check_depths(h) if not isinstance(h, float) and isinstance(h, np.ndarray) else _check_depth(h)
         return self.coeff * _libm(math.exp, -self.rate * h)
 
     def value(self, h: float) -> float:

@@ -74,10 +74,8 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import combinations, product, repeat
 
-import numpy as np
-
 from .asymptotics import leading_term
-from .dispersion import _FLOATS, _check_depth, _tabulate, _ulp
+from .dispersion import _FLOATS, _check_depth, _tabulate, _ulp, np
 from .errors import SingularityError
 from .resonance import (
     ResonanceData, _check_index, _equal_fields, _record, _resonance_grid, _scan_depths, _solve, brentq,

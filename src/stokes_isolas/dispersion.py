@@ -25,8 +25,11 @@ n = rint(k), it writes 1 - n 2^-53 wherever 0.5 - |k - n| > k 2^-44
 2^-44 margin covers numpy's error in k (2^-51.5) and libm's in 1 - tanh x
 (about 2^-51 for fdlibm's tanh, which glibc and musl use, or for a
 correctly rounded one) at least 64 times over.  ``_ulp`` takes math.ulp's
-values from np.spacing.  No caching, no global state.  Double precision
-throughout; Omega and t are accurate to a few ulps.
+values from np.spacing.  The one global state is ``np``, numpy imported
+on the first read of one of its attributes, each attribute then cached:
+the scalar API (floats throughout) never reads one, so importing the
+package does not import numpy.  Double precision throughout; Omega and t
+are accurate to a few ulps.
 """
 
 from __future__ import annotations
@@ -34,14 +37,26 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 __all__ = [
     "phase_speed",
     "omega_disp",
     "t_ratio",
     "eigenvalue_branch",
 ]
+
+
+class _Numpy:
+    """numpy, imported at the first attribute read; each attribute is then cached here, read like a module's."""
+
+    def __getattr__(self, name):  # called only for names not yet cached
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 # Below this value of |h*phi| the ratio phi/tanh(h*phi) is evaluated by its
 # Taylor series; both branches agree to ~1e-16 at the crossover.
@@ -58,9 +73,9 @@ def _libm(fn, x):
     ``exp`` (``asymptotics``) uses it, and ``_tanh`` and ``_ulp`` where
     they cannot do without libm.
     """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
-    return fn(x)
+    if isinstance(x, float):
+        return fn(x)
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
 def _tanh(x: np.ndarray) -> np.ndarray:
@@ -110,7 +125,7 @@ def _ulp(x):
     subnormals too.  The largest double, inf and NaN go through libm: there
     np.spacing overflows to inf, or returns NaN for inf.
     """
-    if not isinstance(x, np.ndarray):
+    if isinstance(x, float):
         return math.ulp(x)
     edge = ~(x < sys.float_info.max)
     ulp = np.spacing(np.where(edge, 0.0, x))
@@ -134,9 +149,14 @@ def _ratios(x, phi, th, h):
     return ratio
 
 
+def _sqrt(x):
+    """np.sqrt of an array: numpy is imported by the first call, not when _ARRAYS is built."""
+    return np.sqrt(x)
+
+
 # The kernels' (tanh, sqrt, ratio) for floats and for numpy arrays; IEEE 754 rounds sqrt correctly in both.
 _FLOATS = (math.tanh, math.sqrt, _ratio)
-_ARRAYS = (_tanh, np.sqrt, _ratios)
+_ARRAYS = (_tanh, _sqrt, _ratios)
 
 
 def _phase(h, kernels):

@@ -33,10 +33,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 
-import numpy as np
-
 from .beta import _point
-from .dispersion import _check_finite
+from .dispersion import _check_finite, np
 from .resonance import _check_index, _scan_depth
 
 __all__ = [

@@ -51,13 +51,12 @@ owner, ``_solve``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
 
-import numpy as np
-
 from .dispersion import (
-    _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _float, _phase, _tabulate, _tanh, _ulp,
+    _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _float, _phase, _tabulate, _tanh, _ulp, np,
 )
 from .errors import SolverError
 
@@ -81,7 +80,7 @@ _MAX_EXPANSIONS = 200
 
 # Brent settings of the phi* solve, shared by brentq and _brentq_lanes.
 _XTOL = 1e-15
-_RTOL = 4 * float(np.finfo(float).eps)
+_RTOL = 4 * sys.float_info.epsilon
 _MAXITER = 100
 
 # Fewer depths than this are solved by _solve one by one, more by one lane pass (_solve_grid),

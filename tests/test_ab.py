@@ -1,4 +1,4 @@
-"""tools/ab.py times a perfbench workload on two package trees in one process."""
+"""tools/ab.py times a perfbench workload on two package trees: its rounds in one process, or its start-up."""
 
 import dataclasses
 import importlib.util
@@ -16,10 +16,16 @@ _spec.loader.exec_module(ab)
 NUMBER = r"\d+"
 
 
+def _match_lines(out: str, patterns: list[str]) -> None:
+    lines = out.splitlines()
+    assert len(lines) == len(patterns)
+    for line, pattern in zip(lines, patterns):
+        assert re.fullmatch(pattern, line), line
+
+
 def test_one_tree_against_itself(capsys):
     src = str(ROOT / "src")
     assert ab.main([src, src, "--workload", "zeros", "--pairs", "2", "--rounds", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
     patterns = [
         r"workload zeros, seed 1, 2 pairs of 1 rounds; outputs equal",
         rf"A pts_per_s: median {NUMBER}, quartiles \[{NUMBER}, {NUMBER}\]  \(.*src\)",
@@ -28,9 +34,22 @@ def test_one_tree_against_itself(capsys):
         rf"B won [0-2]/2 pairs, median gain -?{NUMBER} against A's IQR {NUMBER}: a gain needs 2 won and a gain"
         r" above the IQR, (met|not met)",
     ]
-    assert len(lines) == len(patterns)
-    for line, pattern in zip(lines, patterns):
-        assert re.fullmatch(pattern, line), line
+    _match_lines(capsys.readouterr().out, patterns)
+
+
+def test_setup_of_one_tree_against_itself(capsys):
+    src = str(ROOT / "src")
+    assert ab.main([src, src, "--workload", "point", "--setup", "--pairs", "2"]) == 0
+    seconds = r"\d+\.\d{4}"
+    patterns = [
+        r"workload point, 2 pairs of fresh interpreters running its setup_code",
+        rf"A setup_s: median {seconds}, quartiles \[{seconds}, {seconds}\]  \(.*src\)",
+        rf"B setup_s: median {seconds}, quartiles \[{seconds}, {seconds}\]  \(.*src\)",
+        r"median ratio B/A: \d+\.\d{4}",
+        rf"B won [0-2]/2 pairs, median gain -?{seconds} against A's IQR {seconds}: a gain needs 2 won and a gain"
+        r" above the IQR, (met|not met)",
+    ]
+    _match_lines(capsys.readouterr().out, patterns)
 
 
 def test_pairs_must_be_positive(capsys):

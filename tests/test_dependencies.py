@@ -55,3 +55,31 @@ def test_import_loads_neither():
         f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {OPTIONAL!r})))"
     )
     assert json.loads(loaded) == []
+
+
+SCALAR_RUNNER = """
+import dataclasses, json, sys
+import stokes_isolas as si
+
+params = si.IsolaParams.from_depth(3, 1.0, 0.1, 1.0, 0.5)
+results = [
+    si.beta1(3, 1.0), si.solve_wavenumber(3, 1.0), si.omega_star(3, 1.0),
+    si.phase_speed(1.0), si.omega_disp(0.5, 1.0), si.t_ratio(0.5, 1.0), si.eigenvalue_branch(3, 1, 0.2, 1.0),
+    si.resonance_residual(0.5, 3, 1.0), *dataclasses.astuple(si.stokes_coefficients(1.0)),
+    params.beta1, params.y0, params.mu0, *si.band_endpoints(params),
+    *(part for z in si.eigenvalue_pair(params.mu0, params) for part in (z.real, z.imag)),
+    si.leading_term(3, 1.0), si.wavenumber_asymptote(3, 1.0),
+    si.fit_remainder_rate(lambda h: si.beta1(3, h), si.LEADING_MODELS[3], 4.0, 5.0)[0],
+]
+scalar = {"numpy": "numpy" in sys.modules, "types": sorted({type(v).__name__ for v in results})}
+row, = si.beta_scan(3, [1.0])
+print(json.dumps([scalar, "numpy" in sys.modules, row.beta1.hex(), si.beta1(3, 1.0).hex()]))
+"""
+
+
+def test_scalar_api_loads_no_numpy():
+    # floats in, plain floats out, and numpy stays unloaded until the first array operation
+    scalar, loaded, scanned, single = json.loads(python(SCALAR_RUNNER))
+    assert scalar == {"numpy": False, "types": ["float"]}
+    assert loaded
+    assert scanned == single

@@ -1,4 +1,4 @@
-"""In-process A/B timer: one perfbench workload on two stokes_isolas trees.
+"""A/B timer: one perfbench workload on two stokes_isolas trees, its rounds or its start-up.
 
 Separate benchmark runs of one commit spread widely on a shared host, so
 two versions are compared here in one process, round against round:
@@ -17,13 +17,22 @@ two versions are compared here in one process, round against round:
   B/A over the pairs and the pairs B won, against the rule that a gain is
   claimed only when B wins at least nine tenths of them.
 
+With ``--setup`` it times start-up instead, as perfbench's ``setup_s``
+does: each pair runs the workload's ``setup_code`` in a fresh interpreter
+per tree, the tree's directory first on PYTHONPATH, B first in every other
+pair, and the same rule judges the seconds, lower being better.  One
+interpreter's start-up spreads widely on a shared host, so a verdict on it
+needs many pairs.
+
 Run from the root of the repository:
 
     python tools/ab.py A_SRC B_SRC [--workload zeros] [--pairs 20] [--rounds 5] [--seed 1]
+    python tools/ab.py A_SRC B_SRC --setup [--workload point] [--pairs 20]
 
 A_SRC and B_SRC are directories holding a ``stokes_isolas`` package, such
 as the ``src`` of two checkouts.  The exit status is 0 when the outputs
-agree, 1 when they differ.
+agree, 1 when they differ; with ``--setup`` it is 0, and a failing
+interpreter ends the run with its stderr.
 """
 
 from __future__ import annotations
@@ -32,8 +41,10 @@ import argparse
 import dataclasses
 import importlib
 import math
+import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -85,9 +96,47 @@ def time_rounds(workload, rounds: int) -> float:
     return points / (time.perf_counter() - start)
 
 
+def paired(pairs: int, sample) -> dict[str, list[float]]:
+    """sample("A") and sample("B"), `pairs` times each, B first in every other pair."""
+    samples = {"A": [], "B": []}
+    for i in range(pairs):
+        for side in ("AB" if i % 2 == 0 else "BA"):
+            samples[side].append(sample(side))
+    return samples
+
+
+def time_setup(src: Path, code: str) -> float:
+    """Wall seconds of a fresh interpreter running code, with src first on its PYTHONPATH."""
+    path = os.pathsep.join(filter(None, (str(src.resolve()), os.environ.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    elapsed = time.perf_counter() - start
+    if proc.returncode:
+        sys.exit(f"ab: the set-up interpreter failed under {src}:\n{proc.stderr}")
+    return elapsed
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return q1, q2, q3
+
+
+def report(samples: dict, metric: str, spec: str, lower_is_better: bool, sources) -> None:
+    """Each side's median and quartiles, the median ratio B/A and the verdict of the nine-tenths rule."""
+    stats = {}
+    for side, src in zip("AB", sources):
+        q1, q2, q3 = stats[side] = quartiles(samples[side])
+        print(f"{side} {metric}: median {q2:{spec}}, quartiles [{q1:{spec}}, {q3:{spec}}]  ({src})")
+    ratios = [vb / va for va, vb in zip(samples["A"], samples["B"])]
+    won = sum(r < 1.0 if lower_is_better else r > 1.0 for r in ratios)
+    pairs = len(ratios)
+    needed = math.ceil(0.9 * pairs)
+    gap = stats["A"][1] - stats["B"][1] if lower_is_better else stats["B"][1] - stats["A"][1]
+    spread = stats["A"][2] - stats["A"][0]
+    print(f"median ratio B/A: {statistics.median(ratios):.4f}")
+    print(f"B won {won}/{pairs} pairs, median gain {gap:{spec}} against A's IQR {spread:{spec}}:"
+          f" a gain needs {needed} won and a gain above the IQR, {'met' if won >= needed and gap > spread else 'not met'}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,6 +147,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, default=20, help="pairs of samples (default 20)")
     ap.add_argument("--rounds", type=int, default=5, help="whole rounds per sample (default 5)")
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    ap.add_argument("--setup", action="store_true", help="time the workload's setup_code in fresh"
+                    " interpreters instead of its rounds; --rounds and --seed do not apply")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.rounds < 1:
         ap.error("--pairs and --rounds must be at least 1")
@@ -109,6 +160,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.workload not in WORKLOADS:
         ap.error(f"--workload must be one of {sorted(WORKLOADS)}")
+    if args.setup:
+        code = WORKLOADS[args.workload].setup_code
+        seconds = paired(args.pairs, lambda side: time_setup(args.a_src if side == "A" else args.b_src, code))
+        print(f"workload {args.workload}, {args.pairs} pairs of fresh interpreters running its setup_code")
+        report(seconds, "setup_s", ".4f", True, (args.a_src, args.b_src))
+        return 0
     critical_depths = load_critical_depths()
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -120,26 +177,13 @@ def main(argv: list[str] | None = None) -> int:
                 sides.append(workload)
             a, b = sides
             same = all(plain(a.run(x)) == plain(b.run(y)) for x, y in zip(a.ops, b.ops))
-            speed = {"A": [], "B": []}
-            for i in range(args.pairs):
-                for side in ("AB" if i % 2 == 0 else "BA"):
-                    speed[side].append(time_rounds(a if side == "A" else b, args.rounds))
+            speed = paired(args.pairs, lambda side: time_rounds(a if side == "A" else b, args.rounds))
         finally:
             sys.path.remove(tmp)
 
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs of {args.rounds} rounds;"
           f" outputs {'equal' if same else 'DIFFER'}")
-    stats = {}
-    for side, src in (("A", args.a_src), ("B", args.b_src)):
-        q1, q2, q3 = stats[side] = quartiles(speed[side])
-        print(f"{side} pts_per_s: median {q2:.0f}, quartiles [{q1:.0f}, {q3:.0f}]  ({src})")
-    ratios = [vb / va for va, vb in zip(speed["A"], speed["B"])]
-    won = sum(r > 1.0 for r in ratios)
-    needed = math.ceil(0.9 * args.pairs)
-    gap, spread = stats["B"][1] - stats["A"][1], stats["A"][2] - stats["A"][0]
-    print(f"median ratio B/A: {statistics.median(ratios):.4f}")
-    print(f"B won {won}/{args.pairs} pairs, median gain {gap:.0f} against A's IQR {spread:.0f}:"
-          f" a gain needs {needed} won and a gain above the IQR, {'met' if won >= needed and gap > spread else 'not met'}")
+    report(speed, "pts_per_s", ".0f", False, (args.a_src, args.b_src))
     return 0 if same else 1
 
 
