@@ -18,26 +18,26 @@ l = n - m contributes the factor
 with t-weights w = +1 at harmonic 0, w = -1 at harmonic p, and w = -s_i at
 intermediate j_i.  The term enters the total with sign prod_i s_i.  This
 single rule reproduces all 3 / 9 / 27 displayed summands for p = 2 / 3 / 4;
-transcribing it once as data instead of hand-coding 27 expressions is the
-main defense against sign typos (the audit tests compare against the
+stating it once instead of hand-coding 27 expressions is the main defense
+against sign typos (the audit tests compare against the
 independently transcribed reference evaluator in ``oracle.py``).
 
-The rule is compiled once per p into a plan (``_plan``): for each term its
-sign, its 4^(k+1), its hops as (l-1, w_m, m, w_n, n) and its intermediates
-(j, s), with each distinct hop factor and denominator evaluated once per
-depth.  The plan is compiled in turn, lazily and once, into two pieces of
-straight-line Python source, so evaluating it walks no loops.  Its
-denominators (``_Plan.denominators``) are one expression each,
-j*c -+ Omega_j - Omega_0, with -s*Omega_j written as a sign.  Its rule
-(``_Plan.rule``) has each distinct hop factor as one local
-a_l + p_l * (+-t_m +- t_n), with the t-weights written as signs, each
-distinct prefactor root * Omega_j ... as one local, and each term as one
-expression, x or -(x).  Dropping the multiplies by +-1 changes no double.
-The rule is a rational function of c, Omega_j, t_j and
-root = sqrt(Omega_0 * Omega_p), which its caller supplies: only + - * /
-and float constants touch them, so it runs on Python floats at a single
-depth, on numpy arrays over a grid of depths and on mpmath numbers (the
-40-digit audit in the tests).
+The rule is stated once, as plain arithmetic over ``beta_term_ids(p)``
+(``_path_rule``, with its denominators in ``_denominators``).  At a p's
+first use, ``_plan`` runs the two once on a recording number (``_Var``)
+that writes each distinct operation (op, a, b) once on a tape, with
+(+-1) * x written +-x and x + -y written x - y, which changes no number.
+From the tape it emits two straight-line Python functions, so an
+evaluation walks no loops: ``denominators(Omega, c)``, one expression per
+(j, s), and ``rule(Omega, t, coefficients, dens, root)``, one labelled line
+per term.  A node used twice, such as a hop factor or a prefactor
+root * Omega_j ... that several terms share, becomes one local; every
+other node is written inline.  The emitted code performs the plain rule's
+IEEE operations in its order.  The rule is a rational function of c,
+Omega_j, t_j and root = sqrt(Omega_0 * Omega_p), which its caller
+supplies: only + - * / and float constants touch them, so it runs on
+Python floats at a single depth, on numpy arrays over a grid of depths and
+on mpmath numbers (the 40-digit audit in the tests).
 
 At one depth (``_point``) p is refused before the depth and both before
 the one single-depth solve (``resonance._solve``), whose plain floats and
@@ -69,10 +69,10 @@ from __future__ import annotations
 
 import linecache
 import math
-from collections import deque
+from collections import Counter, deque, namedtuple
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
-from itertools import combinations, product, repeat
+from functools import lru_cache
+from itertools import combinations, groupby, product, repeat
 
 from .asymptotics import leading_term
 from .dispersion import _FLOATS, _check_depth, _tabulate, _ulp, np
@@ -157,118 +157,137 @@ def beta_term_ids(p: int) -> tuple[BetaTermId, ...]:
     if p not in (2, 3, 4):
         raise ValueError(f"closed-form coefficients exist for p in {{2, 3, 4}}, got {p!r}")
     p = int(p)
-    ids = [BetaTermId(p, (), ())]
-    for k in range(1, p):
-        for J in combinations(range(1, p), k):
-            for S in product((-1, 1), repeat=k):
-                ids.append(BetaTermId(p, J, S))
-    return tuple(ids)
+    subsets = (J for k in range(1, p) for J in combinations(range(1, p), k))
+    return (BetaTermId(p, (), ()), *(BetaTermId(p, J, S) for J in subsets for S in product((-1, 1), repeat=len(J))))
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """The path rule for one p, compiled once.
+def _denominators(p: int, Omega, c) -> dict:
+    """The denominators j*c - s*Omega_j - Omega_0 of the intermediates, keyed (j, s): j ascending, s = -1 first."""
+    return {(j, s): j * c - s * Omega[j] - Omega[0] for j in range(1, p) for s in (-1, 1)}
 
-    hops: distinct hop factors as (l-1, w_m, m, w_n, n); dens: distinct
-    intermediate denominators as (j, s); terms: per term, in beta_term_ids
-    order, (sign, 4^(k+1), hop indices, denominator indices); groups: the
-    term rows of each path family, in first-appearance order.
+
+def _path_rule(p: int, Omega, t, coefficients, dens: dict, root):
+    """The path rule, stated once: yields each term of the p-th coefficient with its sign, in beta_term_ids order.
+
+    Each hop (m, n) of a term's path multiplies its numerator by
+    a_l + p_l * (w_m * t_m + w_n * t_n), l = n - m, and each intermediate
+    (j, s) multiplies its prefactor root by Omega_j and its 4^(k+1) by
+    dens[j, s], all left to right.  Plain arithmetic on the numbers it is
+    given: _plan runs it once per p on a tape.
+    """
+    a, pl = coefficients
+    for tid in beta_term_ids(p):
+        harmonics, weights = (0, *tid.intermediates, p), (1, *(-s for s in tid.signs), -1)
+        hops = [a[n - m - 1] + pl[n - m - 1] * (wm * t[m] + wn * t[n])
+                for m, n, wm, wn in zip(harmonics, harmonics[1:], weights, weights[1:])]
+        prefactor = math.prod((Omega[j] for j in tid.intermediates), start=root)
+        denominator = math.prod((dens[js] for js in zip(tid.intermediates, tid.signs)), start=4.0 ** len(hops))
+        yield tid.sign * (prefactor * math.prod(hops) / denominator)
+
+
+def _operator(op: str, reflected: bool = False):
+    """_Var's method for x op y, or for y op x when reflected."""
+    return (lambda x, y: _Var(x.tape, op, y, x)) if reflected else (lambda x, y: _Var(x.tape, op, x, y))
+
+
+class _Var:
+    """A number on a tape: each + - * / or negation it takes part in returns the tape's node for (op, a, b).
+
+    The tape is a dict, in recording order, that holds each distinct
+    (op, a, b) once; a leaf is ("in", its name, None).  A product
+    (+-1) * x, the constant first, is recorded as +-x, x + -y as x - y and
+    x - -y as x + y: the same numbers exactly.
     """
 
-    p: int
-    hops: tuple
-    dens: tuple
-    terms: tuple
-    groups: dict
+    __slots__ = ("tape", "op", "a", "b")
 
-    @cached_property
-    def denominators(self):
-        """The plan's denominators as straight-line Python: denominators(Omega, c) -> [d0, d1, ...].
+    def __new__(cls, tape: dict, op: str, a, b=None):
+        if op == "*" and a in (1, -1):
+            return b if a == 1 else -b
+        if op in ("+", "-") and isinstance(b, _Var) and b.op == "neg":
+            op, b = "-" if op == "+" else "+", b.a
+        node = super().__new__(cls)
+        node.tape, node.op, node.a, node.b = tape, op, a, b
+        return tape.setdefault((op, a, b), node)
 
-        d_k = j*c - s*Omega_j - Omega_0 for the k-th distinct intermediate
-        (j, s), left to right, with 1 * c written c and -s * Omega_j written
-        as a sign (x - (-y) is exactly x + y): the same doubles as the
-        longhand expression, on floats and arrays alike.  Compiled under
-        ``<denominators p=...>``.
-        """
-        p = self.p
-        dens = [f"{'c' if j == 1 else f'{j} * c'} {'-' if s > 0 else '+'} O{j} - O0" for j, s in self.dens]
-        lines = [
-            "def denominators(Omega, c):",
-            f"    {', '.join(f'O{j}' for j in range(p + 1))} = Omega",
-            f"    return [{', '.join(dens)}]",
-        ]
-        return _compile(f"<denominators p={p}>", lines, "denominators")
-
-    @cached_property
-    def rule(self):
-        """The plan as straight-line Python: rule(Omega, t, coefficients, dens, root) -> signed terms.
-
-        Omega_j, t_j, the coefficients a_l, p_l and the denominators become
-        locals.  Each distinct hop factor is one local N = a + p * (+-t_m +- t_n),
-        its t-weights written as signs (w * t with w = +-1 is exactly +-t,
-        and x + -y is exactly x - y).  Each distinct prefactor
-        root * Omega_j ... is one local r, assigned once from the prefactor
-        of its subset's prefix (r12 = r1 * O2), so it keeps its left-to-right
-        association.  Each term is one expression x or -(x), with
-        x = prefactor * (N * N ...) / (4^(k+1) * d ...), multiplied left to
-        right within each bracket.  Compiled under ``<path rule p=...>``.
-        """
-        p = self.p
-        lines = [
-            "def path_rule(Omega, t, coefficients, dens, root):",
-            f"    {', '.join(f'O{j}' for j in range(p + 1))} = Omega",
-            f"    {', '.join(f't{j}' for j in range(p + 1))} = t",
-            "    (a1, a2, a3, a4), (p1, p2, p3, p4) = coefficients",
-            f"    {', '.join(f'd{k}' for k in range(len(self.dens)))} = dens",
-        ]
-        lines += [f"    N{k} = a{l + 1} + p{l + 1} * ({'-' if wm < 0 else ''}t{m} {'-' if wn < 0 else '+'} t{n})"
-                  for k, (l, wm, m, wn, n) in enumerate(self.hops)]
-        prefactors = {(): "root"}
-        for J in dict.fromkeys(tid.intermediates for tid in beta_term_ids(p) if tid.intermediates):
-            prefactors[J] = "r" + "".join(map(str, J))
-            lines.append(f"    {prefactors[J]} = {prefactors[J[:-1]]} * O{J[-1]}")
-        lines.append("    return [")
-        for tid, (sign, scale, hop_ids, den_ids) in zip(beta_term_ids(p), self.terms):
-            numerator = _product([f"N{k}" for k in hop_ids])
-            denominator = _product([repr(scale), *(f"d{k}" for k in den_ids)])
-            term = f"{prefactors[tid.intermediates]} * {numerator} / {denominator}"
-            lines.append(f"        {term if sign > 0 else f'-({term})'},  # {tid.label}")
-        lines.append("    ]")
-        return _compile(f"<path rule p={p}>", lines, "path_rule")
+    __add__, __sub__, __mul__, __truediv__ = map(_operator, "+-*/")
+    __radd__, __rsub__, __rmul__, __rtruediv__ = (_operator(op, reflected=True) for op in "+-*/")
+    __neg__ = lambda x: _Var(x.tape, "neg", x)
 
 
-def _compile(filename: str, lines: list[str], name: str):
-    """The function name that lines define, compiled under filename and put in linecache for tracebacks."""
+def _source(x, names: dict) -> tuple[str, int]:
+    """Python source of a node or a constant x, and its precedence: 4 for a name or a constant, 3 for a negation."""
+    if not isinstance(x, _Var):
+        return repr(x), 4
+    if x in names or x.op == "in":
+        return names.get(x, x.a), 4
+    if x.op == "neg":
+        a, q = _source(x.a, names)
+        return f"-{a}" if q == 4 else f"-({a})", 3
+    q = 1 if x.op in ("+", "-") else 2
+    (a, qa), (b, qb) = _source(x.a, names), _source(x.b, names)
+    return f"{a if qa >= q else f'({a})'} {x.op} {b if qb > q else f'({b})'}", q
+
+
+def _target(x) -> str:
+    """An argument's leaves as an assignment target: a leaf's name, or a bracketed tuple of targets."""
+    return x.a if isinstance(x, _Var) else f"({', '.join(map(_target, x))})"
+
+
+def _emit(tape: dict, filename: str, name: str, arguments: dict, outputs: dict):
+    """The function name(*arguments) returning [*outputs.values()], as straight-line code from their tape.
+
+    arguments maps each argument to its leaf or (nested) list of leaves,
+    which the code unpacks into the leaves' names.  A node that the outputs
+    use twice or more becomes a local, assigned in tape order; every other
+    node is written inline, bracketed only where Python would group it
+    otherwise.  Each output is one line of the returned list, labelled with
+    its key.  The source is compiled under filename and put in linecache
+    for tracebacks.
+    """
+    uses = Counter(outputs.values())
+    for node in reversed(tape.values()):
+        if node in uses and node.op != "in":
+            uses.update((node.a, node.b))
+    names, lines = {}, [f"def {name}({', '.join(arguments)}):"]
+    lines += [f"    {_target(x)[1:-1]} = {arg}" for arg, x in arguments.items() if not isinstance(x, _Var)]
+    for node in tape.values():
+        if uses[node] > 1 and node.op != "in":
+            lines.append(f"    v{len(names)} = {_source(node, names)[0]}")
+            names[node] = f"v{len(names)}"
+    lines += ["    return [", *(f"        {_source(x, names)[0]},  # {label}" for label, x in outputs.items()), "    ]"]
     source = "\n".join(lines) + "\n"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"__name__": __name__}
-    exec(compile(source, filename, "exec"), namespace)
+    exec(compile(source, filename, "exec"), namespace := {"__name__": __name__})
     return namespace[name]
 
 
-def _product(factors: list[str]) -> str:
-    """Source of the left-to-right product of factors, bracketed unless it is one factor."""
-    return factors[0] if len(factors) == 1 else f"({' * '.join(factors)})"
+# The path rule for one p as _plan emits it: denominators(Omega, c) -> [d0, d1, ...], in _denominators'
+# order, and rule(Omega, t, coefficients, dens, root) -> the signed terms, in beta_term_ids order.
+_Plan = namedtuple("_Plan", "p denominators rule")
 
 
 @lru_cache(maxsize=None)
 def _plan(p: int) -> _Plan:
-    hops: dict = {}
-    dens: dict = {}
-    terms, groups = [], {}
-    for row, tid in enumerate(beta_term_ids(p)):
-        nodes = (0, *tid.intermediates, p)
-        weights = (1.0, *(-float(s) for s in tid.signs), -1.0)
-        hop_ids = tuple(
-            hops.setdefault((n - m - 1, weights[i], m, weights[i + 1], n), len(hops))
-            for i, (m, n) in enumerate(zip(nodes, nodes[1:]))
-        )
-        den_ids = tuple(dens.setdefault(js, len(dens)) for js in zip(tid.intermediates, tid.signs))
-        terms.append((tid.sign, 4.0 ** (len(tid.intermediates) + 1), hop_ids, den_ids))
-        if row:
-            groups.setdefault(tid.group, []).append(row)
-    return _Plan(p, tuple(hops), tuple(dens), tuple(terms), groups)
+    """_denominators and _path_rule for p, run once on a tape and emitted as a _Plan.
+
+    The tape's leaves are the emitted functions' arguments: Omega_j, t_j, the
+    coefficients a_l and p_l, c and root, and, for the rule, the
+    denominators d_k.  The code goes under the file names
+    <denominators p=...> and <path rule p=...>.  A p outside {2, 3, 4} is
+    refused by beta_term_ids before anything is recorded.
+    """
+    ids, tape = beta_term_ids(p), {}
+    Omega, t, a, pl, d = ([_Var(tape, "in", f"{x}{i}") for i in indices] for x, indices in (
+        ("O", range(p + 1)), ("t", range(p + 1)), ("a", range(1, 5)), ("p", range(1, 5)), ("d", range(2 * p - 2))))
+    c, root = _Var(tape, "in", "c"), _Var(tape, "in", "root")
+    dens = _denominators(p, Omega, c)
+    terms = _path_rule(p, Omega, t, (a, pl), dict(zip(dens, d)), root)
+    denominators = _emit(tape, f"<denominators p={p}>", "denominators", {"Omega": Omega, "c": c},
+                         {x.a: den for x, den in zip(d, dens.values())})
+    arguments = {"Omega": Omega, "t": t, "coefficients": (a, pl), "dens": d, "root": root}
+    rule = _emit(tape, f"<path rule p={p}>", "path_rule", arguments, {tid.label: x for tid, x in zip(ids, terms)})
+    return _Plan(p, denominators, rule)
 
 
 def _signed_terms(plan: _Plan, h: float, c: float, Omega: list[float], t: list[float]) -> list[float]:
@@ -282,15 +301,14 @@ def _signed_terms(plan: _Plan, h: float, c: float, Omega: list[float], t: list[f
     dens = plan.denominators(Omega, c)
     if min(map(abs, dens)) < DENOMINATOR_GUARD:
         # name the first term, in beta_term_ids order, that divides by a guarded denominator
-        tid, k = next((tid, k) for tid, (_, _, _, den_ids) in zip(beta_term_ids(plan.p), plan.terms)
-                      for k in den_ids if abs(dens[k]) < DENOMINATOR_GUARD)
-        j, s = plan.dens[k]
-        sign = "-" if s > 0 else "+"
+        dens = dict(zip(_denominators(plan.p, Omega, c), dens))
+        tid, (j, s) = next((tid, js) for tid in beta_term_ids(plan.p) for js in zip(tid.intermediates, tid.signs)
+                           if abs(dens[js]) < DENOMINATOR_GUARD)
+        label = f"{j}*c_h {'-' if s > 0 else '+'} Omega_{j} - Omega_0"
         raise SingularityError(
-            f"near-vanishing denominator {j}*c_h {sign} Omega_{j} - Omega_0 = {dens[k]:.3e} "
-            f"in term {tid.label} at (p={plan.p}, h={h})",
-            denominator_label=f"{j}*c_h {sign} Omega_{j} - Omega_0",
-            value=dens[k],
+            f"near-vanishing denominator {label} = {dens[j, s]:.3e} in term {tid.label} at (p={plan.p}, h={h})",
+            denominator_label=label,
+            value=dens[j, s],
         )
     return plan.rule(Omega, t, coefficients, dens, math.sqrt(Omega[0] * Omega[plan.p]))
 
@@ -308,9 +326,7 @@ def _grid_terms(rd: ResonanceData) -> np.ndarray:
     with np.errstate(all="ignore"):
         root = np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
         terms = np.array(plan.rule(rd.Omega, rd.t, _coefficients(rd.c), dens, root))
-    redo = ~np.isfinite(terms).all(axis=0)
-    for d in dens:
-        redo |= np.abs(d) < DENOMINATOR_GUARD
+    redo = ~np.isfinite(terms).all(axis=0) | (np.abs(dens) < DENOMINATOR_GUARD).any(axis=0)
     for i in np.flatnonzero(redo):
         Omega, t = rd.Omega[:, i].tolist(), rd.t[:, i].tolist()
         terms[:, i] = _signed_terms(plan, float(rd.h[i]), float(rd.c[i]), Omega, t)
@@ -358,7 +374,8 @@ class BetaBreakdown:
     @property
     def group_sums(self) -> dict[str, float | np.ndarray]:
         """Compensated sum of each path family's signed terms."""
-        return {name: neumaier_sum([self.signed[k] for k in rows]) for name, rows in _plan(self.p).groups.items()}
+        rows = groupby(range(1, len(self.signed)), lambda k: beta_term_ids(self.p)[k].group)
+        return {name: neumaier_sum([self.signed[k] for k in group]) for name, group in rows}
 
     @property
     def cancellation_floor(self) -> float | np.ndarray:

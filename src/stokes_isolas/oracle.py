@@ -2,14 +2,15 @@
 
 Script-grade companion to :mod:`stokes_isolas.beta`, kept deliberately
 independent of it: every summand below is written out longhand, one
-expression per term, instead of being generated from the data-driven table
-the main path uses.  The two implementations were transcribed in separate
-passes; any disagreement beyond the double-precision cancellation floor is
-a transcription bug by definition.  Two audits use it: the stored fixtures
-check the double-precision main path to that floor, and a 40-digit audit
-in the tests feeds this module's 60-digit phi*, Omega_j, t_j and c to the
-main path's own compiled rule (``beta._Plan.rule``, rational in its
-inputs) and requires agreement to 1e-40 relative, deep water included.
+expression per term, instead of being emitted from the one statement of
+the path rule the main path uses.  The two implementations were
+transcribed in separate passes; any disagreement beyond the
+double-precision cancellation floor is a transcription bug by definition.
+Two audits use it: the stored fixtures check the double-precision main
+path to that floor, and a 40-digit audit in the tests feeds this module's
+60-digit phi*, Omega_j, t_j and c to the main path's own emitted rule
+(``beta._plan(p).rule``, rational in its inputs) and requires agreement to
+1e-40 relative, deep water included.
 
 Results are cached to a TSV fixtures file (one record per line:
 p, h, value, digits; '#' starts a comment) which the test suite and
@@ -331,7 +332,7 @@ def write_fixtures(path, points, cfg: OracleConfig = OracleConfig()):
 # >= 0.55: shallower, the 8-ulp summation floor no longer bounds the (larger)
 # input-rounding error of the O(1) terms, and agreement is audited by the
 # relative-tolerance oracle tests instead.  The 40-digit audit of the
-# compiled path rule runs at these points too, and at h = 0.05 and 14..20,
+# emitted path rule runs at these points too, and at h = 0.05 and 14..20,
 # where no double-precision check can resolve beta1.
 FIXTURE_POINTS = [
     (2, 0.7), (2, 1.0), (2, 1.2), (2, 1.84940), (2, 2.5), (2, 4.0), (2, 6.0), (2, 10.0),

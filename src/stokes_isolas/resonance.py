@@ -345,8 +345,12 @@ class ResonanceData:
 
 
 def _tolerance(pc):
-    """The largest |f(phi*)| accepted where p*c = pc, a float or an array (see DEFAULT_TOL)."""
-    return np.maximum(DEFAULT_TOL, 3.5 * _ulp(pc))
+    """The largest |f(phi*)| accepted where p*c = pc, a float or an array (see DEFAULT_TOL).
+
+    For a float it is the double np.maximum would give, and numpy stays unloaded.
+    """
+    tol = 3.5 * _ulp(pc)
+    return max(DEFAULT_TOL, tol) if isinstance(tol, float) else np.maximum(DEFAULT_TOL, tol)
 
 
 def _collision(p: int, c, phi, Omega0, Omegap):

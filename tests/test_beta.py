@@ -580,25 +580,40 @@ class TestIndexRefusedBeforeSolve:
                 call(5, math.nan)
 
 
-def _evaluate_by_loops(plan, Omega, t, coefficients, dens, root):
-    """The plan walked in nested loops: the reference the compiled path rule must equal bit for bit."""
+def _intermediates(p):
+    """Every (j, s) an intermediate can take, j ascending and s = -1 first: the order of the emitted denominators."""
+    return [(j, s) for j in range(1, p) for s in (-1, 1)]
+
+
+def _evaluate_by_loops(p, Omega, t, coefficients, dens, root):
+    """Each term of beta_term_ids(p) in nested loops: the reference the emitted rule must equal bit for bit.
+
+    Transcribed from the path rule apart from beta's own statement of it:
+    the numerator is the left-to-right product of the hop factors
+    a_l + p_l * (w_m * t_m + w_n * t_n), the prefactor root * Omega_j ...
+    and the denominator 4^(k+1) * d ..., and the term carries its sign.
+    """
     a, pl = coefficients
-    hop = [a[l] + pl[l] * (wm * t[m] + wn * t[n]) for l, wm, m, wn, n in plan.hops]
+    den = dict(zip(_intermediates(p), dens))
     out = []
-    for sign, scale, hop_ids, den_ids in plan.terms:
-        numerator = hop[hop_ids[0]]
-        for k in hop_ids[1:]:
-            numerator = numerator * hop[k]
-        prefactor, denominator = root, scale
-        for k in den_ids:
-            prefactor = prefactor * Omega[plan.dens[k][0]]
-            denominator = denominator * dens[k]
-        out.append(sign * (prefactor * numerator / denominator))
+    for tid in beta_term_ids(p):
+        nodes = (0, *tid.intermediates, p)
+        weights = (1.0, *(-float(s) for s in tid.signs), -1.0)
+        numerator = None
+        for i in range(len(nodes) - 1):
+            m, n = nodes[i], nodes[i + 1]
+            hop = a[n - m - 1] + pl[n - m - 1] * (weights[i] * t[m] + weights[i + 1] * t[n])
+            numerator = hop if numerator is None else numerator * hop
+        prefactor, denominator = root, 4.0 ** (len(nodes) - 1)
+        for j, s in zip(tid.intermediates, tid.signs):
+            prefactor = prefactor * Omega[j]
+            denominator = denominator * den[j, s]
+        out.append(tid.sign * (prefactor * numerator / denominator))
     return out
 
 
 def _rule_inputs(plan, rd):
-    """The compiled rule's arguments, from a record at one depth (floats) or over a grid (arrays)."""
+    """The emitted rule's arguments, from a record at one depth (floats) or over a grid (arrays)."""
     if np.ndim(rd.h):
         Omega, t, root = rd.Omega, rd.t, np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
     else:
@@ -607,9 +622,36 @@ def _rule_inputs(plan, rd):
     return Omega, t, _coefficients(rd.c), plan.denominators(Omega, rd.c), root
 
 
-def _denominators_by_loop(plan, Omega, c):
-    """j*c - s*Omega_j - Omega_0 written longhand: the reference the compiled denominators must equal bit for bit."""
-    return [j * c - s * Omega[j] - Omega[0] for j, s in plan.dens]
+def _denominators_by_loop(p, Omega, c):
+    """j*c - s*Omega_j - Omega_0 written longhand: the reference the emitted denominators must equal bit for bit."""
+    return [j * c - s * Omega[j] - Omega[0] for j, s in _intermediates(p)]
+
+
+def _returned(function):
+    """The emitted source of function, its syntax tree and the list expression it returns."""
+    source = inspect.getsource(function)
+    tree = ast.parse(source)
+    return source, tree, next(node for node in ast.walk(tree) if isinstance(node, ast.Return)).value
+
+
+def _locals(tree):
+    """The emitted locals of a syntax tree, name -> the expression assigned to it, and the names each reads."""
+    assigned = {node.targets[0].id: node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    reads = {name: {n.id for n in ast.walk(value) if isinstance(n, ast.Name)} for name, value in assigned.items()}
+    return assigned, reads
+
+
+def _leaves_read(expression, reads):
+    """The argument names an expression reads, through the locals it reads."""
+    names, todo = set(), [n.id for n in ast.walk(expression) if isinstance(n, ast.Name)]
+    while todo:
+        name = todo.pop()
+        if name in reads:
+            todo += reads[name]
+        else:
+            names.add(name)
+    return names
 
 
 class TestCompiledPathRule:
@@ -620,44 +662,73 @@ class TestCompiledPathRule:
         assert (hs[0], hs[-1]) == (0.05, 20.0)
         for h in hs:
             args = _rule_inputs(plan, build_resonance_data(p, h))
-            assert _bits(plan.rule(*args)) == _bits(_evaluate_by_loops(plan, *args)), h
+            assert _bits(plan.rule(*args)) == _bits(_evaluate_by_loops(p, *args)), h
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_arrays_equal_the_loops(self, p):
         plan = beta._plan(p)
         args = _rule_inputs(plan, _resonance_grid(p, np.linspace(0.05, 20.0, 2000)))
-        rule, loops = plan.rule(*args), _evaluate_by_loops(plan, *args)
+        rule, loops = plan.rule(*args), _evaluate_by_loops(p, *args)
         assert all(type(v) is np.ndarray and v.shape == (2000,) for v in rule)
         assert np.array(rule).tobytes() == np.array(loops).tobytes()
 
     @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_emitted_functions_equal_the_plain_rule_on_mpmath_numbers(self, p):
+        # the emitted code is the plain rule with +-1 * x written +-x and x + -y written x - y,
+        # exact in any arithmetic: at 40 digits, on 60-digit oracle inputs, every term is the same number
+        mp = pytest.importorskip("mpmath")
+        from stokes_isolas import oracle
+
+        plan, cfg = beta._plan(p), oracle.OracleConfig()
+        with mp.workdps(40):
+            for h in (0.05, 1.0, 20.0):
+                phi, x = oracle.oracle_phi(p, h, cfg), mp.mpf(h)
+                Omega = [+oracle._omega(j + phi, x) for j in range(p + 1)]
+                t = [+oracle._t(j + phi, x) for j in range(p + 1)]
+                c = +oracle._coefficients(x)[0]
+                coefficients, root = _coefficients(c), mp.sqrt(Omega[0] * Omega[p])
+                dens = beta._denominators(p, Omega, c)
+                assert plan.denominators(Omega, c) == list(dens.values())
+                emitted = plan.rule(Omega, t, coefficients, list(dens.values()), root)
+                plain = list(beta._path_rule(p, Omega, t, coefficients, dens, root))
+                assert len(emitted) == len(plain) == len(beta_term_ids(p))
+                assert all(type(e) is type(q) is mp.mpf and e == q for e, q in zip(emitted, plain)), h
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
     def test_one_expression_per_term(self, p):
-        source = inspect.getsource(beta._plan(p).rule)
-        returned = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Return)).value
+        source, _, returned = _returned(beta._plan(p).rule)
         lines = source.splitlines()
         labels = [lines[term.lineno - 1].rsplit("# ", 1)[1] for term in returned.elts]
         assert labels == [tid.label for tid in beta_term_ids(p)]
+        assert all(term.lineno == term.end_lineno for term in returned.elts)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_no_unit_weights_or_signs_multiply(self, p):
-        # +-1 t-weights are written as signs and term signs as -(x): no 1.0 *, -1.0 *, 1 * (
-        source = inspect.getsource(beta._plan(p).rule)
+    @pytest.mark.parametrize("emitted", ["rule", "denominators"])
+    def test_no_unit_products_or_added_negations(self, p, emitted):
+        # +-1 t-weights, term signs and signatures are written as signs: no 1 *, -1 *, 1.0 *, nor x + -y, x - -y
+        source, tree, _ = _returned(getattr(beta._plan(p), emitted))
         assert not re.findall(r"(?<![\w.])-?1(?:\.0)? \*", source)
-        assert re.search(r"\bN\d+ = a\d \+ p\d \* \(-t\d - t\d\)$", source, re.MULTILINE)
+        assert " + -" not in source and " - -" not in source
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp):
+                assert not any(isinstance(x, ast.Constant) and abs(x.value) == 1 for x in (node.left, node.right))
+                assert not (isinstance(node.op, (ast.Add, ast.Sub)) and isinstance(node.right, ast.UnaryOp))
+        if emitted == "rule":  # the hop from a + intermediate to p: both t-weights negative
+            assert re.search(r"\* \((-t\d|v\d+) - t\d\)", source)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_each_prefactor_assigned_once(self, p):
-        tree = ast.parse(inspect.getsource(beta._plan(p).rule))
-        assigned = [target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                    for target in node.targets if isinstance(target, ast.Name)]
-        subsets = dict.fromkeys(tid.intermediates for tid in beta_term_ids(p) if tid.intermediates)
-        prefactors = [name for name in assigned if name.startswith("r")]
-        assert prefactors == ["r" + "".join(map(str, J)) for J in subsets]
-        assert len(assigned) == len(set(assigned))
-        # the terms read the prefactors: no Omega_j is multiplied in the return
-        returned = next(node for node in ast.walk(tree) if isinstance(node, ast.Return)).value
-        used = {node.id for node in ast.walk(returned) if isinstance(node, ast.Name)}
-        assert used == {"root", *prefactors} | {name for name in used if re.fullmatch(r"[Nd]\d+", name)}
+    @pytest.mark.parametrize("emitted", ["rule", "denominators"])
+    def test_no_repeated_subexpression(self, p, emitted):
+        # each distinct operation is written once: what two terms share is one local, read at least twice
+        _, tree, returned = _returned(getattr(beta._plan(p), emitted))
+        written = [ast.dump(node) for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.UnaryOp))]
+        assert len(written) == len(set(written))
+        assigned, _ = _locals(tree)
+        assert list(assigned) == [f"v{k}" for k in range(len(assigned))]
+        read = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+        assert all(read.count(name) >= 2 for name in assigned)
+        if emitted == "rule":  # every prefactor root * Omega_j ... serves two signatures: no Omega_j in the return
+            assert not {n.id for n in ast.walk(returned) if isinstance(n, ast.Name)} & {f"O{j}" for j in range(p + 1)}
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_denominators_equal_the_loop(self, p):
@@ -667,23 +738,21 @@ class TestCompiledPathRule:
             Omega = rd.Omega.tolist()
             dens = plan.denominators(Omega, rd.c)
             assert type(dens) is list and all(type(d) is float for d in dens)
-            assert _bits(dens) == _bits(_denominators_by_loop(plan, Omega, rd.c)), h
+            assert _bits(dens) == _bits(_denominators_by_loop(p, Omega, rd.c)), h
         rd = _resonance_grid(p, np.linspace(0.05, 20.0, 2000))
         dens = plan.denominators(rd.Omega, rd.c)
-        assert np.array(dens).tobytes() == np.array(_denominators_by_loop(plan, rd.Omega, rd.c)).tobytes()
+        assert np.array(dens).tobytes() == np.array(_denominators_by_loop(p, rd.Omega, rd.c)).tobytes()
 
     @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_denominators_are_one_expression_each(self, p):
-        # one expression per distinct (j, s), in plan order, reading c, Omega_j and Omega_0 only,
-        # with the signature written as a sign: no negation, no multiply by 1 or +-1
-        plan = beta._plan(p)
-        source = inspect.getsource(plan.denominators)
-        returned = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Return)).value
-        assert len(returned.elts) == len(plan.dens)
-        for d, (j, s) in zip(returned.elts, plan.dens):
-            assert {node.id for node in ast.walk(d) if isinstance(node, ast.Name)} == {"c", f"O{j}", "O0"}
-            assert not any(isinstance(node, ast.UnaryOp) for node in ast.walk(d))
-        assert not re.findall(r"(?<![\w.])-?1(?:\.0)? \*", source)
+    def test_denominators_read_c_omega_j_and_omega_0_only(self, p):
+        # one expression per (j, s), in that order, reading c, Omega_j and Omega_0 (through locals such
+        # as j * c), with the signature written as a sign: no negation anywhere
+        _, tree, returned = _returned(beta._plan(p).denominators)
+        _, reads = _locals(tree)
+        assert len(returned.elts) == len(_intermediates(p))
+        for d, (j, s) in zip(returned.elts, _intermediates(p)):
+            assert _leaves_read(d, reads) == {"c", f"O{j}", "O0"}
+        assert not any(isinstance(node, ast.UnaryOp) for node in ast.walk(tree))
 
     def test_traceback_shows_the_generated_line(self):
         # d0 = 0 divides term B_{1,1}^{-} of p = 2 by zero
@@ -733,7 +802,7 @@ class TestGridSize:
                 passes.append(Omega.shape[1])
             return real(Omega, *args)
 
-        monkeypatch.setitem(plan.__dict__, "rule", counting)
+        monkeypatch.setattr(beta, "_plan", lambda p: plan._replace(rule=counting))
         for size in grid_sizes():
             _grid_terms(_resonance_grid(p, np.linspace(0.05, 20.0, size)))
         assert passes == grid_sizes()
@@ -792,7 +861,7 @@ class TestSingularityGuard:
 
 class TestOracleTermAudit:
     def test_random_terms_against_reference(self):
-        # transcription audit: the data-driven table against the longhand
+        # transcription audit: the path rule, stated once, against the longhand
         # reference evaluator, 5 random terms x 3 depths
         mp = pytest.importorskip("mpmath")
         from stokes_isolas.oracle import OracleConfig, oracle_beta_terms

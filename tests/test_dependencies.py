@@ -63,7 +63,7 @@ import stokes_isolas as si
 
 params = si.IsolaParams.from_depth(3, 1.0, 0.1, 1.0, 0.5)
 results = [
-    si.beta1(3, 1.0), si.solve_wavenumber(3, 1.0), si.omega_star(3, 1.0),
+    si.beta1(3, 1.0), si.solve_wavenumber(3, 1.0), si.solve_wavenumber(1000, 1.0), si.omega_star(3, 1.0),
     si.phase_speed(1.0), si.omega_disp(0.5, 1.0), si.t_ratio(0.5, 1.0), si.eigenvalue_branch(3, 1, 0.2, 1.0),
     si.resonance_residual(0.5, 3, 1.0), *dataclasses.astuple(si.stokes_coefficients(1.0)),
     params.beta1, params.y0, params.mu0, *si.band_endpoints(params),

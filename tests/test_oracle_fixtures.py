@@ -84,7 +84,7 @@ def test_deep_water_ratio_fixture(fixtures):
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_plan_matches_oracle_to_forty_digits(p):
-    # the compiled path rule is a rational function of its inputs, so fed
+    # the emitted path rule is a rational function of its inputs, so fed
     # 60-digit oracle values it audits itself and the Stokes
     # coefficients against the longhand terms far below the double floor,
     # also in deep water (h = 14..20), where doubles cannot resolve beta1
@@ -109,7 +109,7 @@ def test_plan_matches_oracle_to_forty_digits(p):
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_signed_limits_cancel_in_deep_water(p):
     # at h = infinity everything is in closed form: phi = (p-1)^2/4 solves sqrt(phi) + sqrt(phi + p) = p with
-    # c = 1, and Omega_j = t_j = sqrt(j + phi).  There the compiled rule divides by no vanishing denominator and
+    # c = 1, and Omega_j = t_j = sqrt(j + phi).  There the emitted rule divides by no vanishing denominator and
     # its signed terms cancel exactly, the premise of evaluating beta1 as deviations from these limits
     mp = pytest.importorskip("mpmath")
     plan = beta._plan(p)
