@@ -23,21 +23,27 @@ against sign typos (the audit tests compare against the
 independently transcribed reference evaluator in ``oracle.py``).
 
 The rule is stated once, as plain arithmetic over ``beta_term_ids(p)``
-(``_path_rule``, with its denominators in ``_denominators``).  At a p's
-first use, ``_plan`` runs the two once on a recording number (``_Var``)
-that writes each distinct operation (op, a, b) once on a tape, with
-(+-1) * x written +-x and x + -y written x - y, which changes no number.
-From the tape it emits two straight-line Python functions, so an
-evaluation walks no loops: ``denominators(Omega, c)``, one expression per
-(j, s), and ``rule(Omega, t, coefficients, dens, root)``, one labelled line
-per term.  A node used twice, such as a hop factor or a prefactor
-root * Omega_j ... that several terms share, becomes one local; every
-other node is written inline.  The emitted code performs the plain rule's
-IEEE operations in its order.  The rule is a rational function of c,
-Omega_j, t_j and root = sqrt(Omega_0 * Omega_p), which its caller
-supplies: only + - * / and float constants touch them, so it runs on
-Python floats at a single depth, on numpy arrays over a grid of depths and
-on mpmath numbers (the 40-digit audit in the tests).
+(``_path_rule``, with its denominators in ``_denominators`` and the Stokes
+coefficients a_l, p_l from ``stokes_coefficients._coefficients``).  At a
+p's first use, ``_plan`` runs the three once on a recording number
+(``_Var``) that writes each distinct operation (op, a, b) once on one
+tape, with (+-1) * x written +-x, (-x) * y written -(x * y) and x + -y
+written x - y, which changes no number.  From the tape it emits one
+straight-line Python function, so an evaluation walks no loops:
+``rule(Omega, t, c, root)`` returns the 2p - 2 denominators, then the
+signed terms, one labelled line each, and computes only what they read
+(for p = 2, no a_3, a_4, p_3 or p_4).  A node used twice, such as c^2, a
+hop factor or a prefactor root * Omega_j ... that several terms share,
+becomes one local; every other node is written inline.  The emitted code
+performs the plain rule's IEEE operations in its order.  The rule is a
+rational function of c, Omega_j, t_j and root = sqrt(Omega_0 * Omega_p),
+which its caller supplies: only + - * / and float constants touch them,
+so it runs on Python floats at a single depth, on numpy arrays over a
+grid of depths and on mpmath numbers (the 40-digit audit in the tests).
+The guard reads the returned denominators: a ZeroDivisionError inside the
+rule, or a denominator below ``DENOMINATOR_GUARD``, takes one refusal
+path, which raises the Stokes coefficients' underflow error first and
+then the guard's.
 
 At one depth (``_point``) p is refused before the depth and both before
 the one single-depth solve (``resonance._solve``), whose plain floats and
@@ -69,7 +75,7 @@ from __future__ import annotations
 
 import linecache
 import math
-from collections import Counter, deque, namedtuple
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations, groupby, product, repeat
@@ -194,16 +200,21 @@ class _Var:
     """A number on a tape: each + - * / or negation it takes part in returns the tape's node for (op, a, b).
 
     The tape is a dict, in recording order, that holds each distinct
-    (op, a, b) once; a leaf is ("in", its name, None).  A product
-    (+-1) * x, the constant first, is recorded as +-x, x + -y as x - y and
-    x - -y as x + y: the same numbers exactly.
+    (op, a, b) once; a leaf is ("in", its name, None).  A product 1 * x,
+    the constant first, is recorded as x; a product or quotient whose first
+    operand is a negation or a negative constant as the negation of the one
+    with that operand's magnitude, (-x) * y as -(x * y), so -1 * x as -x;
+    x + -y as x - y and x - -y as x + y: the same numbers exactly, in IEEE
+    and in mpmath alike.
     """
 
     __slots__ = ("tape", "op", "a", "b")
 
     def __new__(cls, tape: dict, op: str, a, b=None):
-        if op == "*" and a in (1, -1):
-            return b if a == 1 else -b
+        if op == "*" and a == 1:
+            return b
+        if op in ("*", "/") and (a.op == "neg" if isinstance(a, _Var) else a < 0):
+            return -cls(tape, op, a.a if isinstance(a, _Var) else -a, b)
         if op in ("+", "-") and isinstance(b, _Var) and b.op == "neg":
             op, b = "-" if op == "+" else "+", b.a
         node = super().__new__(cls)
@@ -229,28 +240,23 @@ def _source(x, names: dict) -> tuple[str, int]:
     return f"{a if qa >= q else f'({a})'} {x.op} {b if qb > q else f'({b})'}", q
 
 
-def _target(x) -> str:
-    """An argument's leaves as an assignment target: a leaf's name, or a bracketed tuple of targets."""
-    return x.a if isinstance(x, _Var) else f"({', '.join(map(_target, x))})"
-
-
 def _emit(tape: dict, filename: str, name: str, arguments: dict, outputs: dict):
     """The function name(*arguments) returning [*outputs.values()], as straight-line code from their tape.
 
-    arguments maps each argument to its leaf or (nested) list of leaves,
-    which the code unpacks into the leaves' names.  A node that the outputs
-    use twice or more becomes a local, assigned in tape order; every other
-    node is written inline, bracketed only where Python would group it
-    otherwise.  Each output is one line of the returned list, labelled with
-    its key.  The source is compiled under filename and put in linecache
-    for tracebacks.
+    arguments maps each argument to its leaf or list of leaves, which the
+    code unpacks into the leaves' names.  Only the nodes that the outputs
+    read are written.  A node that they use twice or more becomes a local,
+    assigned in tape order; every other node is written inline, bracketed
+    only where Python would group it otherwise.  Each output is one line of
+    the returned list, labelled with its key.  The source is compiled under
+    filename and put in linecache for tracebacks.
     """
     uses = Counter(outputs.values())
     for node in reversed(tape.values()):
         if node in uses and node.op != "in":
             uses.update((node.a, node.b))
     names, lines = {}, [f"def {name}({', '.join(arguments)}):"]
-    lines += [f"    {_target(x)[1:-1]} = {arg}" for arg, x in arguments.items() if not isinstance(x, _Var)]
+    lines += [f"    {', '.join(x.a for x in xs)} = {arg}" for arg, xs in arguments.items() if isinstance(xs, list)]
     for node in tape.values():
         if uses[node] > 1 and node.op != "in":
             lines.append(f"    v{len(names)} = {_source(node, names)[0]}")
@@ -262,55 +268,59 @@ def _emit(tape: dict, filename: str, name: str, arguments: dict, outputs: dict):
     return namespace[name]
 
 
-# The path rule for one p as _plan emits it: denominators(Omega, c) -> [d0, d1, ...], in _denominators'
-# order, and rule(Omega, t, coefficients, dens, root) -> the signed terms, in beta_term_ids order.
-_Plan = namedtuple("_Plan", "p denominators rule")
+def _denominator_label(j: int, s: int) -> str:
+    """The denominator j*c - s*Omega_j - Omega_0 as the guard's error and the emitted code name it."""
+    return f"{j}*c_h {'-' if s > 0 else '+'} Omega_{j} - Omega_0"
 
 
 @lru_cache(maxsize=None)
-def _plan(p: int) -> _Plan:
-    """_denominators and _path_rule for p, run once on a tape and emitted as a _Plan.
+def _plan(p: int):
+    """The path rule for p as one emitted function: rule(Omega, t, c, root) -> [*denominators, *signed terms].
 
-    The tape's leaves are the emitted functions' arguments: Omega_j, t_j, the
-    coefficients a_l and p_l, c and root, and, for the rule, the
-    denominators d_k.  The code goes under the file names
-    <denominators p=...> and <path rule p=...>.  A p outside {2, 3, 4} is
-    refused by beta_term_ids before anything is recorded.
+    _coefficients(c), _denominators and _path_rule run once on one tape,
+    whose leaves are the arguments: Omega_j, t_j, the phase speed c and
+    root.  The function returns the 2p - 2 denominators, in _denominators'
+    order, then the signed terms, in beta_term_ids order; it computes only
+    the coefficients a_l, p_l that p's hops use.  Its code goes under the
+    file name <path rule p=...>.  A p outside {2, 3, 4} is refused by
+    beta_term_ids before anything is recorded.
     """
     ids, tape = beta_term_ids(p), {}
-    Omega, t, a, pl, d = ([_Var(tape, "in", f"{x}{i}") for i in indices] for x, indices in (
-        ("O", range(p + 1)), ("t", range(p + 1)), ("a", range(1, 5)), ("p", range(1, 5)), ("d", range(2 * p - 2))))
+    Omega, t = ([_Var(tape, "in", f"{x}{j}") for j in range(p + 1)] for x in "Ot")
     c, root = _Var(tape, "in", "c"), _Var(tape, "in", "root")
-    dens = _denominators(p, Omega, c)
-    terms = _path_rule(p, Omega, t, (a, pl), dict(zip(dens, d)), root)
-    denominators = _emit(tape, f"<denominators p={p}>", "denominators", {"Omega": Omega, "c": c},
-                         {x.a: den for x, den in zip(d, dens.values())})
-    arguments = {"Omega": Omega, "t": t, "coefficients": (a, pl), "dens": d, "root": root}
-    rule = _emit(tape, f"<path rule p={p}>", "path_rule", arguments, {tid.label: x for tid, x in zip(ids, terms)})
-    return _Plan(p, denominators, rule)
+    coefficients, dens = _coefficients(c), _denominators(p, Omega, c)
+    terms = _path_rule(p, Omega, t, coefficients, dens, root)
+    outputs = {_denominator_label(*js): d for js, d in dens.items()} | {tid.label: x for tid, x in zip(ids, terms)}
+    return _emit(tape, f"<path rule p={p}>", "path_rule", {"Omega": Omega, "t": t, "c": c, "root": root}, outputs)
 
 
-def _signed_terms(plan: _Plan, h: float, c: float, Omega: list[float], t: list[float]) -> list[float]:
-    """Every term of the plan.p-th coefficient at depth h with its sign, in beta_term_ids order.
+def _signed_terms(p: int, h: float, c: float, Omega: list[float], t: list[float]) -> list[float]:
+    """Every term of the p-th coefficient at depth h with its sign, in beta_term_ids order.
 
     c, Omega_j and t_j are the floats and lists the single-depth solve
-    returns.  Each denominator is checked against DENOMINATOR_GUARD before
-    any term divides by it.
+    returns.  The emitted rule returns the denominators with the terms.  A
+    ZeroDivisionError on the way, or a denominator below DENOMINATOR_GUARD,
+    is refused: first as a Stokes coefficient whose denominator underflows,
+    then as the first term, in beta_term_ids order, that divides by a
+    guarded denominator.
     """
-    coefficients = _coefficients(c)
-    dens = plan.denominators(Omega, c)
-    if min(map(abs, dens)) < DENOMINATOR_GUARD:
-        # name the first term, in beta_term_ids order, that divides by a guarded denominator
-        dens = dict(zip(_denominators(plan.p, Omega, c), dens))
-        tid, (j, s) = next((tid, js) for tid in beta_term_ids(plan.p) for js in zip(tid.intermediates, tid.signs)
-                           if abs(dens[js]) < DENOMINATOR_GUARD)
-        label = f"{j}*c_h {'-' if s > 0 else '+'} Omega_{j} - Omega_0"
-        raise SingularityError(
-            f"near-vanishing denominator {label} = {dens[j, s]:.3e} in term {tid.label} at (p={plan.p}, h={h})",
-            denominator_label=label,
-            value=dens[j, s],
-        )
-    return plan.rule(Omega, t, coefficients, dens, math.sqrt(Omega[0] * Omega[plan.p]))
+    try:
+        out = _plan(p)(Omega, t, c, math.sqrt(Omega[0] * Omega[p]))
+    except ZeroDivisionError:
+        pass
+    else:
+        if not min(map(abs, out[:2 * p - 2])) < DENOMINATOR_GUARD:
+            return out[2 * p - 2:]
+    _coefficients(c)  # raises where a Stokes coefficient's denominator underflows to 0.0
+    dens = _denominators(p, Omega, c)
+    tid, (j, s) = next((tid, js) for tid in beta_term_ids(p) for js in zip(tid.intermediates, tid.signs)
+                       if abs(dens[js]) < DENOMINATOR_GUARD)
+    label = _denominator_label(j, s)
+    raise SingularityError(
+        f"near-vanishing denominator {label} = {dens[j, s]:.3e} in term {tid.label} at (p={p}, h={h})",
+        denominator_label=label,
+        value=dens[j, s],
+    )
 
 
 def _grid_terms(rd: ResonanceData) -> np.ndarray:
@@ -321,15 +331,13 @@ def _grid_terms(rd: ResonanceData) -> np.ndarray:
     cannot vouch for (a near-vanishing denominator, a non-finite term), and
     raises the error a column-by-column loop would raise first.
     """
-    plan = _plan(rd.p)
-    dens = plan.denominators(rd.Omega, rd.c)
     with np.errstate(all="ignore"):
-        root = np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
-        terms = np.array(plan.rule(rd.Omega, rd.t, _coefficients(rd.c), dens, root))
-    redo = ~np.isfinite(terms).all(axis=0) | (np.abs(dens) < DENOMINATOR_GUARD).any(axis=0)
+        out = _plan(rd.p)(rd.Omega, rd.t, rd.c, np.sqrt(rd.Omega[0] * rd.Omega[rd.p]))
+    terms = np.array(out[2 * rd.p - 2:])
+    redo = ~np.isfinite(terms).all(axis=0) | (np.abs(out[:2 * rd.p - 2]) < DENOMINATOR_GUARD).any(axis=0)
     for i in np.flatnonzero(redo):
         Omega, t = rd.Omega[:, i].tolist(), rd.t[:, i].tolist()
-        terms[:, i] = _signed_terms(plan, float(rd.h[i]), float(rd.c[i]), Omega, t)
+        terms[:, i] = _signed_terms(rd.p, float(rd.h[i]), float(rd.c[i]), Omega, t)
     return terms
 
 
@@ -390,7 +398,8 @@ class BetaBreakdown:
 
 def _grid(p: int, hs) -> BetaBreakdown:
     """The record at every depth of hs, one column per depth (see _grid_terms); p is refused as by _point."""
-    rd = _resonance_grid(_plan(_check_index(p)).p, hs)
+    _plan(p := _check_index(p))  # refuses a p outside {2, 3, 4} before the solve
+    rd = _resonance_grid(p, hs)
     signed = _grid_terms(rd)
     return BetaBreakdown(rd, signed, neumaier_sum(signed))
 
@@ -404,12 +413,12 @@ def _point(p: int, h: float) -> tuple:
     _record's arguments.  The total is the one sum of the terms at one
     depth, as _grid's is over a grid.
     """
-    plan = _plan(_check_index(p))
+    _plan(p := _check_index(p))
     h = _check_depth(h)
-    c, phi = _solve(plan.p, h)
-    Omega, t = _tabulate(plan.p, h, phi, _FLOATS)
-    signed = _signed_terms(plan, h, c, Omega, t)
-    return plan.p, h, c, phi, Omega, t, signed, neumaier_sum(signed)
+    c, phi = _solve(p, h)
+    Omega, t = _tabulate(p, h, phi, _FLOATS)
+    signed = _signed_terms(p, h, c, Omega, t)
+    return p, h, c, phi, Omega, t, signed, neumaier_sum(signed)
 
 
 def beta1(p: int, h: float) -> float:

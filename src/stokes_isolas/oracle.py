@@ -9,8 +9,9 @@ double-precision cancellation floor is a transcription bug by definition.
 Two audits use it: the stored fixtures check the double-precision main
 path to that floor, and a 40-digit audit in the tests feeds this module's
 60-digit phi*, Omega_j, t_j and c to the main path's own emitted rule
-(``beta._plan(p).rule``, rational in its inputs) and requires agreement to
-1e-40 relative, deep water included.
+(``beta._plan(p)``, which computes the Stokes coefficients, the
+denominators and the terms, rational in its inputs) and requires agreement
+to 1e-40 relative, deep water included.
 
 Results are cached to a TSV fixtures file (one record per line:
 p, h, value, digits; '#' starts a comment) which the test suite and

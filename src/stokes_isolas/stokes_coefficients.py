@@ -3,7 +3,11 @@
 The first four diagonal Taylor coefficients a_l, p_l (l = 1..4) of the
 surface potentials induced by a small-amplitude Stokes wave are explicit
 rational functions of the phase speed c = sqrt(tanh(h)).  They feed the
-instability-coefficient sums in :mod:`stokes_isolas.beta`.
+hop factors of the instability-coefficient sums in :mod:`stokes_isolas.beta`,
+which runs ``_coefficients`` once per p on the tape that records its path
+rule: each p's emitted rule computes the a_l, p_l its hops use, from c,
+with the operations written here, and ``beta`` calls ``_coefficients``
+itself only to raise its underflow error at a refused depth.
 
 In the deep-water limit (c -> 1):
 
@@ -66,7 +70,9 @@ def _coefficients(c):
 
     Raises SingularityError where a denominator (a product of powers of c)
     underflows to 0.0, for h below ~2.7e-33.  Arrays get inf or NaN there
-    instead, and the grid path redoes such depths one at a time.
+    instead, and the grid path redoes such depths one at a time.  Only
+    + - * / touch c, so it also runs on mpmath numbers and on beta's
+    recording number, on which the try is inert.
     """
     try:
         c2 = c * c

@@ -612,19 +612,29 @@ def _evaluate_by_loops(p, Omega, t, coefficients, dens, root):
     return out
 
 
-def _rule_inputs(plan, rd):
-    """The emitted rule's arguments, from a record at one depth (floats) or over a grid (arrays)."""
+def _rule_inputs(rd):
+    """The emitted rule's arguments (Omega, t, c, root), from a record at one depth (floats) or over a grid (arrays)."""
     if np.ndim(rd.h):
         Omega, t, root = rd.Omega, rd.t, np.sqrt(rd.Omega[0] * rd.Omega[rd.p])
     else:
         Omega, t = rd.Omega.tolist(), rd.t.tolist()
         root = math.sqrt(Omega[0] * Omega[rd.p])
-    return Omega, t, _coefficients(rd.c), plan.denominators(Omega, rd.c), root
+    return Omega, t, rd.c, root
 
 
 def _denominators_by_loop(p, Omega, c):
     """j*c - s*Omega_j - Omega_0 written longhand: the reference the emitted denominators must equal bit for bit."""
     return [j * c - s * Omega[j] - Omega[0] for j, s in _intermediates(p)]
+
+
+def _terms_by_loops(p, Omega, t, c, root):
+    """The signed terms by _evaluate_by_loops, fed _coefficients(c) and the longhand denominators."""
+    return _evaluate_by_loops(p, Omega, t, _coefficients(c), _denominators_by_loop(p, Omega, c), root)
+
+
+def _denominator_label(j, s):
+    """The name of the denominator j*c - s*Omega_j - Omega_0 in the guard's error and in the emitted code."""
+    return f"{j}*c_h {'-' if s > 0 else '+'} Omega_{j} - Omega_0"
 
 
 def _returned(function):
@@ -642,131 +652,167 @@ def _locals(tree):
     return assigned, reads
 
 
-def _leaves_read(expression, reads):
-    """The argument names an expression reads, through the locals it reads."""
-    names, todo = set(), [n.id for n in ast.walk(expression) if isinstance(n, ast.Name)]
+def _reach(expressions, tree):
+    """The expressions and the value of every local they read, directly or through other locals."""
+    assigned, reads = _locals(tree)
+    reached, seen = list(expressions), set()
+    todo = [n.id for e in expressions for n in ast.walk(e) if isinstance(n, ast.Name)]
     while todo:
         name = todo.pop()
-        if name in reads:
+        if name in assigned and name not in seen:
+            seen.add(name)
+            reached.append(assigned[name])
             todo += reads[name]
-        else:
-            names.add(name)
-    return names
+    return reached
+
+
+def _leaves_read(expression, tree):
+    """The argument names an expression reads, through the locals it reads."""
+    assigned, _ = _locals(tree)
+    return {n.id for e in _reach([expression], tree) for n in ast.walk(e) if isinstance(n, ast.Name)} - set(assigned)
+
+
+def _part(p, part):
+    """The emitted rule's source, its syntax tree, the list it returns and the entries of one part of that list.
+
+    part is "denominators", the first 2p - 2 entries, or "rule", the signed terms after them.
+    """
+    source, tree, returned = _returned(beta._plan(p))
+    n = 2 * p - 2
+    return source, tree, returned, returned.elts[:n] if part == "denominators" else returned.elts[n:]
 
 
 class TestCompiledPathRule:
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_floats_equal_the_loops(self, p):
-        plan = beta._plan(p)
+        rule, n = beta._plan(p), 2 * p - 2
         hs = np.geomspace(0.05, 20.0, 501).tolist()
         assert (hs[0], hs[-1]) == (0.05, 20.0)
         for h in hs:
-            args = _rule_inputs(plan, build_resonance_data(p, h))
-            assert _bits(plan.rule(*args)) == _bits(_evaluate_by_loops(p, *args)), h
+            args = _rule_inputs(build_resonance_data(p, h))
+            out = rule(*args)
+            assert type(out) is list and all(type(v) is float for v in out)
+            assert _bits(out[n:]) == _bits(_terms_by_loops(p, *args)), h
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_arrays_equal_the_loops(self, p):
-        plan = beta._plan(p)
-        args = _rule_inputs(plan, _resonance_grid(p, np.linspace(0.05, 20.0, 2000)))
-        rule, loops = plan.rule(*args), _evaluate_by_loops(p, *args)
-        assert all(type(v) is np.ndarray and v.shape == (2000,) for v in rule)
-        assert np.array(rule).tobytes() == np.array(loops).tobytes()
+        rule, n = beta._plan(p), 2 * p - 2
+        args = _rule_inputs(_resonance_grid(p, np.linspace(0.05, 20.0, 2000)))
+        out, loops = rule(*args), _terms_by_loops(p, *args)
+        assert all(type(v) is np.ndarray and v.shape == (2000,) for v in out)
+        assert np.array(out[n:]).tobytes() == np.array(loops).tobytes()
 
     @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_emitted_functions_equal_the_plain_rule_on_mpmath_numbers(self, p):
-        # the emitted code is the plain rule with +-1 * x written +-x and x + -y written x - y,
-        # exact in any arithmetic: at 40 digits, on 60-digit oracle inputs, every term is the same number
+    def test_emitted_function_equals_the_plain_rule_on_mpmath_numbers(self, p):
+        # the emitted code is _coefficients, _denominators and the plain rule with +-1 * x written +-x, (-x) * y
+        # written -(x * y) and x + -y written x - y, exact in any arithmetic: at 40 digits, on 60-digit oracle
+        # inputs, every denominator and every term is the same number
         mp = pytest.importorskip("mpmath")
         from stokes_isolas import oracle
 
-        plan, cfg = beta._plan(p), oracle.OracleConfig()
+        rule, cfg = beta._plan(p), oracle.OracleConfig()
         with mp.workdps(40):
             for h in (0.05, 1.0, 20.0):
                 phi, x = oracle.oracle_phi(p, h, cfg), mp.mpf(h)
                 Omega = [+oracle._omega(j + phi, x) for j in range(p + 1)]
                 t = [+oracle._t(j + phi, x) for j in range(p + 1)]
                 c = +oracle._coefficients(x)[0]
-                coefficients, root = _coefficients(c), mp.sqrt(Omega[0] * Omega[p])
+                root = mp.sqrt(Omega[0] * Omega[p])
                 dens = beta._denominators(p, Omega, c)
-                assert plan.denominators(Omega, c) == list(dens.values())
-                emitted = plan.rule(Omega, t, coefficients, list(dens.values()), root)
-                plain = list(beta._path_rule(p, Omega, t, coefficients, dens, root))
-                assert len(emitted) == len(plain) == len(beta_term_ids(p))
+                emitted = rule(Omega, t, c, root)
+                plain = [*dens.values(), *beta._path_rule(p, Omega, t, _coefficients(c), dens, root)]
+                assert len(emitted) == len(plain) == 2 * p - 2 + len(beta_term_ids(p))
                 assert all(type(e) is type(q) is mp.mpf and e == q for e, q in zip(emitted, plain)), h
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_one_expression_per_term(self, p):
-        source, _, returned = _returned(beta._plan(p).rule)
+        # one labelled line per output: the denominators, named as the guard names them, then the terms
+        source, _, returned = _returned(beta._plan(p))
         lines = source.splitlines()
-        labels = [lines[term.lineno - 1].rsplit("# ", 1)[1] for term in returned.elts]
-        assert labels == [tid.label for tid in beta_term_ids(p)]
-        assert all(term.lineno == term.end_lineno for term in returned.elts)
+        labels = [lines[out.lineno - 1].rsplit("# ", 1)[1] for out in returned.elts]
+        assert labels == [_denominator_label(*js) for js in _intermediates(p)] + [tid.label for tid in beta_term_ids(p)]
+        assert all(out.lineno == out.end_lineno for out in returned.elts)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
-    @pytest.mark.parametrize("emitted", ["rule", "denominators"])
-    def test_no_unit_products_or_added_negations(self, p, emitted):
+    @pytest.mark.parametrize("part", ["rule", "denominators"])
+    def test_no_unit_products_or_added_negations(self, p, part):
         # +-1 t-weights, term signs and signatures are written as signs: no 1 *, -1 *, 1.0 *, nor x + -y, x - -y
-        source, tree, _ = _returned(getattr(beta._plan(p), emitted))
-        assert not re.findall(r"(?<![\w.])-?1(?:\.0)? \*", source)
-        assert " + -" not in source and " - -" not in source
-        for node in ast.walk(tree):
+        source, tree, _, outputs = _part(p, part)
+        reached = _reach(outputs, tree)
+        text = "\n".join(ast.get_source_segment(source, e) for e in reached)
+        assert not re.findall(r"(?<![\w.])-?1(?:\.0)? \*", text)
+        assert " + -" not in text and " - -" not in text
+        for node in (x for e in reached for x in ast.walk(e)):
             if isinstance(node, ast.BinOp):
-                assert not any(isinstance(x, ast.Constant) and abs(x.value) == 1 for x in (node.left, node.right))
+                # a constant +-1 only as a quotient's dividend: a_1 = -(c^2 + 1.0 / c^2)
+                operands = (node.right,) if isinstance(node.op, ast.Div) else (node.left, node.right)
+                assert not any(isinstance(x, ast.Constant) and abs(x.value) == 1 for x in operands)
                 assert not (isinstance(node.op, (ast.Add, ast.Sub)) and isinstance(node.right, ast.UnaryOp))
-        if emitted == "rule":  # the hop from a + intermediate to p: both t-weights negative
-            assert re.search(r"\* \((-t\d|v\d+) - t\d\)", source)
+        if part == "rule":  # the hop from a + intermediate to p: both t-weights negative
+            assert re.search(r"\* \((-t\d|v\d+) - t\d\)", text)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
-    @pytest.mark.parametrize("emitted", ["rule", "denominators"])
-    def test_no_repeated_subexpression(self, p, emitted):
-        # each distinct operation is written once: what two terms share is one local, read at least twice
-        _, tree, returned = _returned(getattr(beta._plan(p), emitted))
-        written = [ast.dump(node) for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.UnaryOp))]
+    @pytest.mark.parametrize("part", ["rule", "denominators"])
+    def test_no_repeated_subexpression(self, p, part):
+        # each distinct operation is written once: what two outputs share is one local, read at least twice
+        _, tree, returned, outputs = _part(p, part)
+        written = [ast.dump(node) for e in _reach(outputs, tree) for node in ast.walk(e)
+                   if isinstance(node, (ast.BinOp, ast.UnaryOp))]
         assert len(written) == len(set(written))
         assigned, _ = _locals(tree)
         assert list(assigned) == [f"v{k}" for k in range(len(assigned))]
         read = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
         assert all(read.count(name) >= 2 for name in assigned)
-        if emitted == "rule":  # every prefactor root * Omega_j ... serves two signatures: no Omega_j in the return
-            assert not {n.id for n in ast.walk(returned) if isinstance(n, ast.Name)} & {f"O{j}" for j in range(p + 1)}
+        if part == "rule":  # every prefactor root * Omega_j ... serves two signatures: no Omega_j in the terms
+            assert not {n.id for e in outputs for n in ast.walk(e) if isinstance(n, ast.Name)} & {
+                f"O{j}" for j in range(p + 1)}
+        else:  # each denominator is written once: the local returned is the one the terms divide by
+            assert all(isinstance(d, ast.Name) and d.id in assigned for d in outputs)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_denominators_equal_the_loop(self, p):
-        plan = beta._plan(p)
+        rule, n = beta._plan(p), 2 * p - 2
         for h in np.geomspace(0.05, 20.0, 501).tolist():
-            rd = build_resonance_data(p, h)
-            Omega = rd.Omega.tolist()
-            dens = plan.denominators(Omega, rd.c)
-            assert type(dens) is list and all(type(d) is float for d in dens)
-            assert _bits(dens) == _bits(_denominators_by_loop(p, Omega, rd.c)), h
-        rd = _resonance_grid(p, np.linspace(0.05, 20.0, 2000))
-        dens = plan.denominators(rd.Omega, rd.c)
-        assert np.array(dens).tobytes() == np.array(_denominators_by_loop(p, rd.Omega, rd.c)).tobytes()
+            Omega, t, c, root = _rule_inputs(build_resonance_data(p, h))
+            dens = rule(Omega, t, c, root)[:n]
+            assert len(dens) == n and all(type(d) is float for d in dens)
+            assert _bits(dens) == _bits(_denominators_by_loop(p, Omega, c)), h
+        Omega, t, c, root = _rule_inputs(_resonance_grid(p, np.linspace(0.05, 20.0, 2000)))
+        dens = rule(Omega, t, c, root)[:n]
+        assert np.array(dens).tobytes() == np.array(_denominators_by_loop(p, Omega, c)).tobytes()
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_denominators_read_c_omega_j_and_omega_0_only(self, p):
         # one expression per (j, s), in that order, reading c, Omega_j and Omega_0 (through locals such
-        # as j * c), with the signature written as a sign: no negation anywhere
-        _, tree, returned = _returned(beta._plan(p).denominators)
-        _, reads = _locals(tree)
-        assert len(returned.elts) == len(_intermediates(p))
-        for d, (j, s) in zip(returned.elts, _intermediates(p)):
-            assert _leaves_read(d, reads) == {"c", f"O{j}", "O0"}
-        assert not any(isinstance(node, ast.UnaryOp) for node in ast.walk(tree))
+        # as j * c), with the signature written as a sign: no negation in any of them
+        _, tree, _, outputs = _part(p, "denominators")
+        assert len(outputs) == len(_intermediates(p))
+        for d, (j, s) in zip(outputs, _intermediates(p)):
+            assert _leaves_read(d, tree) == {"c", f"O{j}", "O0"}
+        assert not any(isinstance(node, ast.UnaryOp) for e in _reach(outputs, tree) for node in ast.walk(e))
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_only_the_coefficients_the_hops_use(self, p):
+        # a hop spans l = 1 .. p harmonics: a_l and p_l for l > p, and so their constants, are not written
+        _, tree, _ = _returned(beta._plan(p))
+        constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        marks = {3: {17.0, 51.0, 98.0, 252.0, 318.0}, 4: {39.0, 366.0, 850.0, 238.0, 1676.0, 3042.0}}  # p_l, a_l
+        for l, constants_of_l in marks.items():
+            assert constants_of_l <= constants if l <= p else not constants_of_l & constants, l
 
     def test_traceback_shows_the_generated_line(self):
-        # d0 = 0 divides term B_{1,1}^{-} of p = 2 by zero
+        # c + Omega_1 - Omega_0 = 0 divides term B_{1,1}^{-} of p = 2 by zero
         with pytest.raises(ZeroDivisionError) as err:
-            beta._plan(2).rule([1.0] * 3, [1.0] * 3, ((1.0,) * 4, (1.0,) * 4), [0.0, 1.0], 1.0)
+            beta._plan(2)([1.5, 0.5, 1.0], [1.0] * 3, 1.0, 1.0)
         frame = traceback.extract_tb(err.value.__traceback__)[-1]
         assert frame.filename == "<path rule p=2>"
-        assert frame.line.endswith("/ (16.0 * d0)),  # B_{1,1}^{-}")
+        assert re.search(r"/ \(16\.0 \* v\d+\)\),  # B_\{1,1\}\^\{-\}$", frame.line)
 
 
-def _engineered(h):
-    # synthetic resonance data with c + Omega_1 - Omega_0 = 0
+def _engineered(h, gap=0.0):
+    # synthetic resonance data with c + Omega_1 - Omega_0 = gap (0 exactly, or within an ulp of 1.5)
     sc = stokes_coefficients(h)
-    return np.array([sc.c + 0.5, 0.5, 1.5]), np.array([1.0, 1.2, 1.4])
+    return np.array([sc.c + 0.5 - gap, 0.5, 1.5]), np.array([1.0, 1.2, 1.4])
 
 
 class TestGridSize:
@@ -794,15 +840,14 @@ class TestGridSize:
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_every_grid_takes_one_array_pass(self, monkeypatch, p):
         # the rule runs on arrays once per grid, empty and one-depth grids included; _signed_terms hands it lists
-        plan = beta._plan(p)
-        real, passes = plan.rule, []
+        real, passes = beta._plan(p), []
 
         def counting(Omega, *args):
             if isinstance(Omega, np.ndarray):
                 passes.append(Omega.shape[1])
             return real(Omega, *args)
 
-        monkeypatch.setattr(beta, "_plan", lambda p: plan._replace(rule=counting))
+        monkeypatch.setattr(beta, "_plan", lambda p: counting)
         for size in grid_sizes():
             _grid_terms(_resonance_grid(p, np.linspace(0.05, 20.0, size)))
         assert passes == grid_sizes()
@@ -812,7 +857,7 @@ class TestSingularityGuard:
     def test_engineered_denominator(self):
         Omega, t = _engineered(1.0)
         with pytest.raises(SingularityError) as err:
-            _signed_terms(beta._plan(2), 1.0, stokes_coefficients(1.0).c, Omega.tolist(), t.tolist())
+            _signed_terms(2, 1.0, stokes_coefficients(1.0).c, Omega.tolist(), t.tolist())
         assert "Omega_1" in str(err.value)
 
     def test_one_singular_depth_in_a_grid(self, monkeypatch):
@@ -828,6 +873,26 @@ class TestSingularityGuard:
                 m.setattr(beta, "_resonance_grid", lambda p, hs: real)
                 with pytest.raises(SingularityError, match="Omega_1"):
                     beta_scan(2, hs)
+
+    def test_tiny_denominator_is_refused(self, monkeypatch):
+        # c + Omega_1 - Omega_0 = 1e-12 divides without error and is refused all the same: at one depth, and as
+        # one column of a grid, depth by depth and, padded with ordinary depths, over lanes
+        def message(h):
+            return "^" + re.escape(f"near-vanishing denominator 1*c_h + Omega_1 - Omega_0 = 1.000e-12 "
+                                   f"in term B_{{1,1}}^{{-}} at (p=2, h={h})") + "$"
+
+        Omega, t = _engineered(1.0, gap=1e-12)
+        with monkeypatch.context() as m:
+            m.setattr(beta, "_tabulate", lambda p, h, phi, kernels: (Omega.tolist(), t.tolist()))
+            with pytest.raises(SingularityError, match=message(1.0)) as err:
+                beta1(2, 1.0)
+        assert err.value.denominator_label == "1*c_h + Omega_1 - Omega_0"
+        assert err.value.value == pytest.approx(1e-12, abs=1e-15)
+        for hs in padded([1.0, 2.0, 3.0]):
+            real = _resonance_grid(2, hs)
+            real.Omega[:, 1], real.t[:, 1] = _engineered(2.0, gap=1e-12)
+            with pytest.raises(SingularityError, match=message(2.0)):
+                _grid_terms(real)
 
     def test_first_of_two_singular_depths_is_named(self):
         # the redone columns are taken in grid order, with the depths solved one by one and over lanes

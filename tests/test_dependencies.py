@@ -63,8 +63,9 @@ import stokes_isolas as si
 
 params = si.IsolaParams.from_depth(3, 1.0, 0.1, 1.0, 0.5)
 results = [
-    si.beta1(3, 1.0), si.solve_wavenumber(3, 1.0), si.solve_wavenumber(1000, 1.0), si.omega_star(3, 1.0),
-    si.phase_speed(1.0), si.omega_disp(0.5, 1.0), si.t_ratio(0.5, 1.0), si.eigenvalue_branch(3, 1, 0.2, 1.0),
+    *(si.beta1(p, 1.0) for p in (2, 3, 4)), si.solve_wavenumber(3, 1.0), si.solve_wavenumber(1000, 1.0),
+    si.omega_star(3, 1.0), si.phase_speed(1.0), si.omega_disp(0.5, 1.0), si.t_ratio(0.5, 1.0),
+    si.eigenvalue_branch(3, 1, 0.2, 1.0),
     si.resonance_residual(0.5, 3, 1.0), *dataclasses.astuple(si.stokes_coefficients(1.0)),
     params.beta1, params.y0, params.mu0, *si.band_endpoints(params),
     *(part for z in si.eigenvalue_pair(params.mu0, params) for part in (z.real, z.imag)),
@@ -78,7 +79,8 @@ print(json.dumps([scalar, "numpy" in sys.modules, row.beta1.hex(), si.beta1(3, 1
 
 
 def test_scalar_api_loads_no_numpy():
-    # floats in, plain floats out, and numpy stays unloaded until the first array operation
+    # floats in, plain floats out, and numpy stays unloaded until the first array operation; beta1 records and
+    # emits each p's rule on its own tape (p = 4's alone carries a_4 and p_4) without numpy too
     scalar, loaded, scanned, single = json.loads(python(SCALAR_RUNNER))
     assert scalar == {"numpy": False, "types": ["float"]}
     assert loaded

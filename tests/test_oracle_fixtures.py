@@ -6,7 +6,6 @@ import pytest
 
 from stokes_isolas import beta, beta1_breakdown, find_beta_zeros
 from stokes_isolas.fixtures import DEFAULT_FIXTURES, load_fixtures
-from stokes_isolas.stokes_coefficients import _coefficients
 
 # The paper's printed critical depths, with the rounding of their last
 # printed digit, next to their 50-digit refinements.
@@ -24,8 +23,8 @@ ORACLE_ZEROS = {
 }
 # The one exception: p = 4's second printed depth is 5.17e-6 from the
 # oracle's zero, ten times its print rounding.  The 40-digit audit
-# (test_plan_matches_oracle_to_forty_digits) shows the plan and the
-# longhand oracle agree, so the gap is not a transcription fault here.
+# (test_plan_matches_oracle_to_forty_digits) shows the emitted rule and
+# the longhand oracle agree, so the gap is not a transcription fault here.
 PRINTED_OFF_BY_MORE = (4, 1)
 
 
@@ -92,7 +91,7 @@ def test_plan_matches_oracle_to_forty_digits(p):
     from stokes_isolas import oracle
 
     cfg = oracle.OracleConfig()
-    plan = beta._plan(p)
+    rule = beta._plan(p)
     depths = [h for q, h in oracle.FIXTURE_POINTS if q == p] + [0.05, 14.0, 16.0, 18.0, 20.0]
     with mp.workdps(cfg.digits + 10):
         for h in depths:
@@ -100,8 +99,7 @@ def test_plan_matches_oracle_to_forty_digits(p):
             Omega = [oracle._omega(j + phi, x) for j in range(p + 1)]
             t = [oracle._t(j + phi, x) for j in range(p + 1)]
             c = oracle._coefficients(x)[0]
-            dens = plan.denominators(Omega, c)
-            terms = plan.rule(Omega, t, _coefficients(c), dens, mp.sqrt(Omega[0] * Omega[p]))
+            terms = rule(Omega, t, c, mp.sqrt(Omega[0] * Omega[p]))[2 * p - 2:]
             ref = oracle.oracle_beta1(p, h, cfg)
             assert abs(mp.fsum(terms) - ref) <= mp.mpf("1e-40") * abs(ref), (p, h)
 
@@ -112,14 +110,14 @@ def test_signed_limits_cancel_in_deep_water(p):
     # c = 1, and Omega_j = t_j = sqrt(j + phi).  There the emitted rule divides by no vanishing denominator and
     # its signed terms cancel exactly, the premise of evaluating beta1 as deviations from these limits
     mp = pytest.importorskip("mpmath")
-    plan = beta._plan(p)
+    n = 2 * p - 2
     with mp.workdps(60):
         c, phi = mp.mpf(1), mp.mpf((p - 1) ** 2) / 4
         Omega = [mp.sqrt(j + phi) for j in range(p + 1)]
         assert abs(Omega[0] + Omega[p] - p * c) <= mp.mpf("1e-58")
-        dens = plan.denominators(Omega, c)
+        out = beta._plan(p)(Omega, Omega, c, mp.sqrt(Omega[0] * Omega[p]))
+        dens, terms = out[:n], out[n:]
         assert min(map(abs, dens)) > 0.5
-        terms = plan.rule(Omega, Omega, _coefficients(c), dens, mp.sqrt(Omega[0] * Omega[p]))
         assert abs(mp.fsum(terms)) <= mp.mpf("1e-55") * max(map(abs, terms)), p
 
 
