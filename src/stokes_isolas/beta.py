@@ -48,11 +48,12 @@ then the guard's.
 At one depth (``_point``) p is refused before the depth and both before
 the one single-depth solve (``resonance._solve``), whose plain floats and
 lists ``_signed_terms`` reads: ``beta1`` and ``IsolaParams.from_depth``
-build no record.  For doubles the record is ``BetaBreakdown``: the signed
-terms and their total, floats at one depth (``beta1_breakdown``) or one
-column per depth over a grid (``_grid``).  ``beta_scan`` (which fills its
-rows' slots a column at a time), the grid pass of ``find_beta_zeros`` and
-the CLI tables read it.  The rule performs the same IEEE operations in
+build no record, nor do the CLI's one-depth tables and ``selftest``.  For
+doubles the record is ``BetaBreakdown``: the signed terms and their
+total, floats at one depth (``beta1_breakdown``) or one column per depth
+over a grid (``_grid``).  ``beta_scan`` (which fills its rows' slots a
+column at a time), the grid pass of ``find_beta_zeros`` and the CLI's grid
+tables read it.  The rule performs the same IEEE operations in
 the same order either way, and the grid's phi* solve is a lane-wise port
 of the single-depth Brent solve, so every grid value equals the
 single-depth value bit for bit.  The terms of a grid of any size are one
@@ -63,12 +64,15 @@ gain, it skips its lane pass and solves depth by depth.
 
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
-assembly uses compensated summation (``neumaier_sum``), and the record's
-``cancellation_floor`` gives the resolution limit, 8 ulps of the largest
-term, below which a computed total is numerically meaningless.  Each has
-one body that runs on floats at one depth and on numpy rows over a grid,
-like the rule; the floor's ulps are math.ulp's at one depth and
-np.spacing's, the same doubles, over a grid (``dispersion._ulp``).
+assembly uses compensated summation (``neumaier_sum``), and the
+cancellation floor (``_cancellation_floor``) gives the resolution limit, 8
+ulps of the largest term, below which a computed total is numerically
+meaningless.  Each, like the group sums (``_group_sums``) and the floor
+flag, is one function of the signed terms that runs on one depth's list
+of floats and on a grid's numpy rows, and the record's properties call
+it; the largest term is Python's max at one depth and np.max's over a
+grid, and the floor's ulps math.ulp's and np.spacing's, the same doubles
+(``dispersion._ulp``).
 """
 
 from __future__ import annotations
@@ -382,18 +386,34 @@ class BetaBreakdown:
     @property
     def group_sums(self) -> dict[str, float | np.ndarray]:
         """Compensated sum of each path family's signed terms."""
-        rows = groupby(range(1, len(self.signed)), lambda k: beta_term_ids(self.p)[k].group)
-        return {name: neumaier_sum([self.signed[k] for k in group]) for name, group in rows}
+        return _group_sums(self.p, self.signed)
 
     @property
     def cancellation_floor(self) -> float | np.ndarray:
         """8 ulps of the largest term: the resolution limit of ``total``."""
-        return 8.0 * _ulp(np.abs(self.signed).max(axis=0))
+        return _cancellation_floor(self.signed)
 
     @property
     def floor_flag(self) -> bool | np.ndarray:
         """Totals within 10x of the cancellation floor."""
-        return abs(self.total) < 10.0 * self.cancellation_floor
+        return _floor_flag(self.signed, self.total)
+
+
+def _group_sums(p: int, signed) -> dict:
+    """Compensated sum of each path family's signed terms but b0, in beta_term_ids order: floats or rows."""
+    rows = groupby(range(1, len(signed)), lambda k: beta_term_ids(p)[k].group)
+    return {name: neumaier_sum([signed[k] for k in group]) for name, group in rows}
+
+
+def _cancellation_floor(signed):
+    """8 ulps of the largest term, from one depth's list of signed terms or a grid's rows (one column a depth)."""
+    largest = max(map(abs, signed)) if isinstance(signed, list) else np.abs(signed).max(axis=0)
+    return 8.0 * _ulp(largest)
+
+
+def _floor_flag(signed, total):
+    """Whether total lies within 10x of the cancellation floor of its signed terms: at one depth or over a grid."""
+    return abs(total) < 10.0 * _cancellation_floor(signed)
 
 
 def _grid(p: int, hs) -> BetaBreakdown:
@@ -502,11 +522,10 @@ class ScanRow:
 _SCAN_ROW_SETTERS = [getattr(ScanRow, f.name).__set__ for f in fields(ScanRow)]
 
 
-def _scan_columns(p: int, hs) -> tuple[np.ndarray, ...]:
-    """The columns of beta_scan(p, hs) as arrays, in the order of ScanRow's fields."""
-    g = _grid(p, _scan_depths(hs))
-    lead = leading_term(p, g.h)  # nonzero on the scan range, so ratio is a plain quotient
-    return g.h, g.total, lead, g.total / lead, g.floor_flag
+def _scan_columns(p: int, h, signed, total) -> tuple:
+    """ScanRow's fields, in order, from _point's h, signed terms and total (floats), or from _grid's (arrays)."""
+    lead = leading_term(p, h)  # nonzero on the scan range, so ratio is a plain quotient
+    return h, total, lead, total / lead, _floor_flag(signed, total)
 
 
 def beta_scan(p: int, hs) -> list[ScanRow]:
@@ -522,7 +541,8 @@ def beta_scan(p: int, hs) -> list[ScanRow]:
     five fields one row at a time through object.__setattr__: each field's
     slot descriptor fills that field's column of rows in one map.
     """
-    columns = [column.tolist() for column in _scan_columns(p, hs)]
+    g = _grid(p, _scan_depths(hs))
+    columns = [column.tolist() for column in _scan_columns(p, g.h, g.signed, g.total)]
     rows = list(map(object.__new__, repeat(ScanRow, len(columns[0]))))
     for set_field, column in zip(_SCAN_ROW_SETTERS, columns):
         deque(map(set_field, rows, column), maxlen=0)

@@ -10,7 +10,11 @@ selftest    compare against the stored arbitrary-precision fixtures
 
 Conventions: each subcommand hands one emitter (``_emit``) its field names,
 in the order of the schema's ``required`` list, and one column per field:
-the grid record's arrays as they are, lists elsewhere.  Data rows go to
+the grid record's arrays as they are, lists elsewhere.  A ``beta`` or
+``resonance`` table of one depth (``--h``) and ``selftest`` take the
+single-depth path on floats and lists (``beta._point``,
+``resonance._collision_point``), the same doubles as a grid's, and load no
+numpy; grid tables, ``zeros`` and ``isola`` are arrays.  Data rows go to
 stdout, diagnostics to stderr; every float is printed in shortest
 round-trip form; exit code 0 on success, 1 when the reader closes stdout
 early, 2 on usage errors (non-finite inputs, grids too big to allocate), 3
@@ -40,13 +44,14 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .asymptotics import wavenumber_asymptote
-from .beta import ScanRow, _grid, _scan_columns, beta1, beta1_breakdown, beta_term_ids, find_beta_zeros
+from .beta import (
+    ScanRow, _cancellation_floor, _grid, _group_sums, _point, _scan_columns, beta1, beta_term_ids, find_beta_zeros,
+)
+from .dispersion import np
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
-from .resonance import _collision_grid, _scan_depths
+from .resonance import _collision_grid, _collision_point, _scan_depth, _scan_depths
 
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "output.schema.json"
 
@@ -85,7 +90,7 @@ def _column(values, cell) -> list[str]:
     once.  cell(value) spells one value; it is called for each distinct value
     of such a column, for each value of a mixed list, and for non-finite floats.
     """
-    if isinstance(values, np.ndarray):
+    if not isinstance(values, (list, tuple)):  # an array: numpy is loaded already
         floats = values.dtype == np.float64
         keys = values.view(np.int64) if floats else values
         distinct, at = np.unique(keys, return_inverse=True)
@@ -149,11 +154,12 @@ def _emit(fmt: str, schema: str, fields: tuple, columns, band=None):
         out.write("\n".join(_lines(fill, block, _csv_cell)) + "\n")
 
 
-def _h_grid(args, parser) -> list[float] | np.ndarray:
+def _h_grid(args, parser) -> float | np.ndarray:
+    """A table's depths: one float (--h), which the single-depth path takes without numpy, or a grid's array."""
     if args.h is not None:
         if args.h_min is not None or args.h_max is not None:
             parser.error("give either --h or --h-min/--h-max, not both")
-        return [args.h]
+        return args.h
     if args.h_min is None or args.h_max is None:
         parser.error("give --h, or both --h-min and --h-max")
     if not 0 < args.h_min < args.h_max < math.inf:
@@ -170,35 +176,51 @@ def _add_grid_flags(sub, default_n=7):
     sub.add_argument("--n", type=int, default=default_n, help="grid points")
 
 
+def _columns(n: int, *columns) -> list:
+    """The columns of an n-row table: a list or an array as it is, a lone value (int, float, bool, None) n times."""
+    return [[c] * n if c is None or isinstance(c, (int, float)) else c for c in columns]
+
+
 def cmd_resonance(args, parser):
     hs = _h_grid(args, parser)
-    h, phi, omega, residual = _collision_grid(args.p, hs)
-    asym = wavenumber_asymptote(args.p, h) if args.p in (2, 3, 4) else [None] * h.size
-    columns = (np.full(h.size, args.p), h, phi, omega, residual, asym)
+    one = isinstance(hs, float)
+    h, phi, omega, residual = (_collision_point if one else _collision_grid)(args.p, hs)
+    asym = wavenumber_asymptote(args.p, h) if args.p in (2, 3, 4) else None
+    p = args.p if one else np.full(h.size, args.p)  # an int array is spelled faster than a list of ints
+    columns = _columns(1 if one else h.size, p, h, phi, omega, residual, asym)
     _emit(args.format, "resonance", ("p", "h", "phi", "omega_star", "residual", "phi_asymptote"), columns)
     return 0
 
 
 def cmd_beta(args, parser):
     hs = _h_grid(args, parser)
+    if one := isinstance(hs, float):
+        _scan_depth(h := hs)
+        *_, signed, total = _point(args.p, h)
+    else:
+        grid = _grid(args.p, _scan_depths(hs))
+        h, signed, total = grid.h, grid.signed, grid.total
     if not (args.breakdown or args.groups):
         fields = tuple(f.name for f in dataclasses.fields(ScanRow))
-        _emit(args.format, "scan", fields, _scan_columns(args.p, hs))
+        _emit(args.format, "scan", fields, _columns(1 if one else h.size, *_scan_columns(args.p, h, signed, total)))
         return 0
 
-    grid = _grid(args.p, _scan_depths(hs))
+    ids = beta_term_ids(args.p)
     if args.breakdown:
-        ids = beta_term_ids(grid.p)
-        signs = np.array([tid.sign for tid in ids])
         schema = "beta_term"
-        labels = {"term": [tid.label for tid in ids], "group": [tid.group for tid in ids], "sign": signs}
-        values = grid.signed * signs[:, None]  # each term unsigned again: exact, as a product by +-1
+        labels = {"term": [tid.label for tid in ids], "group": [tid.group for tid in ids],
+                  "sign": [tid.sign for tid in ids]}
+        values = [tid.sign * v for tid, v in zip(ids, signed)]  # each term unsigned again: exact, as a product by +-1
     else:
-        sums = {"b0": grid.b0, **grid.group_sums}
-        schema, labels, values = "beta_group", {"group": list(sums)}, np.array(list(sums.values()))
-    k, n = len(values), grid.h.size  # k rows a depth, each depth's rows in turn
-    columns = (np.full(k * n, grid.p), np.repeat(grid.h, k), *(np.tile(v, n) for v in labels.values()))
-    _emit(args.format, schema, ("p", "h", *labels, "value"), (*columns, values.T.ravel()))
+        sums = {"b0": signed[0], **_group_sums(args.p, signed)}
+        schema, labels, values = "beta_group", {"group": list(sums)}, list(sums.values())
+    p = args.p
+    if not one:  # k rows a depth, each depth's rows in turn
+        k, n = len(values), h.size
+        p, h, values = np.full(k * n, p), np.repeat(h, k), np.array(values).T.ravel()
+        labels = {key: np.tile(v, n) for key, v in labels.items()}
+    columns = _columns(len(values), p, h, *labels.values(), values)
+    _emit(args.format, schema, ("p", "h", *labels, "value"), columns)
     return 0
 
 
@@ -232,8 +254,8 @@ def cmd_selftest(args, parser):
     from .fixtures import DEFAULT_FIXTURES, load_fixtures
 
     p, h, oracle, _ = zip(*load_fixtures(args.fixtures or DEFAULT_FIXTURES))
-    bds = list(map(beta1_breakdown, p, h))
-    value, floor = [bd.total for bd in bds], [bd.cancellation_floor for bd in bds]
+    signed, value = zip(*(point[-2:] for point in map(_point, p, h)))
+    floor = list(map(_cancellation_floor, signed))
     diff = [abs(v - o) for v, o in zip(value, oracle)]
     ok = [d <= f for d, f in zip(diff, floor)]
     columns = (p, h, value, oracle, diff, floor, ok)

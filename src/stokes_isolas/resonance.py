@@ -24,15 +24,15 @@ root the residual they hold there, f(phi*) = Omega_0 + Omega_p - p*c, and
 both accept a root when it is within ``_tolerance(p*c)``; they build no
 record and tabulate nothing, so the solve takes O(1) memory a depth
 whatever p.  Callers tabulate what they read: nothing for
-``solve_wavenumber``, j = 0 for ``omega_star``, j = 0..p for the beta
-coefficients at one depth, for ``build_resonance_data``, which wraps them
-in a ``ResonanceData``, and for ``_resonance_grid``, its grid form, and
-j = 0 and p for ``_collision_grid``, the columns of a ``resonance`` table.
-The residual's body and the tabulation are each the same operations on
-floats and on arrays, and one ``_record`` body reads omega* and the
-residual off the tabulation, so every grid value equals the single-depth
-one bit for bit, and the residual read off the tabulation is the double
-the solve returned.
+``solve_wavenumber``, j = 0..p for the beta coefficients at one depth, for
+``build_resonance_data``, which wraps them in a ``ResonanceData``, and for
+``_resonance_grid``, its grid form, and j = 0 and p for
+``_collision_point`` (``omega_star``) and ``_collision_grid``, the columns
+of a ``resonance`` table at one depth and over a grid.  The residual's
+body and the tabulation are each the same operations on floats and on
+arrays, and one ``_collision`` body reads omega* and the residual off the
+tabulation, so every grid value equals the single-depth one bit for bit,
+and the residual read off the tabulation is the double the solve returned.
 
 Over arrays each set of wavenumbers is one pass of the exact array tanh
 (``dispersion._tanh``): both ends of every bracket at once, then both
@@ -499,6 +499,15 @@ def _collision_grid(p: int, hs) -> tuple[np.ndarray, ...]:
     return (h, phi, *_collision(p, c, phi, Omega[0], Omega[1]))
 
 
+def _collision_point(p: int, h: float) -> tuple[float, ...]:
+    """_collision_grid at one depth, as floats: the same checks and doubles, and numpy stays unloaded."""
+    p, h = _check_index(p), _check_depth(h)
+    c, phi = _solve(p, h)
+    (Omega0,), _ = _tabulate(0, h, phi, _FLOATS)
+    (Omegap,), _ = _tabulate(0, h, phi + p, _FLOATS)
+    return (h, phi, *_collision(p, c, phi, Omega0, Omegap))
+
+
 def solve_wavenumber(p: int, h: float) -> float:
     """The critical wavenumber phi*(p, h): the root of f that the single-depth solve accepts."""
     return _solve(_check_index(p), _check_depth(h))[1]
@@ -506,7 +515,4 @@ def solve_wavenumber(p: int, h: float) -> float:
 
 def omega_star(p: int, h: float) -> float:
     """Collision frequency omega*(p, h) = c*phi* + Omega(phi*, h)."""
-    p, h = _check_index(p), _check_depth(h)
-    c, phi = _solve(p, h)
-    (Omega0,), _ = _tabulate(0, h, phi, _FLOATS)
-    return c * phi + Omega0
+    return _collision_point(p, h)[2]

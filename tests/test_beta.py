@@ -392,7 +392,8 @@ class TestBulkRows:
     def test_rows_equal_constructed_rows(self, p):
         hs = np.linspace(0.05, 20.0, 1001)
         rows = beta_scan(p, hs)
-        built = [beta.ScanRow(*r) for r in zip(*[c.tolist() for c in beta._scan_columns(p, hs)])]
+        g = _grid(p, hs)
+        built = [beta.ScanRow(*r) for r in zip(*[c.tolist() for c in beta._scan_columns(p, g.h, g.signed, g.total)])]
         assert rows == built and list(map(hash, rows)) == list(map(hash, built))
         assert list(map(repr, rows)) == list(map(repr, built))
         for r in rows:

@@ -71,6 +71,13 @@ class TestResonanceCommand:
         # the library's check alone: one error line that names the value
         expected = (2, "", "error: isola index p must be an integer >= 2, got 1\n")
         assert run_cli("resonance", "--p", "1", "--h", "2") == expected
+        assert run_cli("resonance", "--p", "1", "--h", "nan") == expected  # p is refused before the depth
+
+    @pytest.mark.parametrize("h, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1e-3", "-0.001")])
+    def test_bad_depth_is_usage_error(self, h, shown):
+        # one depth is refused as a grid's depths are: one error line that names the value
+        expected = (2, "", f"error: depth must be a positive finite real, got {shown}\n")
+        assert run_cli("resonance", "--p", "2", f"--h={h}") == expected
 
     def test_grid_flag_conflicts(self):
         code, _, _ = run_cli("resonance", "--p", "2", "--h", "1", "--h-min", "1", "--h-max", "2")
@@ -402,18 +409,19 @@ class TestSelftest:
         assert "within the cancellation floor" in err
 
     def test_reads_the_floor_once_per_row(self, monkeypatch):
-        from stokes_isolas.beta import BetaBreakdown
+        # selftest takes each row's floor from its single-depth terms, with no record
+        from stokes_isolas import cli
 
-        real, reads = BetaBreakdown.cancellation_floor, []
+        real, reads = cli._cancellation_floor, []
 
-        def counting(bd):
-            reads.append(bd.h)
-            return real.fget(bd)
+        def counting(signed):
+            reads.append(real(signed))
+            return reads[-1]
 
-        monkeypatch.setattr(BetaBreakdown, "cancellation_floor", property(counting))
+        monkeypatch.setattr(cli, "_cancellation_floor", counting)
         code, out, _ = run_cli("selftest")
         assert code == 0
-        assert reads == [float(r["h"]) for r in parse_csv(out)]
+        assert reads == [float(r["floor"]) for r in parse_csv(out)]
 
     def test_numerical_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.tsv"

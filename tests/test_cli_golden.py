@@ -29,10 +29,16 @@ CASES = {
     "beta": ["beta", "--p", "4", *GRID, "--n", "40"],
     "beta_p2": ["beta", "--p", "2", *GRID, "--n", "40"],
     "beta_point": ["beta", "--p", "3", "--h", "0.82064"],
+    "beta_point_deep": ["beta", "--p", "4", "--h", "19.5"],
     "beta_groups": ["beta", "--p", "4", "--groups", *GRID, "--n", "5"],
+    "beta_groups_point": ["beta", "--p", "4", "--groups", "--h", "1.3"],
     "beta_breakdown": ["beta", "--p", "3", "--breakdown", *GRID, "--n", "4"],
+    "beta_breakdown_point": ["beta", "--p", "4", "--breakdown", "--h", "0.5"],
     "resonance": ["resonance", "--p", "4", *GRID, "--n", "40"],
+    "resonance_point": ["resonance", "--p", "4", "--h", "2.5"],
     "resonance_p6": ["resonance", "--p", "6", *GRID, "--n", "6"],
+    "resonance_point_p6": ["resonance", "--p", "6", "--h", "0.7"],
+    "resonance_point_p1000": ["resonance", "--p", "1000", "--h", "1"],
     "zeros": ["zeros", "--p", "4", "--h-min", "0.3", "--h-max", "11.9", "--n", "400"],
     "isola": ["isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1", "--E", "0.5", "--n", "16"],
     "selftest": ["selftest"],

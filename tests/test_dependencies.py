@@ -4,7 +4,8 @@ scipy is needed only by the parity tests and mpmath only by the oracle, so
 a plain ``pip install .`` must import, answer and pass ``selftest``
 without either.  Each check runs in a fresh interpreter; there the two
 are blocked by putting None in ``sys.modules``, which makes any import of
-them raise ImportError.
+them raise ImportError.  numpy itself is loaded by the first array
+operation only: the scalar API and the CLI's one-depth tables never load it.
 """
 
 import json
@@ -85,3 +86,36 @@ def test_scalar_api_loads_no_numpy():
     assert scalar == {"numpy": False, "types": ["float"]}
     assert loaded
     assert scanned == single
+
+
+# The golden tables of one depth: beta (plain, --groups, --breakdown) and resonance (p = 4, 6 and 1000) at --h,
+# and selftest.
+ONE_DEPTH = sorted(name for name, argv in CASES.items()
+                   if argv[0] == "selftest" or argv[0] in ("beta", "resonance") and "--h" in argv)
+
+ONE_DEPTH_RUNNER = """
+import contextlib, io, json, sys
+from stokes_isolas.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return [code, out.getvalue()]
+
+results = {key: run(argv) for key, argv in json.loads(sys.stdin.read()).items()}
+one_depth = "numpy" in sys.modules
+run(["beta", "--p", "4", "--h-min", "1", "--h-max", "2", "--n", "3"])
+print(json.dumps([results, one_depth, "numpy" in sys.modules]))
+"""
+
+
+def test_one_depth_tables_load_no_numpy():
+    # each one-depth table takes the single-depth path on floats; a grid table is the first to load numpy
+    assert {CASES[name][2] for name in ONE_DEPTH if CASES[name][0] == "resonance"} == {"4", "6", "1000"}
+    runs = {f"{name}.{fmt}": [*CASES[name], "--format", fmt] for name in ONE_DEPTH for fmt in FORMATS}
+    results, one_depth, grid = json.loads(python(ONE_DEPTH_RUNNER, json.dumps(runs)))
+    for key in runs:
+        assert results[key] == [0, (GOLDEN / key).read_text(encoding="utf-8")], key
+    assert not one_depth
+    assert grid

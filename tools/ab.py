@@ -20,9 +20,12 @@ two versions are compared here in one process, round against round:
 With ``--setup`` it times start-up instead, as perfbench's ``setup_s``
 does: each pair runs the workload's ``setup_code`` in a fresh interpreter
 per tree, the tree's directory first on PYTHONPATH, B first in every other
-pair, and the same rule judges the seconds, lower being better.  One
-interpreter's start-up spreads widely on a shared host, so a verdict on it
-needs many pairs.
+pair, and the same rule judges the seconds, lower being better.  Before
+the first pair both trees are byte-compiled (``compileall``): a tree whose
+``__pycache__`` is stale or missing would compile its modules again in
+every interpreter (with PYTHONDONTWRITEBYTECODE set) and lose each pair to
+one that reads its bytecode.  One interpreter's start-up spreads widely on
+a shared host, so a verdict on it needs many pairs.
 
 Run from the root of the repository:
 
@@ -38,6 +41,7 @@ interpreter ends the run with its stderr.
 from __future__ import annotations
 
 import argparse
+import compileall
 import dataclasses
 import importlib
 import math
@@ -162,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--workload must be one of {sorted(WORKLOADS)}")
     if args.setup:
         code = WORKLOADS[args.workload].setup_code
+        for src in (args.a_src, args.b_src):
+            if not compileall.compile_dir(src / "stokes_isolas", quiet=1):
+                sys.exit(f"ab: cannot byte-compile {src / 'stokes_isolas'}")
         seconds = paired(args.pairs, lambda side: time_setup(args.a_src if side == "A" else args.b_src, code))
         print(f"workload {args.workload}, {args.pairs} pairs of fresh interpreters running its setup_code")
         report(seconds, "setup_s", ".4f", True, (args.a_src, args.b_src))
