@@ -232,21 +232,11 @@ def cmd_zeros(args, parser):
 
 
 def cmd_isola(args, parser):
-    for name in ("T1", "E"):
-        if getattr(args, name) is None:
-            parser.error(
-                f"--{name} is required: it has no closed form here and must be supplied externally"
-            )
-    params = IsolaParams.from_depth(
-        args.p, args.h, args.eps, args.T1, args.E, y0=args.y0, mu0=args.mu0
-    )
+    params = IsolaParams.from_depth(args.p, args.h, args.eps, args.T1, args.E, y0=args.y0, mu0=args.mu0)
     geo = isola_geometry(params, args.n)
-    band = (
-        ("p", "h", "eps", "beta1", "T1", "E", "y0", "mu0", "mu_low", "mu_high", "max_growth", "band_open"),
-        (params.p, params.h, params.eps, params.beta1, params.T1, params.E, params.y0, params.mu0,
-         geo.mu_low, geo.mu_high, geo.max_growth, geo.band_open),
-    )
-    _emit(args.format, "isola_point", ("x", "y"), geo.ellipse.T, band)
+    # the band is the two records' fields, the ellipse aside: the schema's isola_band order
+    band = [(f.name, getattr(r, f.name)) for r in (params, geo) for f in dataclasses.fields(r) if f.name != "ellipse"]
+    _emit(args.format, "isola_point", ("x", "y"), geo.ellipse.T, tuple(zip(*band)))
     return 0
 
 
@@ -283,13 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(s):
-        s.add_argument("--format", choices=("csv", "json"), default="csv")
-
     s = sub.add_parser("resonance", help="critical wavenumber and collision frequency")
     s.add_argument("--p", type=int, required=True, help="isola index, any integer >= 2")
     _add_grid_flags(s)
-    add_common(s)
     s.set_defaults(func=cmd_resonance)
 
     s = sub.add_parser("beta", help="instability coefficient over depth")
@@ -298,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     table = s.add_mutually_exclusive_group()
     table.add_argument("--breakdown", action="store_true", help="emit every term")
     table.add_argument("--groups", action="store_true", help="emit group sums")
-    add_common(s)
     s.set_defaults(func=cmd_beta)
 
     s = sub.add_parser("zeros", help="critical depths where the coefficient vanishes")
@@ -307,26 +292,27 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--h-max", type=float, required=True)
     s.add_argument("--n", type=int, default=2000, help="scan grid intervals")
     s.add_argument("--tol", type=float, default=1e-8, help="bisection width on h")
-    add_common(s)
     s.set_defaults(func=cmd_zeros)
 
     s = sub.add_parser("isola", help="band endpoints and sampled isola ellipse")
     s.add_argument("--p", type=int, required=True, choices=(2, 3, 4))
     s.add_argument("--h", type=float, required=True)
     s.add_argument("--eps", type=float, required=True, help="wave amplitude")
-    s.add_argument("--T1", type=float, help="band-width function T1(h) > 0 (external input)")
-    s.add_argument("--E", type=float, help="ellipse eccentricity function E(h) in (0,1) (external input)")
+    s.add_argument("--T1", type=float, required=True,
+                   help="band-width function T1(h) > 0 (no closed form here: external input)")
+    s.add_argument("--E", type=float, required=True,
+                   help="ellipse eccentricity function E(h) in (0,1) (no closed form here: external input)")
     s.add_argument("--y0", type=float, help="center ordinate; default: collision frequency")
     s.add_argument("--mu0", type=float, help="band center; default: critical wavenumber")
     s.add_argument("--n", type=int, default=64, help="ellipse samples")
-    add_common(s)
     s.set_defaults(func=cmd_isola)
 
     s = sub.add_parser("selftest", help="compare against stored oracle fixtures")
     s.add_argument("--fixtures", type=Path, help="fixture file override")
-    add_common(s)
     s.set_defaults(func=cmd_selftest)
 
+    for s in sub.choices.values():  # added last, so it ends every usage line
+        s.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -35,7 +35,7 @@ from operator import attrgetter
 
 from .beta import _point
 from .dispersion import _check_finite, np
-from .resonance import _check_index, _scan_depth
+from .resonance import _check_index, _collision, _scan_depth
 
 __all__ = [
     "IsolaParams",
@@ -87,8 +87,7 @@ class IsolaParams:
         if not 0.0 < self.E < 1.0:
             raise ValueError(f"E must lie in (0, 1), got {self.E!r}")
         try:  # max_growth / E >= max_growth, as E < 1
-            g = self.max_growth
-            width, height = 2.0 * g / self.T1, g / self.E
+            width, height = self.half_width, self.max_growth / self.E
         except OverflowError:  # eps**p alone leaves the float range
             width = height = math.inf
         ends = (self.mu0 - width, self.mu0 + width, self.y0 - height, self.y0 + height)
@@ -113,7 +112,7 @@ class IsolaParams:
             beta1=total,
             T1=T1,
             E=E,
-            y0=c * phi + Omega[0] if y0 is None else y0,
+            y0=_collision(p, c, phi, Omega[0], Omega[-1])[0] if y0 is None else y0,
             mu0=phi if mu0 is None else mu0,
         )
 
@@ -218,12 +217,4 @@ class IsolaGeometry:
 
 def isola_geometry(params: IsolaParams, n: int = 256) -> IsolaGeometry:
     """Assemble the leading-order geometry (degenerate when beta1 = 0)."""
-    g = params.max_growth
-    w = 2.0 * g / params.T1  # half_width
-    return IsolaGeometry(
-        mu_low=params.mu0 - w,
-        mu_high=params.mu0 + w,
-        max_growth=g,
-        ellipse=ellipse_points(params, n),
-        band_open=params.beta1 != 0.0,
-    )
+    return IsolaGeometry(*band_endpoints(params), params.max_growth, ellipse_points(params, n), params.beta1 != 0.0)

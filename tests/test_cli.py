@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stokes_isolas.cli import SCHEMA_PATH, main
+from stokes_isolas.cli import SCHEMA_PATH, build_parser, main
 
 
 def run_cli(*argv):
@@ -237,14 +237,16 @@ class TestNegativeExponents:
 
 class TestIsolaCommand:
     def test_missing_T1_names_parameter(self):
-        code, _, err = run_cli("isola", "--p", "2", "--h", "3", "--eps", "0.05", "--E", "0.5")
-        assert code == 2
-        assert "--T1" in err
+        for given, missing in ((["--E", "0.5"], "--T1"), ([], "--T1, --E")):
+            code, out, err = run_cli("isola", "--p", "2", "--h", "3", "--eps", "0.05", *given)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: stokes-isolas isola ")
+            assert err.endswith(f"\nstokes-isolas isola: error: the following arguments are required: {missing}\n")
 
     def test_missing_E_names_parameter(self):
-        code, _, err = run_cli("isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1")
-        assert code == 2
-        assert "--E" in err
+        code, out, err = run_cli("isola", "--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1")
+        assert (code, out) == (2, "")
+        assert err.endswith("\nstokes-isolas isola: error: the following arguments are required: --E\n")
 
     @pytest.mark.parametrize("h", ["30", "0.001", "20.000001", "nan"])
     def test_refuses_depths_outside_range(self, h):
@@ -308,6 +310,35 @@ class TestIsolaCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: {flag[2:]} must be finite, got {float(value)!r}\n"
+
+
+class TestParser:
+    COMMANDS = {
+        "resonance": ["--p", "2", "--h", "1"],
+        "beta": ["--p", "2", "--h", "1"],
+        "zeros": ["--p", "2", "--h-min", "1", "--h-max", "2"],
+        "isola": ["--p", "2", "--h", "3", "--eps", "0.05", "--T1", "1", "--E", "0.5"],
+        "selftest": [],
+    }
+
+    def test_five_subcommands(self):
+        code, out, _ = run_cli("--help")
+        assert code == 0
+        assert "{" + ",".join(self.COMMANDS) + "}" in out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_format_ends_every_usage_line(self, command):
+        code, out, _ = run_cli(command, "--help")
+        assert code == 0
+        usage = " ".join(out.split("\n\n")[0].split())
+        assert usage.startswith(f"usage: stokes-isolas {command} ")
+        assert usage.endswith(" [--format {csv,json}]")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_format_defaults_to_csv(self, command):
+        args = build_parser().parse_args([command, *self.COMMANDS[command]])
+        assert args.format == "csv"
+        assert build_parser().parse_args([command, *self.COMMANDS[command], "--format", "json"]).format == "json"
 
 
 class TestFormats:

@@ -1,6 +1,7 @@
 """Truncated isola model: discriminant signs, band scaling, ellipse identities."""
 
 import math
+import random
 import re
 
 import numpy as np
@@ -256,6 +257,27 @@ class TestBand:
         assert geo.max_growth == p.max_growth
         assert geo.band_width == pytest.approx(2 * p.half_width, rel=1e-15)
         assert geo.ellipse.shape == (32, 2)
+
+    def test_geometry_takes_the_band_ends_and_growth_bit_for_bit(self):
+        # seeded sets with T1 and E off the powers of two, then eps whose growth
+        # is subnormal or underflows to 0.0 (a closed band at a nonzero beta1)
+        rng = random.Random(20261020)
+        sets = [dict(p=rng.choice((2, 3, 4)), eps=rng.uniform(1e-3, 0.3), beta1=rng.uniform(-2.0, 2.0),
+                     T1=rng.uniform(0.1, 10.0), E=rng.uniform(0.01, 0.99), mu0=rng.uniform(-1.0, 2.0))
+                for _ in range(200)]
+        sets += [dict(p=4, eps=1e-80, T1=1.3, E=0.55), dict(p=4, eps=1e-90, T1=1.3, E=0.55)]
+        for over in sets:
+            params = make_params(**over)
+            assert math.frexp(params.T1)[0] != 0.5 and math.frexp(params.E)[0] != 0.5
+            geo = isola_geometry(params, 16)
+            w = 2.0 * (abs(params.beta1) * params.eps**params.p) / params.T1  # the model's half-width, longhand
+            expected = (params.mu0 - w, params.mu0 + w)
+            assert [x.hex() for x in band_endpoints(params)] == [x.hex() for x in expected]
+            assert [x.hex() for x in (geo.mu_low, geo.mu_high)] == [x.hex() for x in expected]
+            assert geo.max_growth.hex() == params.max_growth.hex()
+        subnormal, zero = make_params(**sets[-2]), make_params(**sets[-1])
+        assert 0.0 < subnormal.max_growth < 2.0**-1022  # below the smallest normal double
+        assert zero.max_growth == 0.0 and isola_geometry(zero).band_open
 
 
 class TestEigenvaluePair:
