@@ -27,9 +27,9 @@ emitter writes a table in blocks of rows and builds no row of values: it
 turns each column of a block into text, spelling each distinct value of an
 array once (a float64 array told apart on its bit pattern, so -0.0 and 0.0
 stay distinct), a list of floats in one ``float.__repr__`` pass and any
-other list each distinct value once, and fills a per-table row template
-with the texts.  The bytes are those of ``json.dump(records, indent=2)``
-and of ``csv.writer``.
+other list value by value, and fills a per-table row template with the
+texts.  The bytes are those of ``json.dump(records, indent=2)`` and of
+``csv.writer``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
 _BLOCK = 1024  # rows turned into text and written at a time
-_ONE_TEXT = {int, bool, str, type(None)}  # equal values of one of these types print alike
 
 
 def _csv_text(value) -> str:
@@ -81,14 +80,14 @@ def _csv_cell(value) -> str:
 
 
 def _column(values, cell) -> list[str]:
-    """Text of one column of a block: each distinct value spelled once where equal values print alike.
+    """Text of one column of a block: an array's distinct values spelled once, a list's values in turn.
 
     An array is spelled as its tolist() would be, each distinct value once: a
     float64 array is told apart on its bit pattern, so -0.0 and 0.0 stay
     distinct, any other array on its values.  A list of floats takes one
-    float.__repr__ pass, a list of one _ONE_TEXT type each distinct value
-    once.  cell(value) spells one value; it is called for each distinct value
-    of such a column, for each value of a mixed list, and for non-finite floats.
+    float.__repr__ pass.  cell(value) spells one value; it is called for each
+    distinct value of an array, for each value of any other list, and for
+    non-finite floats.
     """
     if not isinstance(values, (list, tuple)):  # an array: numpy is loaded already
         floats = values.dtype == np.float64
@@ -101,11 +100,7 @@ def _column(values, cell) -> list[str]:
     try:
         text = list(map(float.__repr__, values))
     except TypeError:  # not a float column
-        kinds = set(map(type, values))
-        if len(kinds) != 1 or not kinds <= _ONE_TEXT:
-            return list(map(cell, values))
-        memo = {v: cell(v) for v in set(values)}
-        return list(map(memo.__getitem__, values))
+        return list(map(cell, values))
     if not all(map(math.isfinite, values)):  # JSON spells these NaN, Infinity, -Infinity
         text = [t if math.isfinite(v) else cell(v) for t, v in zip(text, values)]
     return text

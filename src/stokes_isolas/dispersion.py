@@ -112,8 +112,7 @@ def _tanh(x: np.ndarray) -> np.ndarray:
     n = np.rint(k)
     undecided = np.flatnonzero(~(0.5 - np.abs(k - n) > k * 2.0**-44))
     th = 1.0 - n * 2.0**-53
-    if undecided.size:
-        th.put(undecided, _libm(math.tanh, x.take(undecided)))
+    th.put(undecided, _libm(math.tanh, x.take(undecided)))
     return th
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
 
 from .beta import _point
 from .dispersion import _check_finite, np
@@ -48,7 +47,6 @@ __all__ = [
 ]
 
 _FINITE_FIELDS = ("h", "eps", "beta1", "T1", "y0", "mu0")
-_finite_field_values = attrgetter(*_FINITE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -71,13 +69,8 @@ class IsolaParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_index(self.p))
-        try:  # one pass over the fields; the loop below names the first bad one
-            finite = all(map(math.isfinite, _finite_field_values(self)))
-        except (TypeError, OverflowError):  # not a real, or an int beyond the double range
-            finite = False
-        if not finite:
-            for name in _FINITE_FIELDS:
-                _check_finite(getattr(self, name), name)
+        for name in _FINITE_FIELDS:  # the first field that is not a finite real is named
+            _check_finite(getattr(self, name), name)
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h!r}")
         if not self.eps > 0:

@@ -119,12 +119,9 @@ def _scan_depth(h) -> None:
 
 def _scan_depths(hs) -> np.ndarray:
     """Any iterable of real depths as a float array; the first outside the range is refused by _scan_depth."""
-    whole = isinstance(hs, np.ndarray) and hs.ndim == 1
-    if not whole:
-        hs = list(hs)  # read again below if a real in it lies beyond the double range
+    hs = list(hs)  # read again below if a real in it lies beyond the double range
     try:
-        # a 1-d array converts whole: np.fromiter would walk it through numpy scalars, at twice a list's cost
-        grid = hs.astype(float) if whole else np.fromiter(hs, dtype=float)
+        grid = np.fromiter(hs, dtype=float)
     except OverflowError:  # such a real reads as +-inf, refused below
         grid = np.fromiter(map(_float, hs), dtype=float)
     inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])

@@ -350,10 +350,18 @@ class TestScan:
         (row,) = beta_scan(4, [17.0])
         assert row.floor_flag
 
-    def test_any_iterable_of_depths(self):
-        hs = [0.05, 1.0, 2.5, 20.0]
-        rows = beta_scan(4, hs)
-        assert beta_scan(4, (h for h in hs)) == beta_scan(4, tuple(hs)) == beta_scan(4, np.array(hs)) == rows
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda hs: (h for h in hs), id="generator"),
+        pytest.param(tuple, id="tuple"),
+        pytest.param(np.array, id="float64-array"),
+        pytest.param(lambda hs: np.array(hs, dtype=np.float32), id="float32-array"),
+        pytest.param(lambda hs: np.array(hs).astype(int), id="int-array"),
+        pytest.param(lambda hs: np.array(hs, dtype=object), id="object-array"),
+    ])
+    def test_any_iterable_of_depths(self, make):
+        # each depth is the double that float() makes of it: 1.3 as a float32 is 1.2999999523162842
+        hs = [1.3, 2.5, 7.75, 20.0]
+        assert beta_scan(4, make(hs)) == beta_scan(4, [float(h) for h in make(hs)])
 
     def test_grid_range_enforced(self):
         with pytest.raises(ValueError):

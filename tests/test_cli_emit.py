@@ -69,6 +69,11 @@ ARRAYS = [(FLOATS, np.float64), (st.integers(-2, 2) | st.integers(-(2**63), 2**6
 NAMES = st.lists(TEXT.filter(lambda k: k != "schema"), min_size=1, max_size=5, unique=True)
 
 
+# lists of one kind whose values repeat, as one-depth labels and selftest's p and ok columns are
+ONE_KIND = ("t", ("i", "b", "s", "n"),
+            [[2, 2, 3, 2], [True, False, True, True], ["a,b", 'q"', "a,b", ""], [None, None, None, None]], None)
+
+
 def as_rows(columns):
     """The rows the reference writes for columns: an array's values as its tolist() gives them."""
     return list(zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns]))
@@ -98,6 +103,8 @@ def tables(draw):
 @example(table=("scan", ("h",), [[None, ""]], None), fmt="csv", block=1)
 @example(table=("x", ("",), [[""]], ((), ())), fmt="csv", block=2)
 @example(table=("t", ("v",), [[1, True, 0, False]], None), fmt="json", block=8)
+@example(table=ONE_KIND, fmt="csv", block=3)
+@example(table=ONE_KIND, fmt="json", block=3)
 @example(
     table=("beta_term", ("term", "v"), [["B_{2,{1,2}}^{-,+}", 'a"b\nc'], [-0.0, math.nan]], (("p", "s"), (2, "x,y"))),
     fmt="csv",

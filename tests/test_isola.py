@@ -22,6 +22,10 @@ from stokes_isolas import (
     solve_wavenumber,
 )
 
+FINITE_FIELDS = ("h", "eps", "beta1", "T1", "y0", "mu0")
+NON_FINITE = ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (10**400, "inf"), (-(10**400), "-inf"))
+
+
 def make_params(**over):
     base = dict(p=2, h=3.0, eps=0.1, beta1=0.014111, T1=1.3, E=0.55, y0=0.784, mu0=0.3095)
     base.update(over)
@@ -96,11 +100,16 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {shown}$"):
             IsolaParams.from_depth(2, 3.0, **{"eps": 0.05, "T1": 1.0, "E": 0.5, name: value})
 
-    def test_first_bad_field_named(self):
-        with pytest.raises(ValueError, match="^eps must be finite, got nan$"):
-            make_params(eps=math.nan, T1=10**400, mu0=math.inf)
-        with pytest.raises(ValueError, match="^T1 must be finite, got inf$"):
-            make_params(eps="0.1", T1=10**400)
+    @pytest.mark.parametrize("over, named", [
+        ({"eps": math.nan, "T1": 10**400, "mu0": math.inf}, "eps must be finite, got nan"),
+        ({"eps": "0.1", "T1": 10**400}, "T1 must be finite, got inf"),
+        # one field and every later one non-finite, in turn nan, inf, -inf and reals beyond the double range
+        *(({name: NON_FINITE[(i + j) % 5][0] for j, name in enumerate(FINITE_FIELDS[i:])},
+           f"{FINITE_FIELDS[i]} must be finite, got {NON_FINITE[i % 5][1]}") for i in range(6)),
+    ])
+    def test_first_bad_field_named(self, over, named):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            make_params(**over)
 
     @pytest.mark.parametrize("over, message", [
         ({"h": 0.0}, "h must be positive, got 0.0"),
