@@ -40,10 +40,15 @@ rational function of c, Omega_j, t_j and root = sqrt(Omega_0 * Omega_p),
 which its caller supplies: only + - * / and float constants touch them,
 so it runs on Python floats at a single depth, on numpy arrays over a
 grid of depths and on mpmath numbers (the 40-digit audit in the tests).
-The guard reads the returned denominators: a ZeroDivisionError inside the
-rule, or a denominator below ``DENOMINATOR_GUARD``, takes one refusal
-path, which raises the Stokes coefficients' underflow error first and
-then the guard's.
+
+The coefficients are computed at depths in ``_DOMAIN`` = [0.05, 20] only,
+checked once where every evaluation starts: a depth by ``_check_domain``,
+a grid by ``_check_domain_grid``, each refusing the first depth outside
+(NaN, +-inf and h <= 0 among them) with one ValueError before any solve.
+On the domain the smallest |j*c - s*Omega_j - Omega_0| is 5.6e-4 (p = 2,
+at h = 0.05) and every term is finite, so the terms are the rule's
+outputs as they come, with no check of their own; the denominators it
+returns first are read by the tests that audit the rule.
 
 At one depth (``_point``) p is refused before the depth and both before
 the one single-depth solve (``resonance._solve``), whose plain floats and
@@ -57,8 +62,7 @@ tables read it.  The rule performs the same IEEE operations in
 the same order either way, and the grid's phi* solve is a lane-wise port
 of the single-depth Brent solve, so every grid value equals the
 single-depth value bit for bit.  The terms of a grid of any size are one
-array pass, then one loop of ``_signed_terms`` over the columns it cannot
-vouch for.  The phi* solve is the grid path's one size fork: below
+array pass.  The phi* solve is the grid path's one size fork: below
 ``resonance._LANES_FROM`` depths, where numpy's fixed costs outweigh the
 gain, it skips its lane pass and solves depth by depth.
 
@@ -85,11 +89,8 @@ from functools import lru_cache
 from itertools import combinations, groupby, product, repeat
 
 from .asymptotics import leading_term
-from .dispersion import _FLOATS, _check_depth, _tabulate, _ulp, np
-from .errors import SingularityError
-from .resonance import (
-    ResonanceData, _check_index, _equal_fields, _record, _resonance_grid, _scan_depths, _solve, brentq,
-)
+from .dispersion import _FLOATS, _float, _tabulate, _ulp, np
+from .resonance import ResonanceData, _check_index, _equal_fields, _record, _resonance_grid, _solve, brentq
 from .stokes_coefficients import _coefficients
 
 __all__ = [
@@ -104,10 +105,45 @@ __all__ = [
     "neumaier_sum",
 ]
 
-# Denominators j*c - s*Omega_j - Omega_0 stay O(1) on the validated depth
-# range [0.05, 20]; anything smaller than this is outside that range and
-# refused rather than silently amplified.
-DENOMINATOR_GUARD = 1e-10
+# The depths the coefficients are computed at, both ends included: every evaluation checks its depths
+# against it (_check_domain, _check_domain_grid) before it solves.  On it no denominator
+# j*c - s*Omega_j - Omega_0 comes near zero and every term is finite, which tests/test_domain.py checks
+# for whatever range this holds.
+_DOMAIN = (0.05, 20.0)
+
+
+def _check_domain(h) -> float:
+    """h as a float, refused (ValueError) outside _DOMAIN: NaN, +-inf and h <= 0 with the rest."""
+    h = _float(h, "depth")
+    if not _DOMAIN[0] <= h <= _DOMAIN[1]:
+        raise ValueError(f"depth must lie within [{_DOMAIN[0]}, {_DOMAIN[1]}], got h={h!r}")
+    return h
+
+
+def _check_domain_grid(hs) -> np.ndarray:
+    """_check_domain over any iterable of depths in one pass, as a 1-D float array; the first outside is refused.
+
+    A 1-D float64 array is taken as it is.  Any other iterable is read into
+    a list once.  A list whose sum is a float holds no complex number (a
+    complex term makes the sum complex) and no real beyond the double range
+    (the sum raises): it goes to numpy in one call.  Any other goes through
+    _float depth by depth, which rounds such a real to +-inf and refuses a
+    complex number (TypeError).  The sum takes a fifth of the time of one
+    isinstance test a depth.
+    """
+    if isinstance(hs, np.ndarray) and hs.dtype == np.float64 and hs.ndim == 1:
+        grid = hs
+    else:
+        hs = list(hs)
+        try:
+            plain = isinstance(sum(hs, 0.0), float)
+        except (TypeError, OverflowError):
+            plain = False
+        grid = np.fromiter(hs if plain else map(_float, hs, repeat("depth")), dtype=float, count=len(hs))
+    inside = (_DOMAIN[0] <= grid) & (grid <= _DOMAIN[1])
+    if not inside.all():
+        _check_domain(grid[np.argmin(inside)])
+    return grid
 
 
 def neumaier_sum(values):
@@ -273,7 +309,7 @@ def _emit(tape: dict, filename: str, name: str, arguments: dict, outputs: dict):
 
 
 def _denominator_label(j: int, s: int) -> str:
-    """The denominator j*c - s*Omega_j - Omega_0 as the guard's error and the emitted code name it."""
+    """The denominator j*c - s*Omega_j - Omega_0 as the emitted code labels it."""
     return f"{j}*c_h {'-' if s > 0 else '+'} Omega_{j} - Omega_0"
 
 
@@ -298,51 +334,19 @@ def _plan(p: int):
     return _emit(tape, f"<path rule p={p}>", "path_rule", {"Omega": Omega, "t": t, "c": c, "root": root}, outputs)
 
 
-def _signed_terms(p: int, h: float, c: float, Omega: list[float], t: list[float]) -> list[float]:
-    """Every term of the p-th coefficient at depth h with its sign, in beta_term_ids order.
+def _signed_terms(p: int, c: float, Omega: list[float], t: list[float]) -> list[float]:
+    """Every term of the p-th coefficient at one depth with its sign, in beta_term_ids order.
 
     c, Omega_j and t_j are the floats and lists the single-depth solve
-    returns.  The emitted rule returns the denominators with the terms.  A
-    ZeroDivisionError on the way, or a denominator below DENOMINATOR_GUARD,
-    is refused: first as a Stokes coefficient whose denominator underflows,
-    then as the first term, in beta_term_ids order, that divides by a
-    guarded denominator.
+    returns; the emitted rule's denominators, returned first, are dropped.
     """
-    try:
-        out = _plan(p)(Omega, t, c, math.sqrt(Omega[0] * Omega[p]))
-    except ZeroDivisionError:
-        pass
-    else:
-        if not min(map(abs, out[:2 * p - 2])) < DENOMINATOR_GUARD:
-            return out[2 * p - 2:]
-    _coefficients(c)  # raises where a Stokes coefficient's denominator underflows to 0.0
-    dens = _denominators(p, Omega, c)
-    tid, (j, s) = next((tid, js) for tid in beta_term_ids(p) for js in zip(tid.intermediates, tid.signs)
-                       if abs(dens[js]) < DENOMINATOR_GUARD)
-    label = _denominator_label(j, s)
-    raise SingularityError(
-        f"near-vanishing denominator {label} = {dens[j, s]:.3e} in term {tid.label} at (p={p}, h={h})",
-        denominator_label=label,
-        value=dens[j, s],
-    )
+    return _plan(p)(Omega, t, c, math.sqrt(Omega[0] * Omega[p]))[2 * p - 2:]
 
 
 def _grid_terms(rd: ResonanceData) -> np.ndarray:
-    """Signed terms over a ResonanceData of arrays: one row per term, one column per depth.
-
-    One array pass takes them all, however few columns the grid has.  Then
-    _signed_terms takes again, in grid order, each column the array pass
-    cannot vouch for (a near-vanishing denominator, a non-finite term), and
-    raises the error a column-by-column loop would raise first.
-    """
-    with np.errstate(all="ignore"):
-        out = _plan(rd.p)(rd.Omega, rd.t, rd.c, np.sqrt(rd.Omega[0] * rd.Omega[rd.p]))
-    terms = np.array(out[2 * rd.p - 2:])
-    redo = ~np.isfinite(terms).all(axis=0) | (np.abs(out[:2 * rd.p - 2]) < DENOMINATOR_GUARD).any(axis=0)
-    for i in np.flatnonzero(redo):
-        Omega, t = rd.Omega[:, i].tolist(), rd.t[:, i].tolist()
-        terms[:, i] = _signed_terms(rd.p, float(rd.h[i]), float(rd.c[i]), Omega, t)
-    return terms
+    """Signed terms over a ResonanceData of arrays in one array pass: one row per term, one column per depth."""
+    out = _plan(rd.p)(rd.Omega, rd.t, rd.c, np.sqrt(rd.Omega[0] * rd.Omega[rd.p]))
+    return np.array(out[2 * rd.p - 2:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,9 +421,9 @@ def _floor_flag(signed, total):
 
 
 def _grid(p: int, hs) -> BetaBreakdown:
-    """The record at every depth of hs, one column per depth (see _grid_terms); p is refused as by _point."""
+    """The record at every depth of hs, one column per depth (see _grid_terms); p, then hs, refused as by _point."""
     _plan(p := _check_index(p))  # refuses a p outside {2, 3, 4} before the solve
-    rd = _resonance_grid(p, hs)
+    rd = _resonance_grid(p, _check_domain_grid(hs))
     signed = _grid_terms(rd)
     return BetaBreakdown(rd, signed, neumaier_sum(signed))
 
@@ -429,15 +433,16 @@ def _point(p: int, h: float) -> tuple:
 
     p is refused first, then h, both before the one single-depth solve
     (``resonance._solve``): a p that is not an integer >= 2 by _check_index,
-    then one outside {2, 3, 4} by the plan.  The first six entries are
-    _record's arguments.  The total is the one sum of the terms at one
-    depth, as _grid's is over a grid.
+    then one outside {2, 3, 4} by the plan, then an h outside _DOMAIN by
+    _check_domain.  The first six entries are _record's arguments.  The
+    total is the one sum of the terms at one depth, as _grid's is over a
+    grid.
     """
     _plan(p := _check_index(p))
-    h = _check_depth(h)
+    h = _check_domain(h)
     c, phi = _solve(p, h)
     Omega, t = _tabulate(p, h, phi, _FLOATS)
-    signed = _signed_terms(p, h, c, Omega, t)
+    signed = _signed_terms(p, c, Omega, t)
     return p, h, c, phi, Omega, t, signed, neumaier_sum(signed)
 
 
@@ -468,8 +473,8 @@ def find_beta_zeros(
     counts only next to a value above the floor.  An empty list is a valid
     result; callers wanting residuals evaluate beta1 at the returned points.
     """
-    _check_depth(h_min)
-    _check_depth(h_max)
+    _check_domain(h_min)
+    _check_domain(h_max)
     if not h_min < h_max:
         raise ValueError(f"need h_min < h_max, got {h_min!r} >= {h_max!r}")
     if not (grid_n >= 100 and grid_n % 1 == 0):
@@ -524,7 +529,7 @@ _SCAN_ROW_SETTERS = [getattr(ScanRow, f.name).__set__ for f in fields(ScanRow)]
 
 def _scan_columns(p: int, h, signed, total) -> tuple:
     """ScanRow's fields, in order, from _point's h, signed terms and total (floats), or from _grid's (arrays)."""
-    lead = leading_term(p, h)  # nonzero on the scan range, so ratio is a plain quotient
+    lead = leading_term(p, h)  # nonzero on _DOMAIN, so ratio is a plain quotient
     return h, total, lead, total / lead, _floor_flag(signed, total)
 
 
@@ -541,7 +546,7 @@ def beta_scan(p: int, hs) -> list[ScanRow]:
     five fields one row at a time through object.__setattr__: each field's
     slot descriptor fills that field's column of rows in one map.
     """
-    g = _grid(p, _scan_depths(hs))
+    g = _grid(p, hs)
     columns = [column.tolist() for column in _scan_columns(p, g.h, g.signed, g.total)]
     rows = list(map(object.__new__, repeat(ScanRow, len(columns[0]))))
     for set_field, column in zip(_SCAN_ROW_SETTERS, columns):

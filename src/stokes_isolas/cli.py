@@ -51,7 +51,7 @@ from .beta import (
 from .dispersion import np
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
-from .resonance import _collision_grid, _collision_point, _scan_depth, _scan_depths
+from .resonance import _collision_grid, _collision_point
 
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "output.schema.json"
 
@@ -190,10 +190,9 @@ def cmd_resonance(args, parser):
 def cmd_beta(args, parser):
     hs = _h_grid(args, parser)
     if one := isinstance(hs, float):
-        _scan_depth(h := hs)
-        *_, signed, total = _point(args.p, h)
+        *_, signed, total = _point(args.p, h := hs)
     else:
-        grid = _grid(args.p, _scan_depths(hs))
+        grid = _grid(args.p, hs)
         h, signed, total = grid.h, grid.signed, grid.total
     if not (args.breakdown or args.groups):
         fields = tuple(f.name for f in dataclasses.fields(ScanRow))

@@ -13,10 +13,11 @@ together with the flat-water eigenvalue branches
 labelled by a mode index j and a signature sigma = +-1.
 
 The public functions take floats and check their inputs; a real beyond
-the double range reads as +-inf (``_float``) and is refused like one.  The
-private kernels ``_phase`` and ``_tabulate`` skip the checks and take the
-number type's (tanh, sqrt, ratio): ``_FLOATS``, or ``_ARRAYS`` for numpy
-arrays of depths and wavenumbers, which performs the same IEEE operations,
+the double range reads as +-inf (``_float``) and is refused like one, and
+a complex number, numpy's included, is refused.  The private kernels
+``_phase`` and ``_tabulate`` skip the checks and take the number type's
+(tanh, sqrt, ratio): ``_FLOATS``, or ``_ARRAYS`` for numpy arrays of
+depths and wavenumbers, which performs the same IEEE operations,
 so a grid gets the same doubles as one call per depth.  Over arrays
 ``_tanh`` calls libm only where the rounding of 1 - tanh x leaves its
 double undecided: with k = (1 - tanh x) / 2^-53 from numpy's exp and
@@ -35,6 +36,7 @@ are accurate to a few ulps.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 
 __all__ = [
@@ -143,8 +145,9 @@ def _ratios(x, phi, th, h):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only where the series overwrites
         ratio = phi / th
     if small.size:  # the series on Python floats: x ** 4 by libm's pow, as in _ratio
-        h = np.broadcast_to(h, x.shape)
-        ratio.put(small, list(map(_ratio, *(a.take(small).tolist() for a in (x, phi, th, h)))))
+        # h is gathered off its broadcast view, which take would first copy whole
+        columns = [a.take(small) for a in (x, phi, th)] + [np.broadcast_to(h, x.shape).flat[small]]
+        ratio.put(small, list(map(_ratio, *(a.tolist() for a in columns))))
     return ratio
 
 
@@ -183,8 +186,16 @@ def _tabulate(n: int, h, phi, kernels):
     return Omega, t
 
 
-def _float(x) -> float:
-    """float(x), with a real beyond the double range rounded to +-inf as IEEE 754 rounds it, not OverflowError."""
+def _float(x, name: str) -> float:
+    """float(x), with a real beyond the double range rounded to +-inf as IEEE 754 rounds it, not OverflowError.
+
+    A complex number, numpy's included, is refused (TypeError, naming it as
+    name) rather than read as its real part.  A float is returned as it is.
+    """
+    if type(x) is float:
+        return x
+    if isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {x!r}")
     try:
         return float(x)
     except OverflowError:
@@ -192,7 +203,7 @@ def _float(x) -> float:
 
 
 def _check_depth(h: float) -> float:
-    h = _float(h)
+    h = _float(h, "depth")
     if not math.isfinite(h) or h <= 0.0:
         raise ValueError(f"depth must be a positive finite real, got {h!r}")
     return h
@@ -207,7 +218,7 @@ def _check_depths(h: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(x: float, name: str) -> float:
-    x = _float(x)
+    x = _float(x, name)
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
@@ -255,7 +266,7 @@ def eigenvalue_branch(j: int, sigma: int, mu: float, h: float) -> float:
     Returns omega^sigma(j + mu, h) = c(h)*(j + mu) - sigma*Omega(j + mu, h).
     The branches obey the reflection omega^+(-phi, h) = -omega^-(phi, h).
     """
-    if sigma not in (1, -1) or not _float(j) % 1 == 0:  # inf % 1 is nan: refuses nan, inf and j beyond the double range
+    if sigma not in (1, -1) or not _float(j, "j") % 1 == 0:  # inf % 1 is nan: refuses nan, inf and j beyond doubles
         raise ValueError(f"need an integer mode index j and sigma = +1 or -1, got j={j!r}, sigma={sigma!r}")
     h = _check_depth(h)
     mu = _check_finite(mu, "mu")

@@ -16,11 +16,14 @@ class SolverError(StokesIsolasError):
 
 
 class SingularityError(StokesIsolasError):
-    """A resonance denominator came too close to zero to evaluate safely."""
+    """A Stokes-coefficient denominator underflowed to 0.0 (``stokes_coefficients(h)`` below h ~ 2.7e-33).
 
-    def __init__(self, message, denominator_label=None, value=None):
+    The beta functions never raise it: they refuse depths outside their
+    domain [0.05, 20] first.  value is the denominator's value.
+    """
+
+    def __init__(self, message, value=None):
         super().__init__(message)
-        self.denominator_label = denominator_label
         self.value = value
 
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .beta import _point
 from .dispersion import _check_finite, np
-from .resonance import _check_index, _collision, _scan_depth
+from .resonance import _check_index, _collision
 
 __all__ = [
     "IsolaParams",
@@ -93,10 +93,9 @@ class IsolaParams:
         """Fill beta1, y0, mu0 from one phi* solve at depth h: the values of beta1_breakdown(p, h).
 
         beta1 is its total, y0 the collision frequency omega* = c*phi* + Omega_0
-        and mu0 the critical wavenumber phi*.  h outside [0.05, 20] is refused
-        as by the beta tables, then p as by beta1, both before the solve.
+        and mu0 the critical wavenumber phi*.  p, then h, are refused as by
+        beta1, both before the solve.
         """
-        _scan_depth(h)
         _, _, c, phi, Omega, _, _, total = _point(p, h)
         return cls(
             p=p,

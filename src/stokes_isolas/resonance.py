@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 from .dispersion import (
-    _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _float, _phase, _tabulate, _tanh, _ulp, np,
+    _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _phase, _tabulate, _tanh, _ulp, np,
 )
 from .errors import SolverError
 
@@ -101,33 +101,11 @@ _MAXITER = 100
 # depths by p (116 and 133 for p = 4), and the lanes win at every size from 79-180 on.
 _LANES_FROM = 96
 
-_SCAN_H_RANGE = (0.05, 20.0)  # the documented depth range of the beta tables and of the isola model
-
 
 def _check_index(p: int) -> int:
     if not (p >= 2 and p % 1 == 0):  # also refuses nan and inf
         raise ValueError(f"isola index p must be an integer >= 2, got {p!r}")
     return int(p)
-
-
-def _scan_depth(h) -> None:
-    """Refuse (ValueError) a depth h outside the documented range [0.05, 20], compared as a float."""
-    h = _float(h)
-    if not _SCAN_H_RANGE[0] <= h <= _SCAN_H_RANGE[1]:
-        raise ValueError(f"scan grid must lie within {_SCAN_H_RANGE}, got h={h!r}")
-
-
-def _scan_depths(hs) -> np.ndarray:
-    """Any iterable of real depths as a float array; the first outside the range is refused by _scan_depth."""
-    hs = list(hs)  # read again below if a real in it lies beyond the double range
-    try:
-        grid = np.fromiter(hs, dtype=float)
-    except OverflowError:  # such a real reads as +-inf, refused below
-        grid = np.fromiter(map(_float, hs), dtype=float)
-    inside = (_SCAN_H_RANGE[0] <= grid) & (grid <= _SCAN_H_RANGE[1])
-    if not inside.all():
-        _scan_depth(grid[np.argmin(inside)])
-    return grid
 
 
 def resonance_residual(phi: float, p: int, h: float) -> float:

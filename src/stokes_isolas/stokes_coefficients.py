@@ -6,8 +6,7 @@ rational functions of the phase speed c = sqrt(tanh(h)).  They feed the
 hop factors of the instability-coefficient sums in :mod:`stokes_isolas.beta`,
 which runs ``_coefficients`` once per p on the tape that records its path
 rule: each p's emitted rule computes the a_l, p_l its hops use, from c,
-with the operations written here, and ``beta`` calls ``_coefficients``
-itself only to raise its underflow error at a refused depth.
+with the operations written here.
 
 In the deep-water limit (c -> 1):
 
@@ -69,8 +68,8 @@ def _coefficients(c):
     """((a1, a2, a3, a4), (p1, p2, p3, p4)) at phase speed c: a float, or an array of them.
 
     Raises SingularityError where a denominator (a product of powers of c)
-    underflows to 0.0, for h below ~2.7e-33.  Arrays get inf or NaN there
-    instead, and the grid path redoes such depths one at a time.  Only
+    underflows to 0.0, for h below ~2.7e-33, far outside the depths the
+    beta functions accept; on arrays numpy gives inf or NaN there instead.  Only
     + - * / touch c, so it also runs on mpmath numbers and on beta's
     recording number, on which the try is inert.
     """

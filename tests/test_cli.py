@@ -153,7 +153,7 @@ class TestBetaCommand:
     def test_every_table_refuses_depths_outside_range(self, mode, depths, bad):
         code, out, err = run_cli("beta", "--p", "4", *depths, *mode)
         assert (code, out) == (2, "")
-        assert err == f"error: scan grid must lie within (0.05, 20.0), got h={bad!r}\n"
+        assert err == f"error: depth must lie within [0.05, 20.0], got h={bad!r}\n"
 
     def test_groups_match_deep_water_coefficients(self):
         code, out, _ = run_cli("beta", "--p", "4", "--h", "6", "--groups")
@@ -195,7 +195,7 @@ class TestZerosCommand:
     @pytest.mark.parametrize(
         "bounds, message",
         [(("3", "1"), "need h_min < h_max, got 3.0 >= 1.0"),
-         (("0", "1"), "depth must be a positive finite real, got 0.0")],
+         (("0", "1"), "depth must lie within [0.05, 20.0], got h=0.0")],
         ids=["reversed", "zero"],
     )
     def test_bad_bounds_one_error_line(self, bounds, message):
@@ -252,7 +252,7 @@ class TestIsolaCommand:
     def test_refuses_depths_outside_range(self, h):
         code, out, err = run_cli("isola", "--p", "4", "--h", h, "--eps", "0.1", "--T1", "1", "--E", "0.5")
         assert (code, out) == (2, "")
-        assert err == f"error: scan grid must lie within (0.05, 20.0), got h={float(h)!r}\n"
+        assert err == f"error: depth must lie within [0.05, 20.0], got h={float(h)!r}\n"
 
     @pytest.mark.parametrize(
         "flags",
@@ -489,10 +489,11 @@ class TestTinyDepths:
     @pytest.mark.parametrize(
         "argv, code, message",
         [
-            # isola refuses the depth before it computes, as the beta tables do
+            # refused as outside the domain before anything is computed: a usage error
             (["isola", "--p", "2", "--h", "1e-200", "--eps", "0.05", "--T1", "1", "--E", "0.5"], 2,
-             "scan grid must lie within (0.05, 20.0), got h=1e-200"),
-            (["zeros", "--p", "2", "--h-min", "1e-200", "--h-max", "1e-100", "--n", "100"], 3, "underflows to 0.0"),
+             "depth must lie within [0.05, 20.0], got h=1e-200"),
+            (["zeros", "--p", "2", "--h-min", "1e-200", "--h-max", "1e-100", "--n", "100"], 2,
+             "depth must lie within [0.05, 20.0], got h=1e-200"),
         ],
         ids=["isola", "zeros"],
     )

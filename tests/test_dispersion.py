@@ -345,12 +345,12 @@ class TestBeyondDoubleRange:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: beta1(2, BEYOND), "depth must be a positive finite real, got inf"),
-            (lambda: beta_scan(2, [BEYOND]), r"scan grid must lie within .*, got h=inf"),
-            (lambda: beta_scan(2, np.array([1.0, -BEYOND], dtype=object)), r"scan grid must lie within .*, got h=-inf"),
-            (lambda: beta_scan(2, (h for h in [1.0, 25.0, BEYOND])), r"scan grid must lie within .*, got h=25.0"),
-            (lambda: find_beta_zeros(2, 1.0, BEYOND), "depth must be a positive finite real, got inf"),
-            (lambda: IsolaParams.from_depth(2, BEYOND, 0.05, 1.0, 0.5), r"scan grid must lie within .*, got h=inf"),
+            (lambda: beta1(2, BEYOND), r"depth must lie within .*, got h=inf"),
+            (lambda: beta_scan(2, [BEYOND]), r"depth must lie within .*, got h=inf"),
+            (lambda: beta_scan(2, np.array([1.0, -BEYOND], dtype=object)), r"depth must lie within .*, got h=-inf"),
+            (lambda: beta_scan(2, (h for h in [1.0, 25.0, BEYOND])), r"depth must lie within .*, got h=25.0"),
+            (lambda: find_beta_zeros(2, 1.0, BEYOND), r"depth must lie within .*, got h=inf"),
+            (lambda: IsolaParams.from_depth(2, BEYOND, 0.05, 1.0, 0.5), r"depth must lie within .*, got h=inf"),
             (lambda: IsolaParams(p=2, h=1.0, eps=BEYOND, beta1=1.0, T1=1.0, E=0.5, y0=1.0, mu0=0.5),
              "eps must be finite, got inf"),
             (lambda: phase_speed(BEYOND), "depth must be a positive finite real, got inf"),

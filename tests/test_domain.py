@@ -1,0 +1,163 @@
+"""The beta domain: one range of depths, checked where every beta evaluation starts.
+
+Every entry point, in the library and in the CLI, answers at both ends of
+``beta._DOMAIN`` with the doubles it gave before the check existed, and
+refuses every depth outside it (one ulp beyond either end, NaN, +-inf, 0
+and -1) with one ValueError before any solve.  A complex depth is a
+TypeError, never its real part.
+"""
+
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from stokes_isolas import IsolaParams, beta, beta1, beta1_breakdown, beta_scan, find_beta_zeros, phase_speed
+from stokes_isolas.resonance import _resonance_grid
+from test_beta import _count_solves
+from test_cli import parse_csv, run_cli
+
+LO, HI = beta._DOMAIN
+
+# beta1 at both ends of the domain and the zeros find_beta_zeros finds on all of it, as computed before the domain
+# was checked: checking it moves no double inside it
+AT_THE_ENDS = {
+    2: ("-0x1.410e2b9cad79cp+1", "0x1.ee714408bb574p-19"),
+    3: ("-0x1.7ebf8dfc8541dp+15", "0x1.7c00000000000p-50"),
+    4: ("-0x1.0937345b5e0dbp+29", "0x1.e1fbdeb14f4eep-48"),
+}
+ZEROS = {2: ["0x1.d9728bc8cc191p+0"], 3: ["0x1.a42b575ab69e9p-1"], 4: ["0x1.221db9d37d124p-1", "0x1.418785ff0b8f3p+0"]}
+
+OUTSIDE = [math.nextafter(LO, 0.0), math.nextafter(HI, math.inf), math.nan, math.inf, -math.inf, 0.0, -1.0]
+OUTSIDE_IDS = ["below", "above", "nan", "inf", "-inf", "0", "-1"]
+
+
+def refusal(h) -> str:
+    return f"depth must lie within [0.05, 20.0], got h={h!r}"
+
+
+def entry_points(p):
+    """Each beta entry point of the library as a function of one depth, returning beta1 there."""
+    return {
+        "beta1": lambda h: beta1(p, h),
+        "beta1_breakdown": lambda h: beta1_breakdown(p, h).total,
+        "beta_scan": lambda h: beta_scan(p, [h])[0].beta1,
+        # an array grid of _LANES_FROM depths or more: the lane solve
+        "beta_scan-lanes": lambda h: beta_scan(p, np.append(np.linspace(1.0, 2.0, 120), h))[-1].beta1,
+        "from_depth": lambda h: IsolaParams.from_depth(p, h, 0.1, 1.0, 0.5).beta1,
+    }
+
+
+def zeros_ends(p):
+    """find_beta_zeros with the depth as one end and the domain's other end as the other."""
+    return {"zeros-min": lambda h: find_beta_zeros(p, h, HI), "zeros-max": lambda h: find_beta_zeros(p, LO, h)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_no_denominator_near_zero_on_the_domain(p):
+    # the premise that lets the terms go unguarded: on a dense grid of the domain, both ends included, every
+    # denominator j*c - s*Omega_j - Omega_0 the emitted rule returns is at least 1e-4 in magnitude (the least is
+    # 5.6e-4, at p = 2 and h = 0.05) and every term is finite.  A wider domain meets this test first.
+    hs = np.linspace(LO, HI, 40001)
+    assert (hs[0], hs[-1]) == beta._DOMAIN
+    rd = _resonance_grid(p, hs)
+    out = beta._plan(p)(rd.Omega, rd.t, rd.c, np.sqrt(rd.Omega[0] * rd.Omega[p]))
+    assert np.abs(out[:2 * p - 2]).min() >= 1e-4
+    assert np.isfinite(out[2 * p - 2:]).all()
+
+
+class TestLibrary:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_both_ends_answer_as_before(self, p):
+        for name, call in entry_points(p).items():
+            assert [call(h).hex() for h in beta._DOMAIN] == list(AT_THE_ENDS[p]), name
+        assert [z.hex() for z in find_beta_zeros(p, LO, HI)] == ZEROS[p]
+
+    @pytest.mark.parametrize("h", OUTSIDE, ids=OUTSIDE_IDS)
+    @pytest.mark.parametrize("name", [*entry_points(2), *zeros_ends(2)])
+    def test_outside_is_refused_before_any_solve(self, monkeypatch, name, h):
+        call = (entry_points(2) | zeros_ends(2))[name]
+        solves = _count_solves(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            call(h)
+        assert (type(err.value), str(err.value)) == (ValueError, refusal(h))
+        assert solves == {"brentq": 0, "_brentq_lanes": 0}
+
+    def test_from_depth_refuses_p_before_h(self):
+        # as beta1 does: p is checked first, then the depth
+        for call in (beta1, lambda p, h: IsolaParams.from_depth(p, h, 0.1, 1.0, 0.5)):
+            with pytest.raises(ValueError, match=r"^closed-form coefficients exist for p in \{2, 3, 4\}, got 5$"):
+                call(5, 25.0)
+
+
+def _beta_value(out: str, row: int) -> str:
+    return float(parse_csv(out)[row]["beta1"]).hex()
+
+
+class TestCli:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_both_ends_answer_as_before(self, p):
+        for i, h in enumerate(beta._DOMAIN):
+            code, out, _ = run_cli("beta", "--p", str(p), "--h", repr(h))
+            assert code == 0 and _beta_value(out, 0) == AT_THE_ENDS[p][i]
+            code, out, _ = run_cli("isola", "--p", str(p), "--h", repr(h), "--eps", "0.1", "--T1", "1", "--E", "0.5")
+            band = dict(re.findall(r"^# (\w+) = (.*)$", out, re.M))
+            assert code == 0 and float(band["beta1"]).hex() == AT_THE_ENDS[p][i]
+        code, out, _ = run_cli("beta", "--p", str(p), "--h-min", repr(LO), "--h-max", repr(HI), "--n", "3")
+        assert code == 0 and (_beta_value(out, 0), _beta_value(out, 2)) == AT_THE_ENDS[p]
+        code, out, _ = run_cli("zeros", "--p", str(p), "--h-min", repr(LO), "--h-max", repr(HI))
+        assert code == 0 and [float(r["h_star"]).hex() for r in parse_csv(out)] == ZEROS[p]
+
+    @pytest.mark.parametrize("h", OUTSIDE, ids=OUTSIDE_IDS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda h: ("beta", "--p", "3", "--h", h),
+            lambda h: ("beta", "--p", "3", "--breakdown", "--h", h),
+            lambda h: ("zeros", "--p", "3", "--h-min", h, "--h-max", repr(HI)),
+            lambda h: ("zeros", "--p", "3", "--h-min", repr(LO), "--h-max", h),
+            lambda h: ("isola", "--p", "3", "--h", h, "--eps", "0.1", "--T1", "1", "--E", "0.5"),
+        ],
+        ids=["beta", "beta-breakdown", "zeros-min", "zeros-max", "isola"],
+    )
+    def test_outside_is_a_usage_error(self, argv, h):
+        assert run_cli(*argv(repr(h))) == (2, "", f"error: {refusal(h)}\n")
+
+    @pytest.mark.parametrize("h", OUTSIDE, ids=OUTSIDE_IDS)
+    def test_grid_outside_is_a_usage_error(self, h):
+        # a grid's ends are ordered, positive and finite, or the parser refuses them; the domain refuses the rest
+        code, out, err = run_cli("beta", "--p", "3", "--h-min", repr(min(h, 1.0)), "--h-max", repr(max(h, 1.0)))
+        assert (code, out) == (2, "")
+        if 0.0 < h < math.inf:
+            assert err == f"error: {refusal(h)}\n"
+        else:
+            assert err.endswith("error: need 0 < --h-min < --h-max < inf\n")
+
+
+COMPLEX_DEPTHS = [np.complex128(1 + 1j), np.complex64(1 + 1j), 1 + 1j]
+
+
+@pytest.mark.filterwarnings("error")  # a ComplexWarning would mean the real part was read
+class TestComplexDepths:
+    @pytest.mark.parametrize("h", COMPLEX_DEPTHS, ids=["complex128", "complex64", "complex"])
+    def test_one_depth(self, h):
+        calls = entry_points(2) | zeros_ends(2)
+        del calls["beta_scan-lanes"]  # an array of complex dtype, whose first depth is named
+        for call in (*calls.values(), lambda h: beta_scan(2, [1.0, h]), phase_speed):
+            with pytest.raises(TypeError, match=f"^{re.escape(f'depth must be a real number, got {h!r}')}$"):
+                call(h)
+
+    @pytest.mark.parametrize("hs", [np.array([1 + 1j]), np.array([1 + 1j], dtype=np.complex64),
+                                    [np.complex128(1 + 1j)], [1.0, 1 + 1j]],
+                             ids=["complex128-array", "complex64-array", "complex128-list", "complex-list"])
+    def test_grid(self, hs):
+        with pytest.raises(TypeError, match="^depth must be a real number, got "):
+            beta_scan(2, hs)
+
+    def test_real_numpy_scalars_still_read(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert beta1(2, np.float32(1.5)) == beta1(2, 1.5)
+            assert beta_scan(2, [np.float32(1.5), 2])[0] == beta_scan(2, [1.5, 2.0])[0]

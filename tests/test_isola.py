@@ -139,7 +139,7 @@ class TestParams:
         for h in (0.05, 20.0):
             assert IsolaParams.from_depth(4, h, 0.1, T1=1.0, E=0.5).beta1 == beta1(4, h)
         for h in (30.0, 0.001, 0.0499):
-            with pytest.raises(ValueError, match=rf"^scan grid must lie within \(0.05, 20.0\), got h={h!r}$"):
+            with pytest.raises(ValueError, match=rf"^depth must lie within \[0.05, 20.0\], got h={h!r}$"):
                 IsolaParams.from_depth(4, h, 0.1, T1=1.0, E=0.5)
 
     def test_from_depth_solves_once(self, monkeypatch):

@@ -193,12 +193,12 @@ class TestChecksOnce:
 
         # every module that holds one of these names, so a check reached through any of them counts
         for module in (dispersion, resonance, beta):
-            for name in ("_check_depth", "_check_index", "_phase"):
+            for name in ("_check_depth", "_check_domain", "_check_index", "_phase"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         value = beta1(p, h)
         monkeypatch.undo()
-        assert sorted(calls) == ["_check_depth", "_check_index", "_phase"]
+        assert sorted(calls) == ["_check_domain", "_check_index", "_phase"]
         assert value == beta1(p, h)
 
     def test_residual_is_the_acceptance_test(self):
