@@ -23,23 +23,24 @@ against sign typos (the audit tests compare against the
 independently transcribed reference evaluator in ``oracle.py``).
 
 The rule is stated once, as plain arithmetic over ``beta_term_ids(p)``
-(``_path_rule``, with its denominators in ``_denominators`` and the Stokes
+(``_path_rule(p, Omega, t, c, root)``, which takes the Stokes
 coefficients a_l, p_l from ``stokes_coefficients._coefficients``).  At a
-p's first use, ``_plan`` runs the three once on a recording number
-(``_Var``) that writes each distinct operation (op, a, b) once on one
-tape, with (+-1) * x written +-x, (-x) * y written -(x * y) and x + -y
-written x - y, which changes no number.  From the tape it emits one
-straight-line Python function, so an evaluation walks no loops:
-``rule(Omega, t, c, root)`` returns the 2p - 2 denominators, then the
-signed terms, one labelled line each, and computes only what they read
-(for p = 2, no a_3, a_4, p_3 or p_4).  A node used twice, such as c^2, a
-hop factor or a prefactor root * Omega_j ... that several terms share,
-becomes one local; every other node is written inline.  The emitted code
-performs the plain rule's IEEE operations in its order.  The rule is a
-rational function of c, Omega_j, t_j and root = sqrt(Omega_0 * Omega_p),
-which its caller supplies: only + - * / and float constants touch them,
-so it runs on Python floats at a single depth, on numpy arrays over a
-grid of depths and on mpmath numbers (the 40-digit audit in the tests).
+p's first use, ``_plan`` runs it once on a recording number (``_Var``)
+that writes each distinct operation (op, a, b) once on one tape, with
+(+-1) * x written +-x, (-x) * y written -(x * y) and x + -y written
+x - y, which changes no number.  From the tape it emits one straight-line
+Python function of the same arguments, so an evaluation walks no loops:
+``rule(Omega, t, c, root)`` returns the signed terms, one labelled line
+each, and nothing else, and computes only what they read (for p = 2, no
+a_3, a_4, p_3 or p_4).  A node used twice, such as c^2, a hop factor, a
+denominator or a prefactor root * Omega_j ... that several terms share,
+becomes one local; every other node, such as each p = 2 denominator, is
+written inline.  The emitted code performs the plain rule's IEEE
+operations in its order.  The rule is a rational function of c, Omega_j,
+t_j and root = sqrt(Omega_0 * Omega_p), which its caller supplies: only
++ - * / and float constants touch them, so it runs on Python floats at a
+single depth, on numpy arrays over a grid of depths and on mpmath
+numbers (the 40-digit audit in the tests).
 
 The coefficients are computed at depths in ``_DOMAIN`` = [0.05, 20] only,
 checked once where every evaluation starts: a depth by ``_check_domain``,
@@ -47,12 +48,11 @@ a grid by ``_check_domain_grid``, each refusing the first depth outside
 (NaN, +-inf and h <= 0 among them) with one ValueError before any solve.
 On the domain the smallest |j*c - s*Omega_j - Omega_0| is 5.6e-4 (p = 2,
 at h = 0.05) and every term is finite, so the terms are the rule's
-outputs as they come, with no check of their own; the denominators it
-returns first are read by the tests that audit the rule.
+outputs as they come, with no check of their own.
 
 At one depth (``_point``) p is refused before the depth and both before
 the one single-depth solve (``resonance._solve``), whose plain floats and
-lists ``_signed_terms`` reads: ``beta1`` and ``IsolaParams.from_depth``
+lists the emitted rule reads: ``beta1`` and ``IsolaParams.from_depth``
 build no record, nor do the CLI's one-depth tables and ``selftest``.  For
 doubles the record is ``BetaBreakdown``: the signed terms and their
 total, floats at one depth (``beta1_breakdown``) or one column per depth
@@ -89,7 +89,7 @@ from functools import lru_cache
 from itertools import combinations, groupby, product, repeat
 
 from .asymptotics import leading_term
-from .dispersion import _FLOATS, _float, _tabulate, _ulp, np
+from .dispersion import _FLOATS, _float, _read_depths, _tabulate, _ulp, np
 from .resonance import ResonanceData, _check_index, _equal_fields, _record, _resonance_grid, _solve, brentq
 from .stokes_coefficients import _coefficients
 
@@ -121,25 +121,8 @@ def _check_domain(h) -> float:
 
 
 def _check_domain_grid(hs) -> np.ndarray:
-    """_check_domain over any iterable of depths in one pass, as a 1-D float array; the first outside is refused.
-
-    A 1-D float64 array is taken as it is.  Any other iterable is read into
-    a list once.  A list whose sum is a float holds no complex number (a
-    complex term makes the sum complex) and no real beyond the double range
-    (the sum raises): it goes to numpy in one call.  Any other goes through
-    _float depth by depth, which rounds such a real to +-inf and refuses a
-    complex number (TypeError).  The sum takes a fifth of the time of one
-    isinstance test a depth.
-    """
-    if isinstance(hs, np.ndarray) and hs.dtype == np.float64 and hs.ndim == 1:
-        grid = hs
-    else:
-        hs = list(hs)
-        try:
-            plain = isinstance(sum(hs, 0.0), float)
-        except (TypeError, OverflowError):
-            plain = False
-        grid = np.fromiter(hs if plain else map(_float, hs, repeat("depth")), dtype=float, count=len(hs))
+    """_check_domain over any iterable of depths in one pass, read by _read_depths: the first outside is refused."""
+    grid = _read_depths(hs)
     inside = (_DOMAIN[0] <= grid) & (grid <= _DOMAIN[1])
     if not inside.all():
         _check_domain(grid[np.argmin(inside)])
@@ -207,27 +190,24 @@ def beta_term_ids(p: int) -> tuple[BetaTermId, ...]:
     return (BetaTermId(p, (), ()), *(BetaTermId(p, J, S) for J in subsets for S in product((-1, 1), repeat=len(J))))
 
 
-def _denominators(p: int, Omega, c) -> dict:
-    """The denominators j*c - s*Omega_j - Omega_0 of the intermediates, keyed (j, s): j ascending, s = -1 first."""
-    return {(j, s): j * c - s * Omega[j] - Omega[0] for j in range(1, p) for s in (-1, 1)}
-
-
-def _path_rule(p: int, Omega, t, coefficients, dens: dict, root):
+def _path_rule(p: int, Omega, t, c, root):
     """The path rule, stated once: yields each term of the p-th coefficient with its sign, in beta_term_ids order.
 
     Each hop (m, n) of a term's path multiplies its numerator by
-    a_l + p_l * (w_m * t_m + w_n * t_n), l = n - m, and each intermediate
-    (j, s) multiplies its prefactor root by Omega_j and its 4^(k+1) by
-    dens[j, s], all left to right.  Plain arithmetic on the numbers it is
-    given: _plan runs it once per p on a tape.
+    a_l + p_l * (w_m * t_m + w_n * t_n), l = n - m, with a_l, p_l from
+    _coefficients(c), and each intermediate (j, s) multiplies its prefactor
+    root by Omega_j and its 4^(k+1) by j*c - s*Omega_j - Omega_0, all left
+    to right.  Plain arithmetic on the numbers it is given, the emitted
+    rule's arguments: _plan runs it once per p on a tape.
     """
-    a, pl = coefficients
+    a, pl = _coefficients(c)
     for tid in beta_term_ids(p):
         harmonics, weights = (0, *tid.intermediates, p), (1, *(-s for s in tid.signs), -1)
         hops = [a[n - m - 1] + pl[n - m - 1] * (wm * t[m] + wn * t[n])
                 for m, n, wm, wn in zip(harmonics, harmonics[1:], weights, weights[1:])]
         prefactor = math.prod((Omega[j] for j in tid.intermediates), start=root)
-        denominator = math.prod((dens[js] for js in zip(tid.intermediates, tid.signs)), start=4.0 ** len(hops))
+        denominator = math.prod((j * c - s * Omega[j] - Omega[0] for j, s in zip(tid.intermediates, tid.signs)),
+                                start=4.0 ** len(hops))
         yield tid.sign * (prefactor * math.prod(hops) / denominator)
 
 
@@ -308,45 +288,27 @@ def _emit(tape: dict, filename: str, name: str, arguments: dict, outputs: dict):
     return namespace[name]
 
 
-def _denominator_label(j: int, s: int) -> str:
-    """The denominator j*c - s*Omega_j - Omega_0 as the emitted code labels it."""
-    return f"{j}*c_h {'-' if s > 0 else '+'} Omega_{j} - Omega_0"
-
-
 @lru_cache(maxsize=None)
 def _plan(p: int):
-    """The path rule for p as one emitted function: rule(Omega, t, c, root) -> [*denominators, *signed terms].
+    """The path rule for p as one emitted function: rule(Omega, t, c, root) -> the signed terms.
 
-    _coefficients(c), _denominators and _path_rule run once on one tape,
-    whose leaves are the arguments: Omega_j, t_j, the phase speed c and
-    root.  The function returns the 2p - 2 denominators, in _denominators'
-    order, then the signed terms, in beta_term_ids order; it computes only
-    the coefficients a_l, p_l that p's hops use.  Its code goes under the
-    file name <path rule p=...>.  A p outside {2, 3, 4} is refused by
-    beta_term_ids before anything is recorded.
+    _path_rule runs once on one tape, whose leaves are its arguments:
+    Omega_j, t_j, the phase speed c and root.  The function returns the
+    signed terms, in beta_term_ids order; it computes only the coefficients
+    a_l, p_l that p's hops use.  Its code goes under the file name
+    <path rule p=...>.  A p outside {2, 3, 4} is refused by beta_term_ids
+    before anything is recorded.
     """
     ids, tape = beta_term_ids(p), {}
     Omega, t = ([_Var(tape, "in", f"{x}{j}") for j in range(p + 1)] for x in "Ot")
     c, root = _Var(tape, "in", "c"), _Var(tape, "in", "root")
-    coefficients, dens = _coefficients(c), _denominators(p, Omega, c)
-    terms = _path_rule(p, Omega, t, coefficients, dens, root)
-    outputs = {_denominator_label(*js): d for js, d in dens.items()} | {tid.label: x for tid, x in zip(ids, terms)}
+    outputs = {tid.label: x for tid, x in zip(ids, _path_rule(p, Omega, t, c, root))}
     return _emit(tape, f"<path rule p={p}>", "path_rule", {"Omega": Omega, "t": t, "c": c, "root": root}, outputs)
-
-
-def _signed_terms(p: int, c: float, Omega: list[float], t: list[float]) -> list[float]:
-    """Every term of the p-th coefficient at one depth with its sign, in beta_term_ids order.
-
-    c, Omega_j and t_j are the floats and lists the single-depth solve
-    returns; the emitted rule's denominators, returned first, are dropped.
-    """
-    return _plan(p)(Omega, t, c, math.sqrt(Omega[0] * Omega[p]))[2 * p - 2:]
 
 
 def _grid_terms(rd: ResonanceData) -> np.ndarray:
     """Signed terms over a ResonanceData of arrays in one array pass: one row per term, one column per depth."""
-    out = _plan(rd.p)(rd.Omega, rd.t, rd.c, np.sqrt(rd.Omega[0] * rd.Omega[rd.p]))
-    return np.array(out[2 * rd.p - 2:])
+    return np.array(_plan(rd.p)(rd.Omega, rd.t, rd.c, np.sqrt(rd.Omega[0] * rd.Omega[rd.p])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,7 +404,7 @@ def _point(p: int, h: float) -> tuple:
     h = _check_domain(h)
     c, phi = _solve(p, h)
     Omega, t = _tabulate(p, h, phi, _FLOATS)
-    signed = _signed_terms(p, c, Omega, t)
+    signed = _plan(p)(Omega, t, c, math.sqrt(Omega[0] * Omega[p]))
     return p, h, c, phi, Omega, t, signed, neumaier_sum(signed)
 
 

@@ -46,9 +46,10 @@ from pathlib import Path
 
 from .asymptotics import wavenumber_asymptote
 from .beta import (
-    ScanRow, _cancellation_floor, _grid, _group_sums, _point, _scan_columns, beta1, beta_term_ids, find_beta_zeros,
+    ScanRow, _cancellation_floor, _check_domain, _grid, _group_sums, _point, _scan_columns, beta1, beta_term_ids,
+    find_beta_zeros,
 )
-from .dispersion import np
+from .dispersion import _check_depth, np
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
 from .resonance import _collision_grid, _collision_point
@@ -149,16 +150,20 @@ def _emit(fmt: str, schema: str, fields: tuple, columns, band=None):
         out.write("\n".join(_lines(fill, block, _csv_cell)) + "\n")
 
 
-def _h_grid(args, parser) -> float | np.ndarray:
-    """A table's depths: one float (--h), which the single-depth path takes without numpy, or a grid's array."""
+def _h_grid(args, parser, check) -> float | np.ndarray:
+    """A table's depths: one float (--h), which the single-depth path takes without numpy, or a grid's array.
+
+    A grid's ends are refused by check, the table's own depth check, before
+    numpy sees them: the same ValueError as an --h outside.
+    """
     if args.h is not None:
         if args.h_min is not None or args.h_max is not None:
             parser.error("give either --h or --h-min/--h-max, not both")
         return args.h
     if args.h_min is None or args.h_max is None:
         parser.error("give --h, or both --h-min and --h-max")
-    if not 0 < args.h_min < args.h_max < math.inf:
-        parser.error("need 0 < --h-min < --h-max < inf")
+    if not check(args.h_min) < check(args.h_max):
+        parser.error("need --h-min < --h-max")
     if args.n < 2:
         parser.error(f"--n must be >= 2 for a --h-min/--h-max grid, got {args.n}")
     return np.linspace(args.h_min, args.h_max, args.n)
@@ -177,7 +182,7 @@ def _columns(n: int, *columns) -> list:
 
 
 def cmd_resonance(args, parser):
-    hs = _h_grid(args, parser)
+    hs = _h_grid(args, parser, _check_depth)
     one = isinstance(hs, float)
     h, phi, omega, residual = (_collision_point if one else _collision_grid)(args.p, hs)
     asym = wavenumber_asymptote(args.p, h) if args.p in (2, 3, 4) else None
@@ -188,7 +193,7 @@ def cmd_resonance(args, parser):
 
 
 def cmd_beta(args, parser):
-    hs = _h_grid(args, parser)
+    hs = _h_grid(args, parser, _check_domain)
     if one := isinstance(hs, float):
         *_, signed, total = _point(args.p, h := hs)
     else:

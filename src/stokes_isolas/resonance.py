@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 from .dispersion import (
-    _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _phase, _tabulate, _tanh, _ulp, np,
+    _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _phase, _read_depths, _tabulate, _tanh, _ulp, np,
 )
 from .errors import SolverError
 
@@ -411,8 +411,9 @@ def _residuals(p: int, phi, h, pc):
 def _solve_grid(p: int, hs) -> tuple:
     """_solve at every depth of hs, bit for bit: (p, h, c, phi*), the last three arrays; nothing is tabulated.
 
-    p is checked, then the first non-finite or non-positive depth is
-    refused before any solve.  From _LANES_FROM depths up one lane pass
+    p is checked, then hs is read by ``dispersion._read_depths``, into an
+    array the record owns, and its first non-finite or non-positive depth
+    is refused before any solve.  From _LANES_FROM depths up one lane pass
     solves them all, each lane accepted when the residual ``_brentq_lanes``
     returns with its root is within _tolerance(p*c), as _solve accepts.
     Then _solve solves, in grid order, every depth the lane pass did not
@@ -421,7 +422,7 @@ def _solve_grid(p: int, hs) -> tuple:
     grid, and the first failing depth raises its error.
     """
     p = _check_index(p)
-    h = _check_depths(np.array(hs, dtype=float))
+    h = _check_depths(_read_depths(hs))
     if h.size < _LANES_FROM:
         c, phi, redo = np.empty(h.size), np.empty(h.size), range(h.size)
     else:

@@ -184,7 +184,7 @@ class TestValues:
     def test_p2_deep_water_one_hop_terms(self):
         # both one-hop terms tend to sqrt(15)/16; their difference cancels.  h = 30 lies beyond the domain the
         # beta functions accept, so the emitted rule runs on the solve's record there, as the 40-digit audit does
-        signed = beta._plan(2)(*_rule_inputs(_resonance_grid(2, [30.0])))[2:]
+        signed = beta._plan(2)(*_rule_inputs(_resonance_grid(2, [30.0])))
         by_label = {tid.label: tid.sign * v[0] for tid, v in zip(beta_term_ids(2), signed)}
         target = math.sqrt(15.0) / 16.0
         assert by_label["B_{1,1}^{-}"] == pytest.approx(target, abs=1e-6)
@@ -588,7 +588,7 @@ class TestIndexRefusedBeforeSolve:
 
 
 def _intermediates(p):
-    """Every (j, s) an intermediate can take, j ascending and s = -1 first: the order of the emitted denominators."""
+    """Every (j, s) an intermediate can take, j ascending and s = -1 first: the order of the longhand denominators."""
     return [(j, s) for j in range(1, p) for s in (-1, 1)]
 
 
@@ -630,18 +630,13 @@ def _rule_inputs(rd):
 
 
 def _denominators_by_loop(p, Omega, c):
-    """j*c - s*Omega_j - Omega_0 written longhand: the reference the emitted denominators must equal bit for bit."""
+    """The denominators j*c - s*Omega_j - Omega_0 the terms divide by, written longhand, in _intermediates order."""
     return [j * c - s * Omega[j] - Omega[0] for j, s in _intermediates(p)]
 
 
 def _terms_by_loops(p, Omega, t, c, root):
     """The signed terms by _evaluate_by_loops, fed _coefficients(c) and the longhand denominators."""
     return _evaluate_by_loops(p, Omega, t, _coefficients(c), _denominators_by_loop(p, Omega, c), root)
-
-
-def _denominator_label(j, s):
-    """The name of the denominator j*c - s*Omega_j - Omega_0 in the guard's error and in the emitted code."""
-    return f"{j}*c_h {'-' if s > 0 else '+'} Omega_{j} - Omega_0"
 
 
 def _returned(function):
@@ -673,51 +668,42 @@ def _reach(expressions, tree):
     return reached
 
 
-def _leaves_read(expression, tree):
-    """The argument names an expression reads, through the locals it reads."""
-    assigned, _ = _locals(tree)
-    return {n.id for e in _reach([expression], tree) for n in ast.walk(e) if isinstance(n, ast.Name)} - set(assigned)
-
-
-def _part(p, part):
-    """The emitted rule's source, its syntax tree, the list it returns and the entries of one part of that list.
-
-    part is "denominators", the first 2p - 2 entries, or "rule", the signed terms after them.
-    """
-    source, tree, returned = _returned(beta._plan(p))
-    n = 2 * p - 2
-    return source, tree, returned, returned.elts[:n] if part == "denominators" else returned.elts[n:]
-
-
 class TestCompiledPathRule:
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_floats_equal_the_loops(self, p):
-        rule, n = beta._plan(p), 2 * p - 2
+        rule = beta._plan(p)
         hs = np.geomspace(0.05, 20.0, 501).tolist()
         assert (hs[0], hs[-1]) == (0.05, 20.0)
         for h in hs:
             args = _rule_inputs(build_resonance_data(p, h))
             out = rule(*args)
             assert type(out) is list and all(type(v) is float for v in out)
-            assert _bits(out[n:]) == _bits(_terms_by_loops(p, *args)), h
+            assert _bits(out) == _bits(_terms_by_loops(p, *args)), h
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_arrays_equal_the_loops(self, p):
-        rule, n = beta._plan(p), 2 * p - 2
+        rule = beta._plan(p)
         args = _rule_inputs(_resonance_grid(p, np.linspace(0.05, 20.0, 2000)))
         out, loops = rule(*args), _terms_by_loops(p, *args)
         assert all(type(v) is np.ndarray and v.shape == (2000,) for v in out)
-        assert np.array(out[n:]).tobytes() == np.array(loops).tobytes()
+        assert np.array(out).tobytes() == np.array(loops).tobytes()
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_emitted_function_equals_the_plain_rule_on_mpmath_numbers(self, p):
-        # the emitted code is _coefficients, _denominators and the plain rule with +-1 * x written +-x, (-x) * y
-        # written -(x * y) and x + -y written x - y, exact in any arithmetic: at 40 digits, on 60-digit oracle
-        # inputs, every denominator and every term is the same number
+        # the emitted code is the plain rule with +-1 * x written +-x, (-x) * y written -(x * y) and x + -y
+        # written x - y, exact in any arithmetic: on floats at 501 depths and on arrays of 2000 depths every term is
+        # the same double, and at 40 digits, on 60-digit oracle inputs, the same number
+        rule = beta._plan(p)
+        for h in np.geomspace(0.05, 20.0, 501).tolist():
+            args = _rule_inputs(build_resonance_data(p, h))
+            assert _bits(rule(*args)) == _bits(list(beta._path_rule(p, *args))), h
+        args = _rule_inputs(_resonance_grid(p, np.linspace(0.05, 20.0, 2000)))
+        assert np.array(rule(*args)).tobytes() == np.array(list(beta._path_rule(p, *args))).tobytes()
+
         mp = pytest.importorskip("mpmath")
         from stokes_isolas import oracle
 
-        rule, cfg = beta._plan(p), oracle.OracleConfig()
+        cfg = oracle.OracleConfig()
         with mp.workdps(40):
             for h in (0.05, 1.0, 20.0):
                 phi, x = oracle.oracle_phi(p, h, cfg), mp.mpf(h)
@@ -725,27 +711,24 @@ class TestCompiledPathRule:
                 t = [+oracle._t(j + phi, x) for j in range(p + 1)]
                 c = +oracle._coefficients(x)[0]
                 root = mp.sqrt(Omega[0] * Omega[p])
-                dens = beta._denominators(p, Omega, c)
-                emitted = rule(Omega, t, c, root)
-                plain = [*dens.values(), *beta._path_rule(p, Omega, t, _coefficients(c), dens, root)]
-                assert len(emitted) == len(plain) == 2 * p - 2 + len(beta_term_ids(p))
+                emitted, plain = rule(Omega, t, c, root), list(beta._path_rule(p, Omega, t, c, root))
+                assert len(emitted) == len(plain) == len(beta_term_ids(p))
                 assert all(type(e) is type(q) is mp.mpf and e == q for e, q in zip(emitted, plain)), h
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_one_expression_per_term(self, p):
-        # one labelled line per output: the denominators, named as the guard names them, then the terms
+        # one labelled line per signed term, in beta_term_ids order, and nothing else
         source, _, returned = _returned(beta._plan(p))
         lines = source.splitlines()
         labels = [lines[out.lineno - 1].rsplit("# ", 1)[1] for out in returned.elts]
-        assert labels == [_denominator_label(*js) for js in _intermediates(p)] + [tid.label for tid in beta_term_ids(p)]
+        assert labels == [tid.label for tid in beta_term_ids(p)]
         assert all(out.lineno == out.end_lineno for out in returned.elts)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
-    @pytest.mark.parametrize("part", ["rule", "denominators"])
-    def test_no_unit_products_or_added_negations(self, p, part):
+    def test_no_unit_products_or_added_negations(self, p):
         # +-1 t-weights, term signs and signatures are written as signs: no 1 *, -1 *, 1.0 *, nor x + -y, x - -y
-        source, tree, _, outputs = _part(p, part)
-        reached = _reach(outputs, tree)
+        source, tree, returned = _returned(beta._plan(p))
+        reached = _reach(returned.elts, tree)
         text = "\n".join(ast.get_source_segment(source, e) for e in reached)
         assert not re.findall(r"(?<![\w.])-?1(?:\.0)? \*", text)
         assert " + -" not in text and " - -" not in text
@@ -755,48 +738,26 @@ class TestCompiledPathRule:
                 operands = (node.right,) if isinstance(node.op, ast.Div) else (node.left, node.right)
                 assert not any(isinstance(x, ast.Constant) and abs(x.value) == 1 for x in operands)
                 assert not (isinstance(node.op, (ast.Add, ast.Sub)) and isinstance(node.right, ast.UnaryOp))
-        if part == "rule":  # the hop from a + intermediate to p: both t-weights negative
-            assert re.search(r"\* \((-t\d|v\d+) - t\d\)", text)
+        # the hop from a + intermediate to p: both t-weights negative
+        assert re.search(r"\* \((-t\d|v\d+) - t\d\)", text)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
-    @pytest.mark.parametrize("part", ["rule", "denominators"])
-    def test_no_repeated_subexpression(self, p, part):
-        # each distinct operation is written once: what two outputs share is one local, read at least twice
-        _, tree, returned, outputs = _part(p, part)
-        written = [ast.dump(node) for e in _reach(outputs, tree) for node in ast.walk(e)
+    def test_no_repeated_subexpression(self, p):
+        # each distinct operation is written once: what two terms share is one local, read at least twice
+        _, tree, returned = _returned(beta._plan(p))
+        written = [ast.dump(node) for e in _reach(returned.elts, tree) for node in ast.walk(e)
                    if isinstance(node, (ast.BinOp, ast.UnaryOp))]
         assert len(written) == len(set(written))
         assigned, _ = _locals(tree)
         assert list(assigned) == [f"v{k}" for k in range(len(assigned))]
         read = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
         assert all(read.count(name) >= 2 for name in assigned)
-        if part == "rule":  # every prefactor root * Omega_j ... serves two signatures: no Omega_j in the terms
-            assert not {n.id for e in outputs for n in ast.walk(e) if isinstance(n, ast.Name)} & {
-                f"O{j}" for j in range(p + 1)}
-        else:  # each denominator is written once: the local returned is the one the terms divide by
-            assert all(isinstance(d, ast.Name) and d.id in assigned for d in outputs)
-
-    @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_denominators_equal_the_loop(self, p):
-        rule, n = beta._plan(p), 2 * p - 2
-        for h in np.geomspace(0.05, 20.0, 501).tolist():
-            Omega, t, c, root = _rule_inputs(build_resonance_data(p, h))
-            dens = rule(Omega, t, c, root)[:n]
-            assert len(dens) == n and all(type(d) is float for d in dens)
-            assert _bits(dens) == _bits(_denominators_by_loop(p, Omega, c)), h
-        Omega, t, c, root = _rule_inputs(_resonance_grid(p, np.linspace(0.05, 20.0, 2000)))
-        dens = rule(Omega, t, c, root)[:n]
-        assert np.array(dens).tobytes() == np.array(_denominators_by_loop(p, Omega, c)).tobytes()
-
-    @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_denominators_read_c_omega_j_and_omega_0_only(self, p):
-        # one expression per (j, s), in that order, reading c, Omega_j and Omega_0 (through locals such
-        # as j * c), with the signature written as a sign: no negation in any of them
-        _, tree, _, outputs = _part(p, "denominators")
-        assert len(outputs) == len(_intermediates(p))
-        for d, (j, s) in zip(outputs, _intermediates(p)):
-            assert _leaves_read(d, tree) == {"c", f"O{j}", "O0"}
-        assert not any(isinstance(node, ast.UnaryOp) for e in _reach(outputs, tree) for node in ast.walk(e))
+        # every prefactor root * Omega_j ... serves two signatures, so is a local: in the terms an Omega_j is read
+        # only by a denominator j*c - s*Omega_j - Omega_0, never as a factor
+        omegas = {f"O{j}" for j in range(p + 1)}
+        factors = [x for e in returned.elts for node in ast.walk(e)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) for x in (node.left, node.right)]
+        assert not any(isinstance(x, ast.Name) and x.id in omegas for x in factors)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_only_the_coefficients_the_hops_use(self, p):
@@ -813,7 +774,7 @@ class TestCompiledPathRule:
             beta._plan(2)([1.5, 0.5, 1.0], [1.0] * 3, 1.0, 1.0)
         frame = traceback.extract_tb(err.value.__traceback__)[-1]
         assert frame.filename == "<path rule p=2>"
-        assert re.search(r"/ \(16\.0 \* v\d+\)\),  # B_\{1,1\}\^\{-\}$", frame.line)
+        assert re.search(r"/ \(16\.0 \* \(c \+ O1 - O0\)\)\),  # B_\{1,1\}\^\{-\}$", frame.line)
 
 
 class TestGridSize:
@@ -840,7 +801,7 @@ class TestGridSize:
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_every_grid_takes_one_array_pass(self, monkeypatch, p):
-        # the rule runs on arrays once per grid, empty and one-depth grids included; _signed_terms hands it lists
+        # the rule runs on arrays once per grid, empty and one-depth grids included; _point hands it lists
         real, passes = beta._plan(p), []
 
         def counting(Omega, *args):

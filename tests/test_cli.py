@@ -88,13 +88,21 @@ class TestResonanceCommand:
     @pytest.mark.parametrize("command", ["resonance", "beta"])
     @pytest.mark.parametrize("bounds", [("1", "inf"), ("1", "nan"), ("nan", "2"), ("-inf", "2")], ids="/".join)
     def test_non_finite_grid_bounds(self, command, bounds):
+        # the table's own depth check refuses the end, as it refuses the same --h, before numpy sees it
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's RuntimeWarning on an infinite grid would raise
             code, out, err = run_cli(command, "--p", "3", f"--h-min={bounds[0]}", f"--h-max={bounds[1]}", "--n", "500")
-        assert code == 2
-        assert out == ""
-        assert "need 0 < --h-min < --h-max < inf" in err
-        assert "Warning" not in err
+        bad = bounds[1] if bounds[0] == "1" else bounds[0]
+        refusal = {"resonance": f"depth must be a positive finite real, got {float(bad)!r}",
+                   "beta": f"depth must lie within [0.05, 20.0], got h={float(bad)!r}"}[command]
+        assert (code, out, err) == (2, "", f"error: {refusal}\n")
+        assert run_cli(command, "--p", "3", "--h", bad) == (code, out, err)
+
+    @pytest.mark.parametrize("command", ["resonance", "beta"])
+    def test_grid_bounds_out_of_order(self, command):
+        code, out, err = run_cli(command, "--p", "2", "--h-min", "2", "--h-max", "1")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: need --h-min < --h-max\n")
 
     @pytest.mark.parametrize("command", ["resonance", "beta"])
     @pytest.mark.parametrize("n", ["0", "1", "-3"])

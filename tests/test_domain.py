@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from stokes_isolas import IsolaParams, beta, beta1, beta1_breakdown, beta_scan, find_beta_zeros, phase_speed
-from stokes_isolas.resonance import _resonance_grid
-from test_beta import _count_solves
+from stokes_isolas.resonance import _collision_grid, _resonance_grid
+from test_beta import _count_solves, _denominators_by_loop
 from test_cli import parse_csv, run_cli
 
 LO, HI = beta._DOMAIN
@@ -58,14 +58,14 @@ def zeros_ends(p):
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_no_denominator_near_zero_on_the_domain(p):
     # the premise that lets the terms go unguarded: on a dense grid of the domain, both ends included, every
-    # denominator j*c - s*Omega_j - Omega_0 the emitted rule returns is at least 1e-4 in magnitude (the least is
-    # 5.6e-4, at p = 2 and h = 0.05) and every term is finite.  A wider domain meets this test first.
+    # denominator j*c - s*Omega_j - Omega_0 the terms divide by is at least 1e-4 in magnitude (the least is
+    # 5.6e-4, at p = 2 and h = 0.05) and every term the emitted rule returns is finite.  A wider domain meets this
+    # test first.
     hs = np.linspace(LO, HI, 40001)
     assert (hs[0], hs[-1]) == beta._DOMAIN
     rd = _resonance_grid(p, hs)
-    out = beta._plan(p)(rd.Omega, rd.t, rd.c, np.sqrt(rd.Omega[0] * rd.Omega[p]))
-    assert np.abs(out[:2 * p - 2]).min() >= 1e-4
-    assert np.isfinite(out[2 * p - 2:]).all()
+    assert np.abs(_denominators_by_loop(p, rd.Omega, rd.c)).min() >= 1e-4
+    assert np.isfinite(beta._plan(p)(rd.Omega, rd.t, rd.c, np.sqrt(rd.Omega[0] * rd.Omega[p]))).all()
 
 
 class TestLibrary:
@@ -127,13 +127,9 @@ class TestCli:
 
     @pytest.mark.parametrize("h", OUTSIDE, ids=OUTSIDE_IDS)
     def test_grid_outside_is_a_usage_error(self, h):
-        # a grid's ends are ordered, positive and finite, or the parser refuses them; the domain refuses the rest
+        # the domain refuses a grid's end as it refuses the same --h, NaN, +-inf, 0 and -1 included
         code, out, err = run_cli("beta", "--p", "3", "--h-min", repr(min(h, 1.0)), "--h-max", repr(max(h, 1.0)))
-        assert (code, out) == (2, "")
-        if 0.0 < h < math.inf:
-            assert err == f"error: {refusal(h)}\n"
-        else:
-            assert err.endswith("error: need 0 < --h-min < --h-max < inf\n")
+        assert (code, out, err) == (2, "", f"error: {refusal(h)}\n")
 
 
 COMPLEX_DEPTHS = [np.complex128(1 + 1j), np.complex64(1 + 1j), 1 + 1j]
@@ -152,9 +148,11 @@ class TestComplexDepths:
     @pytest.mark.parametrize("hs", [np.array([1 + 1j]), np.array([1 + 1j], dtype=np.complex64),
                                     [np.complex128(1 + 1j)], [1.0, 1 + 1j]],
                              ids=["complex128-array", "complex64-array", "complex128-list", "complex-list"])
-    def test_grid(self, hs):
+    @pytest.mark.parametrize("grid", [beta_scan, _resonance_grid, _collision_grid])
+    def test_grid(self, grid, hs):
+        # beta and resonance grids read their depths alike (dispersion._read_depths)
         with pytest.raises(TypeError, match="^depth must be a real number, got "):
-            beta_scan(2, hs)
+            grid(2, hs)
 
     def test_real_numpy_scalars_still_read(self):
         with warnings.catch_warnings():

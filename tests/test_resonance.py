@@ -22,10 +22,11 @@ from stokes_isolas import (
     wavenumber_asymptote,
 )
 from stokes_isolas import resonance
+from stokes_isolas.beta import _grid
 from stokes_isolas.cli import main
 from stokes_isolas.dispersion import _SERIES_THRESHOLD
 from stokes_isolas.errors import SolverError
-from stokes_isolas.resonance import _resonance_grid
+from stokes_isolas.resonance import _collision_grid, _resonance_grid
 
 # Reference evaluator values (50-digit bisection), rounded to double.
 PHI_2_10 = 0.25241594837813845756
@@ -406,6 +407,13 @@ class TestGridSize:
             grid = _resonance_grid(p, hs)
             for i, h in enumerate(hs.tolist()):
                 assert_lane_equals(grid, i, build_resonance_data(p, h))
+
+    def test_a_grid_owns_its_depths(self):
+        # the depths a grid record holds are its own array, never a view of the caller's, at every size
+        for n in grid_sizes():
+            hs = np.linspace(0.5, 20.0, n)
+            for h in (_resonance_grid(2, hs).h, _grid(2, hs).h, _collision_grid(2, hs)[0]):
+                assert not np.shares_memory(h, hs) and h.tobytes() == hs.tobytes(), n
 
     @pytest.mark.parametrize("p", [2, 4, 7])
     def test_one_record_per_grid_written_before_it_is_built(self, monkeypatch, p):
