@@ -668,6 +668,37 @@ def _reach(expressions, tree):
     return reached
 
 
+def _leaves_read(expression, tree):
+    """The argument names an expression reads, through the locals it reads."""
+    assigned, _ = _locals(tree)
+    return {n.id for e in _reach([expression], tree) for n in ast.walk(e) if isinstance(n, ast.Name)} - set(assigned)
+
+
+def _denominators(p):
+    """The emitted rule's syntax tree and each expression in its terms that subtracts Omega_0, by (j, s).
+
+    These are the denominators j*c - s*Omega_j - Omega_0: j is the harmonic
+    other than 0 the expression reads, and s is -1 where Omega_j is added,
+    +1 where it is subtracted.
+    """
+    _, tree, returned = _returned(beta._plan(p))
+    found = {}
+    for node in (x for e in _reach(returned.elts, tree) for x in ast.walk(e)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and getattr(node.right, "id", None) == "O0":
+            j = max(int(name[1:]) for name in _leaves_read(node, tree) if name.startswith("O"))
+            found.setdefault((j, -1 if isinstance(node.left.op, ast.Add) else 1), []).append(node)
+    return tree, found
+
+
+def _evaluated(tree, expressions):
+    """A function of the emitted rule's arguments that runs its locals and returns the given expressions of its tree."""
+    function = tree.body[0]
+    function.body[-1] = ast.Return(ast.List(list(expressions), ast.Load()))
+    namespace = {}
+    exec(compile(ast.fix_missing_locations(tree), "<denominators>", "exec"), namespace)
+    return namespace[function.name]
+
+
 class TestCompiledPathRule:
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_floats_equal_the_loops(self, p):
@@ -758,6 +789,33 @@ class TestCompiledPathRule:
         factors = [x for e in returned.elts for node in ast.walk(e)
                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) for x in (node.left, node.right)]
         assert not any(isinstance(x, ast.Name) and x.id in omegas for x in factors)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_denominators_equal_the_loop(self, p):
+        # each denominator the terms divide by, run with the locals it reads, is the longhand one bit for bit
+        tree, found = _denominators(p)
+        assert sorted(found) == _intermediates(p)
+        dens = _evaluated(tree, [found[js][0] for js in _intermediates(p)])
+        for h in np.geomspace(0.05, 20.0, 501).tolist():
+            Omega, t, c, root = _rule_inputs(build_resonance_data(p, h))
+            out = dens(Omega, t, c, root)
+            assert len(out) == 2 * p - 2 and all(type(d) is float for d in out)
+            assert _bits(out) == _bits(_denominators_by_loop(p, Omega, c)), h
+        Omega, t, c, root = _rule_inputs(_resonance_grid(p, np.linspace(0.05, 20.0, 2000)))
+        out = dens(Omega, t, c, root)
+        assert np.array(out).tobytes() == np.array(_denominators_by_loop(p, Omega, c)).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_denominators_read_c_omega_j_and_omega_0_only(self, p):
+        # one expression per (j, s), written once, reading c, Omega_j and Omega_0 (through locals such as
+        # j * c), with the signature written as a sign: no negation in any of them
+        tree, found = _denominators(p)
+        assert sorted(found) == _intermediates(p)
+        assert all(len(nodes) == 1 for nodes in found.values())
+        for (j, s), (d,) in found.items():
+            assert _leaves_read(d, tree) == {"c", f"O{j}", "O0"}
+        assert not any(isinstance(node, ast.UnaryOp) for (d,) in found.values() for e in _reach([d], tree)
+                       for node in ast.walk(e))
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_only_the_coefficients_the_hops_use(self, p):
