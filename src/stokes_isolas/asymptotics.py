@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dispersion import _check_depth, _check_depths, _libm, np
+from .dispersion import _cancellation_floor, _check_depth, _check_depths, _libm, np
 from .errors import DegenerateFitError
 
 __all__ = [
@@ -128,10 +128,6 @@ def wavenumber_asymptote(p: int, h: float) -> float:
     return _model_for(p, WAVENUMBER_MODELS, "wavenumber expansion").value(h)
 
 
-def _default_floor(f_val: float, lead_val: float) -> float:
-    return 8.0 * math.ulp(max(abs(f_val), abs(lead_val)))
-
-
 def fit_remainder_rate(f, model: AsymptoticModel, h1: float, h2: float, floor=None):
     """Two-point decay-rate estimate of the remainder f - model.
 
@@ -146,9 +142,12 @@ def fit_remainder_rate(f, model: AsymptoticModel, h1: float, h2: float, floor=No
         floating-point floor or the estimate is meaningless.
     floor : callable or None
         Resolution limit of f as a function of depth, evaluated at each
-        fit depth; None estimates 8 ulps of the larger of |f| and |model|
-        (adequate when f itself is not a cancellation-prone sum; for the
-        coefficient sums pass the breakdown's ``cancellation_floor``).
+        fit depth; None takes the package's cancellation floor of f and
+        model, 8 ulps of the larger of |f| and |model|
+        (``dispersion._cancellation_floor``; f's value is read as a float,
+        so an int or mpmath f works too).  That is adequate when f itself is
+        not a cancellation-prone sum; for the coefficient sums pass the
+        breakdown's ``cancellation_floor``.
 
     Returns
     -------
@@ -172,7 +171,7 @@ def fit_remainder_rate(f, model: AsymptoticModel, h1: float, h2: float, floor=No
         r = f_val - model.value(h)
         if r == 0.0:
             raise DegenerateFitError(f"remainder is exactly zero at h={h}")
-        fl = _default_floor(f_val, model.value(h)) if floor is None else floor(h)
+        fl = _cancellation_floor([float(f_val), model.value(h)]) if floor is None else floor(h)
         flagged = flagged or abs(r) < 10.0 * fl
         rs.append(r)
 

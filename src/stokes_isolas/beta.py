@@ -69,13 +69,15 @@ gain, it skips its lane pass and solves depth by depth.
 Deep in the water column the total is exponentially smaller than the
 individual terms (everything but the leading exponential cancels), so the
 assembly uses compensated summation (``neumaier_sum``), and the
-cancellation floor (``_cancellation_floor``) gives the resolution limit, 8
-ulps of the largest term, below which a computed total is numerically
-meaningless.  Each, like the group sums (``_group_sums``) and the floor
-flag, is one function of the signed terms that runs on one depth's list
-of floats and on a grid's numpy rows, and the record's properties call
-it; the largest term is Python's max at one depth and np.max's over a
-grid, and the floor's ulps math.ulp's and np.spacing's, the same doubles
+cancellation floor gives the resolution limit, 8 ulps of the largest term,
+below which a computed total is numerically meaningless.  The floor is the
+package's one such rule, ``dispersion._cancellation_floor``, which
+``asymptotics.fit_remainder_rate`` and the CLI's ``selftest`` read too.
+Each, like the group sums (``_group_sums``) and the floor flag, is one
+function of the signed terms that runs on one depth's list of floats and
+on a grid's numpy rows, and the record's properties call it; the largest
+term is Python's max at one depth and np.max's over a grid, and the
+floor's ulps math.ulp's and np.spacing's, the same doubles
 (``dispersion._ulp``).
 """
 
@@ -89,7 +91,7 @@ from functools import lru_cache
 from itertools import combinations, groupby, product, repeat
 
 from .asymptotics import leading_term
-from .dispersion import _FLOATS, _float, _read_depths, _tabulate, _ulp, np
+from .dispersion import _FLOATS, _cancellation_floor, _float, _read_depths, _tabulate, np
 from .resonance import ResonanceData, _check_index, _equal_fields, _record, _resonance_grid, _solve, brentq
 from .stokes_coefficients import _coefficients
 
@@ -371,12 +373,6 @@ def _group_sums(p: int, signed) -> dict:
     return {name: neumaier_sum([signed[k] for k in group]) for name, group in rows}
 
 
-def _cancellation_floor(signed):
-    """8 ulps of the largest term, from one depth's list of signed terms or a grid's rows (one column a depth)."""
-    largest = max(map(abs, signed)) if isinstance(signed, list) else np.abs(signed).max(axis=0)
-    return 8.0 * _ulp(largest)
-
-
 def _floor_flag(signed, total):
     """Whether total lies within 10x of the cancellation floor of its signed terms: at one depth or over a grid."""
     return abs(total) < 10.0 * _cancellation_floor(signed)
@@ -450,8 +446,6 @@ def find_beta_zeros(
     with np.errstate(all="ignore"):  # as Python's float product: an overflow is +-inf, which keeps its sign
         change = total[:-1] * total[1:] < 0.0
     candidates = np.flatnonzero((total == 0.0) | np.append(change, False))
-    if not candidates.size:
-        return []
     hs, vals, noise = grid.h.tolist(), total.tolist(), grid.floor_flag.tolist()
 
     def trusted(i):

@@ -46,10 +46,9 @@ from pathlib import Path
 
 from .asymptotics import wavenumber_asymptote
 from .beta import (
-    ScanRow, _cancellation_floor, _check_domain, _grid, _group_sums, _point, _scan_columns, beta1, beta_term_ids,
-    find_beta_zeros,
+    ScanRow, _check_domain, _grid, _group_sums, _point, _scan_columns, beta1, beta_term_ids, find_beta_zeros,
 )
-from .dispersion import _check_depth, np
+from .dispersion import _cancellation_floor, _check_depth, np
 from .errors import StokesIsolasError
 from .isola import IsolaParams, isola_geometry
 from .resonance import _collision_grid, _collision_point
@@ -273,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("resonance", help="critical wavenumber and collision frequency")
-    s.add_argument("--p", type=int, required=True, help="isola index, any integer >= 2")
+    s.add_argument("--p", type=int, required=True, help="isola index, an integer from 2 to 1.34e154")
     _add_grid_flags(s)
     s.set_defaults(func=cmd_resonance)
 

@@ -14,23 +14,26 @@ labelled by a mode index j and a signature sigma = +-1.
 
 The public functions take floats and check their inputs; a real beyond
 the double range reads as +-inf (``_float``) and is refused like one, and
-a complex number, numpy's included, is refused.  The private kernels
-``_phase`` and ``_tabulate`` skip the checks and take the number type's
-(tanh, sqrt, ratio): ``_FLOATS``, or ``_ARRAYS`` for numpy arrays of
-depths and wavenumbers, which performs the same IEEE operations,
-so a grid gets the same doubles as one call per depth.  Over arrays
-``_tanh`` calls libm only where the rounding of 1 - tanh x leaves its
-double undecided: with k = (1 - tanh x) / 2^-53 from numpy's exp and
+a complex number, numpy's included, a str, bytes and a bool are refused.
+The private kernels ``_phase`` and ``_tabulate`` skip the checks and take
+the number type's (tanh, sqrt, ratio): ``_FLOATS``, or ``_ARRAYS`` for
+numpy arrays of depths and wavenumbers, which performs the same IEEE
+operations, so a grid gets the same doubles as one call per depth.  Over
+arrays ``_tanh`` calls libm only where the rounding of 1 - tanh x leaves
+its double undecided: with k = (1 - tanh x) / 2^-53 from numpy's exp and
 n = rint(k), it writes 1 - n 2^-53 wherever 0.5 - |k - n| > k 2^-44
 (from x ~ 3.8 up; where exp(-2x) is subnormal k is tiny and n = 0).  The
 2^-44 margin covers numpy's error in k (2^-51.5) and libm's in 1 - tanh x
 (about 2^-51 for fdlibm's tanh, which glibc and musl use, or for a
 correctly rounded one) at least 64 times over.  ``_ulp`` takes math.ulp's
-values from np.spacing.  The one global state is ``np``, numpy imported
-on the first read of one of its attributes, each attribute then cached:
-the scalar API (floats throughout) never reads one, so importing the
-package does not import numpy.  Double precision throughout; Omega and t
-are accurate to a few ulps.
+values from np.spacing.  ``_cancellation_floor``, 8 ulps of the largest
+of a sum's terms, is the package's one resolution rule for a total that
+cancels: ``beta``, ``asymptotics`` and the CLI read it.  The one global
+state is ``np``, numpy imported on the first read of one of its
+attributes, each attribute then cached: the scalar API (floats
+throughout) never reads one, so importing the package does not import
+numpy.  Double precision throughout; Omega and t are accurate to a few
+ulps.
 """
 
 from __future__ import annotations
@@ -135,6 +138,16 @@ def _ulp(x):
     return ulp
 
 
+def _cancellation_floor(terms):
+    """8 ulps of the largest |term|, from one depth's list of floats or a grid's rows (one column a depth).
+
+    The package's one resolution rule for a sum of terms that cancel: a
+    total below it is numerically meaningless.
+    """
+    largest = max(map(abs, terms)) if isinstance(terms, list) else np.abs(terms).max(axis=0)
+    return 8.0 * _ulp(largest)
+
+
 def _ratio(x, phi, th, h):
     """phi / th, with th = tanh(x) and x = h * phi, from its series where x < _SERIES_THRESHOLD; one float."""
     return (1.0 + x * x / 3.0 - x ** 4 / 45.0) / h if x < _SERIES_THRESHOLD else phi / th
@@ -191,11 +204,14 @@ def _float(x, name: str) -> float:
     """float(x), with a real beyond the double range rounded to +-inf as IEEE 754 rounds it, not OverflowError.
 
     A complex number, numpy's included, is refused (TypeError, naming it as
-    name) rather than read as its real part.  A float is returned as it is.
+    name) rather than read as its real part, and so are a str, bytes,
+    bytearray and bool, which float() would read as a number.  A float is
+    returned as it is.
     """
     if type(x) is float:
         return x
-    if isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real):
+    if isinstance(x, (str, bytes, bytearray, bool)) or (
+            isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real)):
         raise TypeError(f"{name} must be a real number, got {x!r}")
     try:
         return float(x)
@@ -211,19 +227,25 @@ def _check_depth(h: float) -> float:
 
 
 def _read_depths(hs) -> np.ndarray:
-    """Any iterable of depths as a new 1-D float array, each depth read as _float reads it: nothing is checked.
+    """Any iterable of depths as a new 1-D float array, each depth read as _float reads it: nothing else is checked.
 
-    The one reader of a grid of depths.  A 1-D float64 array is copied, so
-    the caller's array is never held.  Any other iterable is read into a
-    list once.  A list whose sum is a float holds no complex number (a
-    complex term makes the sum complex) and no real beyond the double range
-    (the sum raises): it goes to numpy in one call.  Any other goes through
-    _float depth by depth, which rounds such a real to +-inf and refuses a
-    complex number (TypeError).  The sum takes a fifth of the time of one
+    The one reader of a grid of depths.  An array that is not 1-D, or whose
+    dtype holds bools, times or text, is refused (TypeError, naming its
+    shape and dtype).  A 1-D float64 array is copied, so the caller's array
+    is never held.  Any other iterable, an object or complex array among
+    them, is read into a list once.  A list whose sum is a float holds no
+    complex number (a complex term makes the sum complex), no text and no
+    real beyond the double range (the sum raises): it goes to numpy in one
+    call, a list of bools too.  Any other goes through _float depth by
+    depth, which rounds such a real to +-inf and refuses a complex number,
+    str or bytes (TypeError).  The sum takes a fifth of the time of one
     isinstance test a depth.
     """
-    if isinstance(hs, np.ndarray) and hs.dtype == np.float64 and hs.ndim == 1:
-        return hs.copy()
+    if isinstance(hs, np.ndarray):
+        if hs.ndim != 1 or hs.dtype.kind in "bmMSU":
+            raise TypeError(f"depths must be a 1-D array of real numbers, got shape {hs.shape} and dtype {hs.dtype}")
+        if hs.dtype == np.float64:
+            return hs.copy()
     hs = list(hs)
     try:
         plain = isinstance(sum(hs, 0.0), float)

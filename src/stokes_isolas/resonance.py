@@ -12,7 +12,9 @@ the branching point from which the p-th instability isola bifurcates.  The
 pairing (mode 0, signature -1) with (mode p, signature +1) is adopted as the
 definition of the p-th resonance; it reproduces the deep-water limits
 phi* -> (p-1)^2/4 and all downstream expansions, which is the validation
-available from the source material.
+available from the source material.  The solve starts from a bracket
+centered on that limit, so it takes p up to ``_P_MAX``, the square root
+of the largest double, and ``_check_index`` refuses a larger p.
 
 One depth is solved by ``_solve`` with ``brentq``, a grid of depths by
 ``_solve_grid`` with ``_brentq_lanes``: a scalar and a lane-wise port of
@@ -35,9 +37,9 @@ tabulation, so every grid value equals the single-depth one bit for bit,
 and the residual read off the tabulation is the double the solve returned.
 
 Over arrays each set of wavenumbers is one pass of the exact array tanh
-(``dispersion._tanh``): both ends of every bracket at once, then both
-wavenumbers phi and phi + p of each lane step (``_residuals``), then all
-p+1 harmonics of every depth (``_tabulate`` over rows).  Each lane carries
+(``dispersion._tanh``): both wavenumbers phi and phi + p of each bracket
+end and of each lane step (``_residuals``), then all p+1 harmonics of
+every depth (``_tabulate`` over rows).  Each lane carries
 its depth and p*c, so no step gathers them.  A grid is one lane pass,
 from ``_LANES_FROM`` depths up (it costs about 1 ms however few lanes
 it has), then one loop of ``_solve`` over every depth the lane pass did
@@ -102,8 +104,15 @@ _MAXITER = 100
 _LANES_FROM = 96
 
 
+# The largest p taken, sqrt of the largest double (an int, the cheaper to compare): above it (p - 1)**2, four
+# times the bracket's center, overflows.
+_P_MAX = int(math.sqrt(sys.float_info.max))
+
+
 def _check_index(p: int) -> int:
-    if not (p >= 2 and p % 1 == 0):  # also refuses nan and inf
+    if not (2 <= p <= _P_MAX and p % 1 == 0):  # also refuses nan and inf
+        if p > _P_MAX and p % 1 == 0:
+            raise ValueError(f"isola index p must be at most {float(_P_MAX)!r}, sqrt of the largest double, got {p!r}")
         raise ValueError(f"isola index p must be an integer >= 2, got {p!r}")
     return int(p)
 
@@ -397,11 +406,9 @@ def build_resonance_data(p: int, h: float) -> ResonanceData:
 def _residuals(p: int, phi, h, pc):
     """f(phi) in lanes of depths h with p*c = pc, arrays, unchecked: both wavenumbers from one exact-tanh pass.
 
-    phi may stack several arrays of lanes (both ends of every bracket), one
-    residual each.  Every element performs the operations of ``_residual``
-    on floats.
+    Every element performs the operations of ``_residual`` on floats.
     """
-    q = np.empty((2, *phi.shape))
+    q = np.empty((2, phi.size))
     q[0] = phi
     np.add(phi, p, out=q[1])
     Omega = np.sqrt(q * _tanh(h * q))
@@ -431,10 +438,8 @@ def _solve_grid(p: int, hs) -> tuple:
         # h * phi overflows to inf in deep lanes, as it does on floats
         with np.errstate(over="ignore"):
             # bracket expansion toward 0+, lane by lane as in _solve
-            ends = np.empty((2, h.size))
-            ends[0], ends[1] = _bracket(p)
-            lo, hi = ends
-            flo, fhi = _residuals(p, ends, h, pc)
+            lo, hi = (np.full(h.size, end) for end in _bracket(p))
+            flo, fhi = _residuals(p, lo, h, pc), _residuals(p, hi, h, pc)
             for _ in range(_MAX_EXPANSIONS):
                 lanes = np.flatnonzero(flo > 0.0)
                 if not lanes.size:

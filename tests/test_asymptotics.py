@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -124,6 +125,20 @@ class TestRateFitHarness:
         f = lambda h: math.exp(-0.5 * h) + 5e-15 * math.exp(-0.8 * h)
         est, flagged = fit_remainder_rate(f, model, 1.0, 2.0)
         assert flagged
+
+    @pytest.mark.parametrize("kind", [float, mpmath.mpf], ids=["float", "mpf"])
+    @pytest.mark.parametrize("offset", [1e-15, 1e-13], ids=["flagged", "unflagged"])
+    def test_default_floor_is_eight_ulps_of_f_and_model(self, kind, offset):
+        # None takes the package's cancellation floor of f, read as a float, and of the model
+        model = AsymptoticModel(1.0, 0.5, 1.0, "m")
+        f = lambda h: kind(model.value(h) + offset * h)
+        floor = lambda h: 8.0 * math.ulp(max(abs(float(f(h))), abs(model.value(h))))
+        assert fit_remainder_rate(f, model, 1.0, 2.0) == fit_remainder_rate(f, model, 1.0, 2.0, floor=floor)
+        assert fit_remainder_rate(f, model, 1.0, 2.0)[1] == (offset == 1e-15)
+
+    def test_int_f_takes_the_default_floor(self):
+        model = AsymptoticModel(1.0, 0.5, 1.0, "m")
+        assert fit_remainder_rate(lambda h: 1, model, 1.0, 2.0) == fit_remainder_rate(lambda h: 1.0, model, 1.0, 2.0)
 
     def test_bad_depth_order(self):
         model = AsymptoticModel(1.0, 1.0, 2.0, "m")

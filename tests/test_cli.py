@@ -12,7 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
+from stokes_isolas import beta, resonance
 from stokes_isolas.cli import SCHEMA_PATH, build_parser, main
+from stokes_isolas.errors import SolverError
 
 
 def run_cli(*argv):
@@ -72,6 +74,24 @@ class TestResonanceCommand:
         expected = (2, "", "error: isola index p must be an integer >= 2, got 1\n")
         assert run_cli("resonance", "--p", "1", "--h", "2") == expected
         assert run_cli("resonance", "--p", "1", "--h", "nan") == expected  # p is refused before the depth
+
+    @pytest.mark.parametrize("depths, rows", [(["--h", "1"], 1), (["--h-min", "1", "--h-max", "2", "--n", "3"], 3)],
+                             ids=["one-depth", "grid"])
+    def test_largest_index_table(self, depths, rows):
+        # sqrt of the largest double, the largest p taken; as an int it is the double's value exactly
+        p = int(math.sqrt(sys.float_info.max))
+        code, out, err = run_cli("resonance", "--p", str(p), *depths)
+        assert (code, err) == (0, "")
+        assert [int(row["p"]) for row in parse_csv(out)] == [p] * rows
+
+    @pytest.mark.parametrize("p", [int(math.sqrt(sys.float_info.max)) + 1, 2**512, 10**200],
+                             ids=["next-int", "next-double", "1e200"])
+    @pytest.mark.parametrize("depths", [["--h", "1"], ["--h-min", "1", "--h-max", "2"]], ids=["one-depth", "grid"])
+    def test_index_beyond_the_largest_is_usage_error(self, p, depths):
+        code, out, err = run_cli("resonance", "--p", str(p), *depths)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: isola index p must be at most 1.3407807929942596e+154, ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("h, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1e-3", "-0.001")])
     def test_bad_depth_is_usage_error(self, h, shown):
@@ -513,6 +533,30 @@ class TestTinyDepths:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestNumericalFailure:
+    # cli.main's except StokesIsolasError: a solve that fails ends the table with exit 3, before any row
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["beta", "--p", "3", "--h", "1"],
+            ["beta", "--p", "3", "--h-min", "1", "--h-max", "2", "--n", "200"],
+            ["resonance", "--p", "3", "--h", "1"],
+            ["resonance", "--p", "3", "--h-min", "1", "--h-max", "2"],
+        ],
+        ids=["beta-one-depth", "beta-lanes", "resonance-one-depth", "resonance-grid"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_solver_error_is_a_numerical_exit(self, monkeypatch, argv, fmt):
+        def failing(p, h):
+            raise SolverError(f"no sign change toward 0+ for p={p}, h={h}", bracket=(0.0, 1.0))
+
+        # every depth goes to the single-depth solve: the lane pass, where a grid takes it, settles none
+        monkeypatch.setattr(resonance, "_brentq_lanes", lambda f, args, xa, *_: (np.full(xa.size, np.nan),) * 2)
+        for module in (resonance, beta):
+            monkeypatch.setattr(module, "_solve", failing)
+        assert run_cli(*argv, "--format", fmt) == (3, "", "error: no sign change toward 0+ for p=3, h=1.0\n")
 
 
 class TestHugeGrids:

@@ -4,7 +4,8 @@ Every entry point, in the library and in the CLI, answers at both ends of
 ``beta._DOMAIN`` with the doubles it gave before the check existed, and
 refuses every depth outside it (one ulp beyond either end, NaN, +-inf, 0
 and -1) with one ValueError before any solve.  A complex depth is a
-TypeError, never its real part.
+TypeError, never its real part, and so are a str, bytes or bool depth and
+a grid array that is not 1-D or holds bools, times or text.
 """
 
 import math
@@ -14,7 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
-from stokes_isolas import IsolaParams, beta, beta1, beta1_breakdown, beta_scan, find_beta_zeros, phase_speed
+from stokes_isolas import (
+    IsolaParams, beta, beta1, beta1_breakdown, beta_scan, find_beta_zeros, omega_disp, phase_speed, solve_wavenumber,
+)
 from stokes_isolas.resonance import _collision_grid, _resonance_grid
 from test_beta import _count_solves, _denominators_by_loop
 from test_cli import parse_csv, run_cli
@@ -159,3 +162,49 @@ class TestComplexDepths:
             warnings.simplefilter("error")
             assert beta1(2, np.float32(1.5)) == beta1(2, 1.5)
             assert beta_scan(2, [np.float32(1.5), 2])[0] == beta_scan(2, [1.5, 2.0])[0]
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonNumberDepths:
+    # float() reads these as numbers; a depth must be a real number, or it is refused with a TypeError naming it
+    @pytest.mark.parametrize("h", ["1.0", b"1.0", bytearray(b"1.0"), np.str_("1.0"), True],
+                             ids=["str", "bytes", "bytearray", "numpy-str", "bool"])
+    def test_one_depth(self, h):
+        calls = entry_points(2) | zeros_ends(2)
+        del calls["beta_scan-lanes"]  # an array, refused on its dtype (test_grid_array)
+        if isinstance(h, bool):  # a list of bools still reads as floats on the list's fast path
+            del calls["beta_scan"]
+        else:
+            calls["beta_scan-list"] = lambda h: beta_scan(2, [1.0, h])
+        for call in (*calls.values(), phase_speed, lambda h: solve_wavenumber(2, h)):
+            with pytest.raises(TypeError, match=f"^{re.escape(f'depth must be a real number, got {h!r}')}$"):
+                call(h)
+
+    def test_other_arguments_are_named(self):
+        # as IsolaParams' fields are (tests/test_isola.py)
+        with pytest.raises(TypeError, match=r"^phi must be a real number, got True$"):
+            omega_disp(True, 1.0)
+
+    @pytest.mark.parametrize(
+        "hs",
+        [np.array([True, True]), np.array([1, 2], dtype="timedelta64[D]"), np.array([1, 2], dtype="datetime64[D]"),
+         np.array([b"1.0", b"2.0"]), np.array(["1.0", "2.0"]), np.array([[1.0, 2.0]]), np.array([[1.0], [2.0]]),
+         np.array(1.0)],
+        ids=["bool", "timedelta", "datetime", "bytes", "str", "row", "column", "0-d"],
+    )
+    @pytest.mark.parametrize("grid", [beta_scan, _resonance_grid, _collision_grid])
+    def test_grid_array(self, grid, hs):
+        message = f"depths must be a 1-D array of real numbers, got shape {hs.shape} and dtype {hs.dtype}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            grid(2, hs)
+
+    @pytest.mark.parametrize("grid", [beta_scan, _resonance_grid, _collision_grid])
+    def test_grid_list(self, grid):
+        with pytest.raises(TypeError, match=r"^depth must be a real number, got '2.0'$"):
+            grid(2, [1.0, "2.0"])
+
+    def test_real_arrays_still_read(self):
+        # integer, float32 and object arrays of real numbers read as before, element by element
+        expected = beta_scan(2, [1.0, 2.0])
+        for hs in (np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32), np.array([1.0, 2], dtype=object)):
+            assert beta_scan(2, hs) == expected

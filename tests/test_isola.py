@@ -102,7 +102,7 @@ class TestParams:
 
     @pytest.mark.parametrize("over, named", [
         ({"eps": math.nan, "T1": 10**400, "mu0": math.inf}, "eps must be finite, got nan"),
-        ({"eps": "0.1", "T1": 10**400}, "T1 must be finite, got inf"),
+        ({"eps": 1, "T1": 10**400}, "T1 must be finite, got inf"),
         # one field and every later one non-finite, in turn nan, inf, -inf and reals beyond the double range
         *(({name: NON_FINITE[(i + j) % 5][0] for j, name in enumerate(FINITE_FIELDS[i:])},
            f"{FINITE_FIELDS[i]} must be finite, got {NON_FINITE[i % 5][1]}") for i in range(6)),
@@ -123,9 +123,11 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_params(**over)
 
-    def test_string_field_reaches_the_comparison(self):
-        with pytest.raises(TypeError, match="'>' not supported between instances of 'str' and 'int'"):
-            make_params(eps="0.1")
+    @pytest.mark.parametrize("value", ["0.1", b"0.1", True], ids=["str", "bytes", "bool"])
+    def test_non_number_field_is_refused_by_name(self, value):
+        # float() would read it; it is refused where the field is read, ahead of a later non-finite field
+        with pytest.raises(TypeError, match=f"^{re.escape(f'eps must be a real number, got {value!r}')}$"):
+            make_params(eps=value, T1=10**400)
 
     def test_from_depth_defaults(self):
         params = IsolaParams.from_depth(2, 3.0, 0.05, T1=1.0, E=0.5)

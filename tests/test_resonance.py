@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -37,6 +38,9 @@ OMEGA_3_2 = (0.95659245398731007083, 1.397990494353440854, 1.7192727129118278523
 T_3_2 = (0.99932001457815126003, 1.3991096455691963242, 1.7192979117650559593, 1.9889552652123432217)
 PHI_4_8 = 2.2499991559862979033
 OMEGA_STAR_4_8 = 3.7499986214443365829
+# The largest index the solve takes, sqrt of the largest double, and phi* there at h = 1 by the reference evaluator
+P_MAX = math.sqrt(sys.float_info.max)
+PHI_PMAX_1 = 3.4227814642823456e307
 
 
 class TestResidual:
@@ -97,6 +101,20 @@ class TestSolveWavenumber:
             solve_wavenumber(1, 1.0)
         with pytest.raises(ValueError):
             solve_wavenumber(2, -1.0)
+
+    @pytest.mark.parametrize("p", [P_MAX, int(P_MAX)], ids=["float", "int"])
+    def test_largest_index_is_solved(self, p):
+        assert solve_wavenumber(p, 1.0) == pytest.approx(PHI_PMAX_1, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [math.nextafter(P_MAX, math.inf), int(P_MAX) + 1, 10**200],
+                             ids=["float", "int", "1e200"])
+    def test_index_beyond_the_largest_is_refused(self, p):
+        # (p - 1)**2 at the bracket's center would overflow: a ValueError stating the bound, not OverflowError
+        message = f"isola index p must be at most {P_MAX!r}, sqrt of the largest double, got {p!r}"
+        for call in (solve_wavenumber, omega_star, build_resonance_data, _collision_grid):
+            with pytest.raises(ValueError) as err:
+                call(p, 1.0 if call is not _collision_grid else [1.0, 2.0])
+            assert (type(err.value), str(err.value)) == (ValueError, message)
 
     def test_uniqueness_single_sign_change(self):
         # residual changes sign exactly once on [phi*/4, 4 phi* + p]
