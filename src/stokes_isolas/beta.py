@@ -91,7 +91,7 @@ from functools import lru_cache
 from itertools import combinations, groupby, product, repeat
 
 from .asymptotics import leading_term
-from .dispersion import _FLOATS, _cancellation_floor, _float, _read_depths, _tabulate, np
+from .dispersion import _FLOATS, _cancellation_floor, _float, _integer, _read_depths, _tabulate, np
 from .resonance import ResonanceData, _check_index, _equal_fields, _record, _resonance_grid, _solve, brentq
 from .stokes_coefficients import _coefficients
 
@@ -425,20 +425,21 @@ def find_beta_zeros(
     """Zeros of h -> beta1(p, h) in [h_min, h_max] by sign-change bracketing.
 
     Scans a uniform grid of grid_n intervals, then refines each sign change
-    by Brent bisection until the bracket is narrower than tol.  Sign changes
+    by Brent bisection until the bracket is narrower than tol.  Every
+    argument is read before use: p as beta1 reads it, h_min and h_max as
+    doubles in the beta domain (a float32 bound as its double, so the grid
+    is float64's), grid_n as an integer >= 100 and tol as a positive finite
+    real; a bool tol or a str one is refused (TypeError).  Sign changes
     between two grid values that are both within 10x of the cancellation
     floor are rounding noise and are skipped; an exact 0.0 on the grid
     counts only next to a value above the floor.  An empty list is a valid
     result; callers wanting residuals evaluate beta1 at the returned points.
     """
-    _check_domain(h_min)
-    _check_domain(h_max)
+    h_min, h_max = _check_domain(h_min), _check_domain(h_max)
     if not h_min < h_max:
         raise ValueError(f"need h_min < h_max, got {h_min!r} >= {h_max!r}")
-    if not (grid_n >= 100 and grid_n % 1 == 0):
-        raise ValueError(f"grid_n must be an integer >= 100, got {grid_n!r}")
-    grid_n = int(grid_n)
-    if not 0 < tol < math.inf:
+    grid_n = _integer(grid_n, "grid_n", 100)
+    if not 0 < (tol := _float(tol, "tol")) < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     grid = _grid(p, np.linspace(h_min, h_max, grid_n + 1))

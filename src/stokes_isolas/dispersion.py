@@ -12,9 +12,17 @@ together with the flat-water eigenvalue branches
 
 labelled by a mode index j and a signature sigma = +-1.
 
-The public functions take floats and check their inputs; a real beyond
-the double range reads as +-inf (``_float``) and is refused like one, and
-a complex number, numpy's included, a str, bytes and a bool are refused.
+The public functions take floats and check their inputs.  Every number
+argument of the package is read by one of two readers: ``_float`` reads
+a real number (``numbers.Real``, a 0-d numpy array of one included) as
+its double, a real beyond the double range as +-inf, which is then
+refused like one, and refuses anything else, a bool, numpy's bools, a
+complex number, str, bytes, None and Decimal among them, with a
+TypeError naming the argument; ``_integer`` reads an integer argument
+(p, ``find_beta_zeros``' grid_n, ``ellipse_points``' n, j and sigma)
+through ``_float`` and refuses one that is not integral or is too small
+with a ValueError naming it.  Entry points compute only with what these
+return.
 The private kernels ``_phase`` and ``_tabulate`` skip the checks and take
 the number type's (tanh, sqrt, ratio): ``_FLOATS``, or ``_ARRAYS`` for
 numpy arrays of depths and wavenumbers, which performs the same IEEE
@@ -201,22 +209,40 @@ def _tabulate(n: int, h, phi, kernels):
 
 
 def _float(x, name: str) -> float:
-    """float(x), with a real beyond the double range rounded to +-inf as IEEE 754 rounds it, not OverflowError.
+    """float(x) of a real number x, with a real beyond the double range rounded to +-inf as IEEE 754 rounds it.
 
-    A complex number, numpy's included, is refused (TypeError, naming it as
-    name) rather than read as its real part, and so are a str, bytes,
-    bytearray and bool, which float() would read as a number.  A float is
-    returned as it is.
+    The one reader of a real number argument.  A float is returned as it
+    is, and a 0-d numpy array is read as the scalar it holds.  A bool, or
+    anything that is not a ``numbers.Real``, is refused with a TypeError
+    naming it as name: a complex number, numpy's included, a str, bytes,
+    None, a Decimal and numpy's bools.  The rest (an int, a Fraction,
+    numpy's integers and floats, float16 included, mpmath's mpf) is
+    rounded once to the nearest double.
     """
     if type(x) is float:
         return x
-    if isinstance(x, (str, bytes, bytearray, bool)) or (
-            isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real)):
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Real)):  # an int is real
+        # a 0-d array reads as its scalar; before numpy is loaded there is no array, so the test loads no numpy
+        if isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ())) and x.ndim == 0:
+            return _float(x[()], name)
         raise TypeError(f"{name} must be a real number, got {x!r}")
     try:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def _integer(x, name: str, least=None) -> int:
+    """x as an int, refused (ValueError) unless it is integral, and at least least when one is given.
+
+    The one reader of an integer argument.  x is read as ``_float`` reads
+    it, so NaN, +-inf and an int beyond the double range are refused, and
+    so is a bool (TypeError); an int comes back as it is, exact beyond
+    2**53, anything else as int of its double.
+    """
+    if (value := _float(x, name)) % 1 == 0 and (least is None or value >= least):  # inf % 1 is nan: no nan, +-inf
+        return x if type(x) is int else int(value)
+    raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {x!r}")
 
 
 def _check_depth(h: float) -> float:
@@ -311,8 +337,9 @@ def eigenvalue_branch(j: int, sigma: int, mu: float, h: float) -> float:
     Returns omega^sigma(j + mu, h) = c(h)*(j + mu) - sigma*Omega(j + mu, h).
     The branches obey the reflection omega^+(-phi, h) = -omega^-(phi, h).
     """
-    if sigma not in (1, -1) or not _float(j, "j") % 1 == 0:  # inf % 1 is nan: refuses nan, inf and j beyond doubles
-        raise ValueError(f"need an integer mode index j and sigma = +1 or -1, got j={j!r}, sigma={sigma!r}")
+    j, sigma = _integer(j, "j"), _integer(sigma, "sigma")
+    if sigma not in (1, -1):
+        raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
     h = _check_depth(h)
     mu = _check_finite(mu, "mu")
     phi = j + mu

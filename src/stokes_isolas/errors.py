@@ -19,12 +19,8 @@ class SingularityError(StokesIsolasError):
     """A Stokes-coefficient denominator underflowed to 0.0 (``stokes_coefficients(h)`` below h ~ 2.7e-33).
 
     The beta functions never raise it: they refuse depths outside their
-    domain [0.05, 20] first.  value is the denominator's value.
+    domain [0.05, 20] first.  The message names the phase speed c.
     """
-
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
 
 
 class DegenerateFitError(StokesIsolasError):

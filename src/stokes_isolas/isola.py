@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .beta import _point
-from .dispersion import _check_finite, np
+from .dispersion import _check_finite, _float, _integer, np
 from .resonance import _check_index, _collision
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
     "isola_geometry",
 ]
 
-_FINITE_FIELDS = ("h", "eps", "beta1", "T1", "y0", "mu0")
-
 
 @dataclass(frozen=True)
 class IsolaParams:
@@ -56,6 +54,9 @@ class IsolaParams:
     beta1 normally comes from :func:`stokes_isolas.beta.beta1`; T1 and E
     must be supplied by the caller.  y0 and mu0 default (via
     :meth:`from_depth`) to the collision frequency and critical wavenumber.
+    Each field is stored as it is read: p as an int, the others as
+    doubles, so a numpy float32 eps gives the model's doubles; a field that
+    is not a real number is refused by name (TypeError).
     """
 
     p: int
@@ -69,16 +70,15 @@ class IsolaParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_index(self.p))
-        for name in _FINITE_FIELDS:  # the first field that is not a finite real is named
-            _check_finite(getattr(self, name), name)
-        if not self.h > 0:
-            raise ValueError(f"h must be positive, got {self.h!r}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
-        if not self.T1 > 0:
-            raise ValueError(f"T1 must be positive, got {self.T1!r}")
+        for name in ("h", "eps", "beta1", "T1", "y0", "mu0"):  # the first field that is not a finite real is named
+            object.__setattr__(self, name, _check_finite(getattr(self, name), name))
+        E = self.E  # a refusal shows E as given, 10**400 as it is
+        object.__setattr__(self, "E", _float(E, "E"))
+        for name in ("h", "eps", "T1"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not 0.0 < self.E < 1.0:
-            raise ValueError(f"E must lie in (0, 1), got {self.E!r}")
+            raise ValueError(f"E must lie in (0, 1), got {E!r}")
         try:  # max_growth / E >= max_growth, as E < 1
             width, height = self.half_width, self.max_growth / self.E
         except OverflowError:  # eps**p alone leaves the float range
@@ -184,10 +184,8 @@ def ellipse_points(params: IsolaParams, n: int) -> np.ndarray:
     sample set is symmetric under x -> -x.  Extreme points are
     (+-max_growth, y0) and (0, y0 +- max_growth/E).
     """
-    if not (n >= 8 and n % 1 == 0):  # also refuses nan and inf
-        raise ValueError(f"need an integer n >= 8 samples, got {n!r}")
     g = params.max_growth
-    pts = _unit_circle(int(n)) * (g, g / params.E)
+    pts = _unit_circle(_integer(n, "n", 8)) * (g, g / params.E)
     pts[:, 1] += params.y0
     return pts
 

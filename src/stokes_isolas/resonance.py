@@ -14,7 +14,11 @@ definition of the p-th resonance; it reproduces the deep-water limits
 phi* -> (p-1)^2/4 and all downstream expansions, which is the validation
 available from the source material.  The solve starts from a bracket
 centered on that limit, so it takes p up to ``_P_MAX``, the square root
-of the largest double, and ``_check_index`` refuses a larger p.
+of the largest double.  ``_check_index`` returns an int p from 2 to
+``_P_MAX`` as it is; any other p it reads with ``dispersion._integer``,
+which refuses a bool, numpy's bools and every non-real (TypeError) and
+a p that is not an integer >= 2 (ValueError; an int beyond the double
+range reads as inf), and then it refuses a p above ``_P_MAX``.
 
 One depth is solved by ``_solve`` with ``brentq``, a grid of depths by
 ``_solve_grid`` with ``_brentq_lanes``: a scalar and a lane-wise port of
@@ -58,7 +62,8 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 from .dispersion import (
-    _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _phase, _read_depths, _tabulate, _tanh, _ulp, np,
+    _ARRAYS, _FLOATS, _check_depth, _check_depths, _check_finite, _integer, _phase, _read_depths, _tabulate, _tanh,
+    _ulp, np,
 )
 from .errors import SolverError
 
@@ -110,11 +115,12 @@ _P_MAX = int(math.sqrt(sys.float_info.max))
 
 
 def _check_index(p: int) -> int:
-    if not (2 <= p <= _P_MAX and p % 1 == 0):  # also refuses nan and inf
-        if p > _P_MAX and p % 1 == 0:
-            raise ValueError(f"isola index p must be at most {float(_P_MAX)!r}, sqrt of the largest double, got {p!r}")
-        raise ValueError(f"isola index p must be an integer >= 2, got {p!r}")
-    return int(p)
+    """p as an int from 2 to _P_MAX, read by _integer; an int in that range is returned without the reader."""
+    if type(p) is int and 2 <= p <= _P_MAX:
+        return p
+    if (index := _integer(p, "isola index p", 2)) > _P_MAX:
+        raise ValueError(f"isola index p must be at most {float(_P_MAX)!r}, sqrt of the largest double, got {p!r}")
+    return index
 
 
 def resonance_residual(phi: float, p: int, h: float) -> float:
@@ -125,9 +131,9 @@ def resonance_residual(phi: float, p: int, h: float) -> float:
     """
     p = _check_index(p)
     h = _check_depth(h)
-    if phi <= 0.0:
+    if (phi := _check_finite(phi, "phi")) <= 0.0:
         raise ValueError(f"phi must be positive, got {phi!r}")
-    return _residual(p, h, _phase(h, _FLOATS), _FLOATS)(_check_finite(phi, "phi"))
+    return _residual(p, h, _phase(h, _FLOATS), _FLOATS)(phi)
 
 
 def _residual(p: int, h, c, kernels):

@@ -100,6 +100,5 @@ def _coefficients(c):
         return (a1, a2, a3, a4), (p1, p2, p3, p4)
     except ZeroDivisionError:
         raise SingularityError(
-            f"Stokes coefficients are singular at phase speed c={c!r}: a denominator underflows to 0.0",
-            value=0.0,
+            f"Stokes coefficients are singular at phase speed c={c!r}: a denominator underflows to 0.0"
         ) from None

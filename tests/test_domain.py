@@ -5,18 +5,24 @@ Every entry point, in the library and in the CLI, answers at both ends of
 refuses every depth outside it (one ulp beyond either end, NaN, +-inf, 0
 and -1) with one ValueError before any solve.  A complex depth is a
 TypeError, never its real part, and so are a str, bytes or bool depth and
-a grid array that is not 1-D or holds bools, times or text.
+a grid array that is not 1-D or holds bools, times or text.  Every other
+number argument is read the same way: a real reads as its double, or an
+integral one as its int, and anything else is refused by name.
 """
 
 import math
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from stokes_isolas import (
-    IsolaParams, beta, beta1, beta1_breakdown, beta_scan, find_beta_zeros, omega_disp, phase_speed, solve_wavenumber,
+    IsolaParams, beta, beta1, beta1_breakdown, beta_scan, eigenvalue_branch, ellipse_points, find_beta_zeros,
+    omega_disp, omega_star, phase_speed, resonance_residual, solve_wavenumber,
 )
 from stokes_isolas.resonance import _collision_grid, _resonance_grid
 from test_beta import _count_solves, _denominators_by_loop
@@ -208,3 +214,70 @@ class TestNonNumberDepths:
         expected = beta_scan(2, [1.0, 2.0])
         for hs in (np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32), np.array([1.0, 2], dtype=object)):
             assert beta_scan(2, hs) == expected
+
+
+def _params(p=2, h=1.0, E=0.5):
+    return IsolaParams(p=p, h=h, eps=0.1, beta1=0.5, T1=1.0, E=E, y0=1.0, mu0=0.5)
+
+
+# Each entry point as a function of its integer argument (p, n or j, with the plain value it is given here) and
+# of a depth.  beta_scan reads its depth from a list: a list holding a numpy bool still reads as floats (ROADMAP
+# item 14), so that one pairing is left out below.
+READERS = {
+    "beta1": ("p", 3, lambda p=3, h=1.0: beta1(p, h)),
+    "solve_wavenumber": ("p", 3, lambda p=3, h=1.0: solve_wavenumber(p, h)),
+    "beta_scan": ("p", 3, lambda p=3, h=1.0: beta_scan(p, [1.0, h])),
+    "omega_star": ("p", 3, lambda p=3, h=1.0: omega_star(p, h)),
+    "resonance_residual": ("p", 3, lambda p=3, h=1.0: resonance_residual(0.5, p, h)),
+    "find_beta_zeros": ("p", 3, lambda p=3, h=0.5: find_beta_zeros(p, h, 3.0, 500)),
+    "IsolaParams": ("p", 3, lambda p=3, h=1.0: _params(p=p, h=h)),
+    "ellipse_points": ("n", 8, lambda n=8, h=1.0: ellipse_points(_params(h=h), n)),
+    "eigenvalue_branch": ("j", 3, lambda j=3, h=1.0: eigenvalue_branch(j, 1, 0.1, h)),
+}
+NAMES = {"p": "isola index p", "n": "n", "j": "j"}
+
+
+def _number_cases():
+    """(call, its float or int counterpart's call, or None where the call must be refused, the name refused)."""
+    for entry, (arg, plain, call) in READERS.items():
+        for flag in (np.True_, np.False_):
+            yield pytest.param(partial(call, **{arg: flag}), None, NAMES[arg], id=f"{entry}-{arg}={flag!r}")
+        for kind in (np.float32, np.int8, np.uint64):
+            yield pytest.param(partial(call, **{arg: kind(plain)}), partial(call, **{arg: plain}), None,
+                               id=f"{entry}-{arg}={kind.__name__}")
+        depth = 0.5 if entry == "find_beta_zeros" else 1.0
+        named = "h" if entry in ("IsolaParams", "ellipse_points") else "depth"  # IsolaParams names its fields
+        for h in ([] if entry == "beta_scan" else [np.True_]) + [Decimal(depth), None]:
+            yield pytest.param(partial(call, h=h), None, named, id=f"{entry}-h={h!r}")
+        for h in (np.array(depth), Fraction(depth), np.float16(depth)):
+            yield pytest.param(partial(call, h=h), partial(call, h=depth), None, id=f"{entry}-h={type(h).__name__}")
+    for tol in (True, "1e-8"):
+        yield pytest.param(partial(find_beta_zeros, 4, 0.3, 3.0, tol=tol), None, "tol",
+                           id=f"find_beta_zeros-tol={tol!r}")
+    for E in ("0.5", Decimal("0.5")):
+        yield pytest.param(partial(_params, E=E), None, "E", id=f"IsolaParams-E={E!r}")
+    for sigma in (True, np.True_):
+        yield pytest.param(partial(eigenvalue_branch, 0, sigma, 0.1, 1.0), None, "sigma",
+                           id=f"eigenvalue_branch-sigma={sigma!r}")
+    yield pytest.param(partial(resonance_residual, "0.1", 2, 1.0), None, "phi", id="resonance_residual-phi='0.1'")
+    # a float32 bound is read as its double: the grid and the zeros are float64's
+    yield pytest.param(partial(find_beta_zeros, 4, np.float32(0.3), 3.0),
+                       partial(find_beta_zeros, 4, float(np.float32(0.3)), 3.0), None, id="find_beta_zeros-float32")
+
+
+def _bits(x):
+    """What two results must share to be the same doubles: an array's dtype and bytes, or else the repr."""
+    return (x.dtype, x.tobytes()) if isinstance(x, np.ndarray) else repr(x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, counterpart, name", list(_number_cases()))
+def test_number_argument_is_read_or_refused_by_name(call, counterpart, name):
+    # a real gives its float or int counterpart's doubles; anything else is a TypeError or ValueError that names
+    # its argument, never an OverflowError, a warning or a number
+    if counterpart is not None:
+        assert _bits(call()) == _bits(counterpart())
+        return
+    with pytest.raises((TypeError, ValueError)) as err:
+        call()
+    assert str(err.value).startswith(f"{name} must be ")

@@ -362,7 +362,7 @@ class TestEllipse:
 
     @pytest.mark.parametrize("n", [8.5, math.nan, math.inf, -math.inf, 7.0])
     def test_n_must_be_an_integer_of_at_least_8(self, n):
-        with pytest.raises(ValueError, match="need an integer n >= 8 samples"):
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 8, got {n!r}$"):
             ellipse_points(make_params(), n)
 
     def test_integral_float_n(self):
